@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NoEvidenceError
 from .frontend import FeatureMatrix
 from .gmm import frame_logpdf, loglik
 from .vowels import ARPABET_VOWELS, NUM_VOWELS
@@ -26,7 +27,6 @@ class AccentModelSet:
     accents: list
     baseline: list | None = None
     vowel_grid: dict | None = None
-    vowel_ubms: dict | None = None
     vowel_weights: np.ndarray | None = None
 
     def __post_init__(self):
@@ -214,7 +214,7 @@ def classify_vowel_weighted(model_set, pooled, normalize_per_frame=False):
             totals[s] += weight * (ll / num_frames if normalize_per_frame else ll)
         frames_used += num_frames
     if frames_used == 0:
-        raise ValueError("no vowel evidence: every pooled vowel matrix is empty")
+        raise NoEvidenceError("no vowel evidence: every pooled vowel matrix is empty")
     best = int(np.argmax(totals))
     return ClassificationResult(
         chosen_accent=model_set.accents[best],
@@ -270,19 +270,30 @@ def evaluate(model_set, test_corpus, mode="baseline", max_frames=None,
     test_corpus items are (payload, accent) pairs; the payload is a
     FeatureMatrix in baseline mode and a pooled vowel map in vowel mode.
     """
-    accent_index = {a: i for i, a in enumerate(model_set.accents)}
-    confusion = np.zeros((len(model_set.accents),) * 2, dtype=np.int64)
-    for payload, accent in test_corpus:
+    def pairs():
+        for payload, accent in test_corpus:
+            if mode == "baseline":
+                result = classify_baseline(model_set, payload, max_frames=max_frames)
+            elif mode == "vowel":
+                result = classify_vowel_weighted(model_set, payload,
+                                                 normalize_per_frame=normalize_per_frame)
+            else:
+                raise ValueError("unknown mode %r" % mode)
+            yield accent, result.chosen_accent
+
+    return confusion_report(model_set.accents, pairs(), mode, feature_tag, seed)
+
+
+def confusion_report(accents, pairs, mode, feature_tag="", seed=None):
+    """EvalReport over (true accent, predicted accent) pairs."""
+    accent_index = {a: i for i, a in enumerate(accents)}
+    confusion = np.zeros((len(accents),) * 2, dtype=np.int64)
+    for accent, predicted in pairs:
         if accent not in accent_index:
             raise ValueError("unknown accent label %r in corpus" % accent)
-        if mode == "baseline":
-            result = classify_baseline(model_set, payload, max_frames=max_frames)
-        elif mode == "vowel":
-            result = classify_vowel_weighted(model_set, payload,
-                                             normalize_per_frame=normalize_per_frame)
-        else:
-            raise ValueError("unknown mode %r" % mode)
-        confusion[accent_index[accent], accent_index[result.chosen_accent]] += 1
+        if predicted not in accent_index:
+            raise ValueError("unknown predicted accent %r" % predicted)
+        confusion[accent_index[accent], accent_index[predicted]] += 1
     row_totals = confusion.sum(axis=1)
     if np.any(row_totals == 0):
         missing = [a for a, i in accent_index.items() if row_totals[i] == 0]
@@ -296,7 +307,7 @@ def evaluate(model_set, test_corpus, mode="baseline", max_frames=None,
         accuracy=accuracy,
         per_accent=per_accent,
         confusion=confusion,
-        accents=list(model_set.accents),
+        accents=list(accents),
         mode=mode,
         feature_tag=feature_tag,
         seed=seed,

@@ -88,6 +88,8 @@ def _chain_for(cfg, mode):
     chain += ["ubm", "adapt"]
     if mode == "vowel":
         chain += ["vowel-models", "weights"]
+        if cfg.vowels.use_calibrated_threshold:
+            chain.append("calibrate")
     chain += ["classify", "evaluate"]
     return chain
 

@@ -21,5 +21,9 @@ class ConfigError(AccentForgeError, ValueError):
     """Invalid or inconsistent pipeline configuration."""
 
 
+class NoEvidenceError(AccentForgeError, ValueError):
+    """An utterance has no frames for any scored vowel after thresholding."""
+
+
 class MissingPrerequisiteError(AccentForgeError, RuntimeError):
     """A stage was run before the stage that produces its inputs."""

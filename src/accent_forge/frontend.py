@@ -325,8 +325,11 @@ def read_feature_archive(path):
         if len(body) != num_frames * dim * 8:
             raise FormatError("truncated feature data in %s" % path)
         data = np.frombuffer(body, dtype="<f8").reshape(num_frames, dim)
-        tag_bytes = handle.read(num_frames)
-        tags = None
-        if len(tag_bytes) == num_frames and num_frames > 0:
-            tags = np.frombuffer(tag_bytes, dtype=np.uint8)
-    return FeatureMatrix(data.copy(), hop, None if tags is None else tags.copy())
+        tag_bytes = handle.read()
+    if len(tag_bytes) not in (0, num_frames):
+        raise FormatError(
+            "%d bytes after the feature data in %s; the tag block must be absent "
+            "or one byte per frame (%d)" % (len(tag_bytes), path, num_frames)
+        )
+    tags = np.frombuffer(tag_bytes, dtype=np.uint8).copy() if tag_bytes else None
+    return FeatureMatrix(data.copy(), hop, tags)

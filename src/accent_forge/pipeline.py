@@ -28,14 +28,14 @@ from . import signal as sig
 from .adapt import AdaptConfig, adapt_all_accents, map_adapt
 from .classify import (
     AccentModelSet,
-    EvalReport,
     classify_baseline,
     classify_vowel_weighted,
+    confusion_report,
     pairwise_vowel_distances,
     vowel_discriminativeness,
     vowel_weights,
 )
-from .errors import ConfigError, MissingPrerequisiteError
+from .errors import ConfigError, MissingPrerequisiteError, NoEvidenceError
 from .frontend import (
     FeatureMatrix,
     FrontendConfig,
@@ -57,6 +57,7 @@ from .transforms import (
 from .vowels import (
     ARPABET_VOWELS,
     NUM_VOWELS,
+    VOWEL_INDEX,
     PhoneSegment,
     calibrate_threshold,
     filter_by_confidence,
@@ -64,19 +65,6 @@ from .vowels import (
     pool_vowel_features,
     vowel_popularity,
     write_label_file,
-)
-
-STAGES = (
-    "vad",
-    "features",
-    "transforms",
-    "ubm",
-    "adapt",
-    "vowel-models",
-    "weights",
-    "classify",
-    "evaluate",
-    "calibrate",
 )
 
 # vowels ordered by typical corpus frequency; drives the default popularity
@@ -219,7 +207,7 @@ class WeightsConfig:
 
 @dataclass
 class CalibrateConfig:
-    grid: tuple = (float("-inf"), -80.0, -70.0, -60.0, -50.0, -40.0, -30.0, -20.0)
+    grid: tuple[float, ...] = (float("-inf"), -80.0, -70.0, -60.0, -50.0, -40.0, -30.0, -20.0)
 
 
 @dataclass
@@ -238,12 +226,12 @@ class SyntheticSpec:
     frames_per_utterance: int = 300
     segment_frames_min: int = 10
     segment_frames_max: int = 30
-    vowel_popularity: tuple = ()
+    vowel_popularity: tuple[float, ...] = ()
     accent_separation: float = 3.0
-    discriminative_vowels: tuple = ()
+    discriminative_vowels: tuple[str, ...] = ()
     nonvowel_fraction: float = 0.15
     noise_segment_fraction: float = 0.0
-    noise_splits: tuple = ("dev", "test")
+    noise_splits: tuple[str, ...] = ("dev", "test")
     with_confidence: bool = False
     clean_confidence_mean: float = -20.0
     clean_confidence_std: float = 3.0
@@ -318,64 +306,30 @@ class PipelineConfig:
         return "PLP_MVN_%d" % (3 * self.frontend.num_ceps)
 
 
-# flat dotted-key <-> dataclass field registry: (key, section, attr, kind)
-_CONFIG_KEYS = (
-    ("corpus.seed", "corpus", "seed", "int"),
-    ("corpus.max_test_frames", "corpus", "max_test_frames", "int"),
-    ("signal.frame_ms", "signal", "frame_ms", "float"),
-    ("signal.hop_ms", "signal", "hop_ms", "float"),
-    ("signal.energy_weight", "signal", "energy_weight", "float"),
-    ("signal.centroid_weight", "signal", "centroid_weight", "float"),
-    ("signal.min_segment_frames", "signal", "min_segment_frames", "int"),
-    ("frontend.lp_order", "frontend", "lp_order", "int"),
-    ("frontend.num_ceps", "frontend", "num_ceps", "int"),
-    ("frontend.num_filters", "frontend", "num_filters", "int"),
-    ("frontend.delta_window", "frontend", "delta_window", "int"),
-    ("frontend.warp_window", "frontend", "warp_window_frames", "int"),
-    ("frontend.mvn_before_warp", "frontend", "mvn_before_warp", "bool"),
-    ("transforms.enabled", "transforms", "enabled", "bool"),
-    ("transforms.pca_dim", "transforms", "pca_dim", "int"),
-    ("transforms.hlda_dim", "transforms", "hlda_dim", "int"),
-    ("transforms.context", "transforms", "context", "int"),
-    ("transforms.max_iters", "transforms", "max_iters", "int"),
-    ("transforms.tol", "transforms", "tol", "float"),
-    ("ubm.components", "ubm", "components", "int"),
-    ("ubm.em_iters", "ubm", "em_iters", "int"),
-    ("ubm.final_em_iters", "ubm", "final_em_iters", "int"),
-    ("adapt.relevance_weight", "adapt", "relevance_weight", "float"),
-    ("adapt.relevance_mean", "adapt", "relevance_mean", "float"),
-    ("adapt.relevance_var", "adapt", "relevance_var", "float"),
-    ("adapt.weights", "adapt", "adapt_weights", "bool"),
-    ("adapt.means", "adapt", "adapt_means", "bool"),
-    ("adapt.vars", "adapt", "adapt_vars", "bool"),
-    ("vowels.components", "vowels", "components", "int"),
-    ("vowels.min_frames", "vowels", "min_frames", "int"),
-    ("vowels.confidence_threshold", "vowels", "confidence_threshold", "float"),
-    ("vowels.use_calibrated_threshold", "vowels", "use_calibrated_threshold", "bool"),
-    ("weights.mode", "weights", "mode", "str"),
-    ("weights.hellinger_samples", "weights", "hellinger_samples", "int"),
-    ("weights.hellinger_seed", "weights", "hellinger_seed", "int"),
-    ("calibrate.grid", "calibrate", "grid", "floats"),
-    ("synth.num_accents", "synth", "num_accents", "int"),
-    ("synth.feature_dim", "synth", "feature_dim", "int"),
-    ("synth.utterances_per_accent", "synth", "utterances_per_accent", "int"),
-    ("synth.frames_per_utterance", "synth", "frames_per_utterance", "int"),
-    ("synth.segment_frames_min", "synth", "segment_frames_min", "int"),
-    ("synth.segment_frames_max", "synth", "segment_frames_max", "int"),
-    ("synth.vowel_popularity", "synth", "vowel_popularity", "floats"),
-    ("synth.accent_separation", "synth", "accent_separation", "float"),
-    ("synth.discriminative_vowels", "synth", "discriminative_vowels", "strs"),
-    ("synth.nonvowel_fraction", "synth", "nonvowel_fraction", "float"),
-    ("synth.noise_segment_fraction", "synth", "noise_segment_fraction", "float"),
-    ("synth.noise_splits", "synth", "noise_splits", "strs"),
-    ("synth.with_confidence", "synth", "with_confidence", "bool"),
-    ("synth.clean_confidence_mean", "synth", "clean_confidence_mean", "float"),
-    ("synth.clean_confidence_std", "synth", "clean_confidence_std", "float"),
-    ("synth.noise_confidence_mean", "synth", "noise_confidence_mean", "float"),
-    ("synth.noise_confidence_std", "synth", "noise_confidence_std", "float"),
-    ("synth.noise_floor", "synth", "noise_floor", "float"),
-    ("synth.seed", "synth", "seed", "int"),
-)
+# config file keys are "<section>.<field>" over PipelineConfig's sections, except:
+_KEY_ALIASES = {
+    "frontend.warp_window_frames": "frontend.warp_window",
+    "adapt.adapt_weights": "adapt.weights",
+    "adapt.adapt_means": "adapt.means",
+    "adapt.adapt_vars": "adapt.vars",
+}
+_NOT_IN_CONFIG = ("synth.frame_hop_sec",)
+_TUPLE_KINDS = {"tuple[float, ...]": "floats", "tuple[str, ...]": "strs"}
+
+
+def _config_keys():
+    """(key, section, attr, kind) for every config file key, in file order."""
+    keys = []
+    for section in dataclasses.fields(PipelineConfig):
+        for f in dataclasses.fields(section.default_factory):
+            name = "%s.%s" % (section.name, f.name)
+            if name not in _NOT_IN_CONFIG:
+                keys.append((_KEY_ALIASES.get(name, name), section.name, f.name,
+                             _TUPLE_KINDS.get(f.type, f.type)))
+    return tuple(keys)
+
+
+_CONFIG_KEYS = _config_keys()
 
 
 def _format_value(value, kind):
@@ -574,18 +528,10 @@ def generate_synthetic_corpus(spec, out_dir):
         "consonant_mean": consonant_mean.tolist(),
         "popularity": popularity.tolist(),
         "discriminative": [ARPABET_VOWELS[i] for i in np.nonzero(disc)[0]],
-        "spec": {f.name: _jsonable(getattr(spec, f.name)) for f in dataclasses.fields(spec)},
+        "spec": dataclasses.asdict(spec),
     }
-    (out_dir / "truth.json").write_text(
-        json.dumps(truth, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "truth.json", truth)
     return manifest
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def synthesize_tone_silence(
@@ -667,15 +613,8 @@ def _relname(ws, path):
         return str(path)
 
 
-def _write_provenance(ws, stage, cfg, inputs, outputs):
-    doc = {
-        "stage": stage,
-        "config_sha256": hashlib.sha256(config_to_text(cfg).encode()).hexdigest(),
-        "inputs": {_relname(ws, p): _sha256(p) for p in sorted(set(map(str, inputs)))},
-        "outputs": {_relname(ws, p): _sha256(p) for p in sorted(set(map(str, outputs)))},
-    }
-    out = ws.dir("reports/provenance") / ("%s.json" % stage)
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _require(path, stage):
@@ -696,6 +635,61 @@ def _load_manifest(ws, need_split=False):
     return manifest
 
 
+class StageRun:
+    """One stage's access to the workspace, recorded for its provenance.
+
+    Files read through input, require, manifest, features and labels are
+    the stage's provenance inputs; paths passed through output are its
+    outputs. Reads a stage makes directly (model sets, the calibrated
+    threshold) stay out of its provenance.
+    """
+
+    def __init__(self, cfg, ws, mode):
+        self.cfg = cfg
+        self.ws = ws
+        self.mode = mode
+        self.inputs = []
+        self.outputs = []
+
+    def input(self, path):
+        self.inputs.append(path)
+        return path
+
+    def output(self, path):
+        self.outputs.append(path)
+        return path
+
+    def require(self, path, stage):
+        return self.input(_require(path, stage))
+
+    def manifest(self, need_split=True):
+        manifest = _load_manifest(self.ws, need_split)
+        self.input(self.ws.manifest_path)
+        return manifest
+
+    def features(self, index, entry, reduced=True):
+        """The utterance's archive, after the transforms when they are enabled."""
+        reduced = reduced and self.cfg.transforms.enabled
+        path = self.ws.dir("features/reduced" if reduced else "features/feat") / (
+            self.ws.utt_id(index, entry) + ".aff")
+        return read_feature_archive(self.require(path, "transforms" if reduced else "features"))
+
+    def labels(self, index, entry):
+        """The utterance's labels on the feature timeline; None without a label file."""
+        path = self.ws.dir("features/feat") / (self.ws.utt_id(index, entry) + ".lab")
+        return parse_label_file(self.input(path)) if path.exists() else None
+
+    def write_provenance(self, stage):
+        _write_json(self.ws.dir("reports/provenance") / ("%s.json" % stage), {
+            "stage": stage,
+            "config_sha256": hashlib.sha256(config_to_text(self.cfg).encode()).hexdigest(),
+            "inputs": {_relname(self.ws, p): _sha256(p)
+                       for p in sorted(set(map(str, self.inputs)))},
+            "outputs": {_relname(self.ws, p): _sha256(p)
+                        for p in sorted(set(map(str, self.outputs)))},
+        })
+
+
 # ---------------------------------------------------------------------------
 # stages
 
@@ -704,18 +698,14 @@ def _frame_plan(cfg, sample_rate_hz):
     return sig.FramePlan.from_ms(sample_rate_hz, cfg.signal.frame_ms, cfg.signal.hop_ms)
 
 
-def stage_vad(cfg, ws):
+def stage_vad(run):
     """Silence removal for audio entries; duration bookkeeping for all."""
-    manifest = _load_manifest(ws)
+    cfg, ws = run.cfg, run.ws
+    manifest = run.manifest(need_split=False)
     vad_dir = ws.dir("features/vad")
-    inputs = [ws.manifest_path]
-    outputs = []
     for index, entry in enumerate(manifest.entries):
         utt = ws.utt_id(index, entry)
-        src = manifest.resolve(entry.audio)
-        _require(src, "synth (corpus file missing)")
-        inputs.append(src)
-        meta_path = vad_dir / (utt + ".json")
+        src = run.require(manifest.resolve(entry.audio), "synth (corpus file missing)")
         if src.suffix == ".aff":
             feats = read_feature_archive(src)
             duration = feats.num_frames * feats.frame_hop_sec
@@ -737,12 +727,10 @@ def stage_vad(cfg, ws):
                 centroid_weight=cfg.signal.centroid_weight,
                 min_segment_frames=cfg.signal.min_segment_frames,
             )
-            seg_path = vad_dir / (utt + ".seg")
-            seg_path.write_text(
+            run.output(vad_dir / (utt + ".seg")).write_text(
                 sig.segments_to_text(vad.segments, plan, audio.sample_rate_hz),
                 encoding="utf-8",
             )
-            outputs.append(seg_path)
             retained = sum(
                 (e - 1 - s) * plan.hop_samples + plan.frame_len_samples
                 for s, e in vad.segments
@@ -758,27 +746,37 @@ def stage_vad(cfg, ws):
                 "energy_threshold": vad.energy_threshold,
                 "centroid_threshold": vad.centroid_threshold,
             }
-        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
-        outputs.append(meta_path)
-    _write_provenance(ws, "vad", cfg, inputs, outputs)
+        _write_json(run.output(vad_dir / (utt + ".json")), meta)
 
 
-def _vowel_index_at(segments, time_sec):
-    for seg in segments:
-        if seg.is_vowel and seg.start_sec <= time_sec < seg.end_sec:
-            return ARPABET_VOWELS.index(seg.label) + 1
-    return 0
+def _tag_frames(segments, times_sec, hop_sec):
+    """Per-frame vowel tags and the label segments remapped onto the frames.
+
+    Frame k belongs to the segment with start <= times_sec[k] < end. Its tag
+    is that segment's vowel index + 1, or 0 outside vowels. Each run of
+    frames in one segment becomes a segment of the remapped timeline, with
+    frame k spanning [k * hop_sec, (k + 1) * hop_sec). Label segments never
+    overlap, so the only segment that can hold a time is the last one, in
+    start order, that starts at or before it.
+    """
+    order = np.argsort([s.start_sec for s in segments], kind="stable")
+    starts = np.array([segments[i].start_sec for i in order])
+    ends = np.append([segments[i].end_sec for i in order], -np.inf)
+    pos = np.searchsorted(starts, times_sec, side="right") - 1
+    owner = np.where(times_sec < ends[pos], np.append(order, -1)[pos], -1)
+    codes = [VOWEL_INDEX[s.label] + 1 if s.is_vowel else 0 for s in segments]
+    tags = np.append(codes, 0).astype(np.uint8)[owner]
+    bounds = (np.flatnonzero(np.diff(owner)) + 1).tolist()
+    remapped = [
+        PhoneSegment(start * hop_sec, stop * hop_sec, segments[owner[start]].label,
+                     segments[owner[start]].confidence)
+        for start, stop in zip([0] + bounds, bounds + [len(owner)])
+        if owner[start] >= 0
+    ]
+    return tags, remapped
 
 
-def _segment_at(segments, time_sec):
-    for i, seg in enumerate(segments):
-        if seg.start_sec <= time_sec < seg.end_sec:
-            return i
-    return -1
-
-
-def stage_features(cfg, ws):
+def stage_features(run):
     """Frontend features per utterance (audio), or verbatim copy (archives).
 
     Audio entries are framed per VAD segment (windows never straddle a
@@ -786,38 +784,29 @@ def stage_features(cfg, ws):
     original-time membership, and a label file remapped onto the trimmed
     timeline is written next to the archive.
     """
-    manifest = _load_manifest(ws)
+    cfg, ws = run.cfg, run.ws
+    manifest = run.manifest(need_split=False)
     vad_dir = ws.dir("features/vad")
     feat_dir = ws.dir("features/feat")
-    inputs = [ws.manifest_path]
-    outputs = []
     for index, entry in enumerate(manifest.entries):
         utt = ws.utt_id(index, entry)
-        src = manifest.resolve(entry.audio)
-        meta_path = _require(vad_dir / (utt + ".json"), "vad")
-        inputs.extend([src, meta_path])
-        out_aff = feat_dir / (utt + ".aff")
+        src = run.input(manifest.resolve(entry.audio))
+        meta_path = run.require(vad_dir / (utt + ".json"), "vad")
+        lab_src = run.input(manifest.resolve(entry.label)) if entry.label else None
+        out_aff = run.output(feat_dir / (utt + ".aff"))
         out_lab = feat_dir / (utt + ".lab")
         if src.suffix == ".aff":
             read_feature_archive(src)  # validates magic and shape
             shutil.copyfile(src, out_aff)
-            outputs.append(out_aff)
-            if entry.label:
-                lab_src = manifest.resolve(entry.label)
-                inputs.append(lab_src)
-                shutil.copyfile(lab_src, out_lab)
-                outputs.append(out_lab)
+            if lab_src is not None:
+                shutil.copyfile(lab_src, run.output(out_lab))
             continue
 
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         audio = sig.read_wav(src)
         plan = _frame_plan(cfg, audio.sample_rate_hz)
         hop_sec = plan.hop_samples / audio.sample_rate_hz
-        label_segments = None
-        if entry.label:
-            lab_src = manifest.resolve(entry.label)
-            inputs.append(lab_src)
-            label_segments = parse_label_file(lab_src)
+        label_segments = None if lab_src is None else parse_label_file(lab_src)
 
         frame_blocks = []
         centers_sec = []
@@ -827,8 +816,7 @@ def stage_features(cfg, ws):
             block = sig.frame_signal(audio.samples[s0:min(s1, len(audio.samples))], plan)
             frame_blocks.append(block)
             starts = s0 + plan.hop_samples * np.arange(block.shape[0])
-            centers_sec.extend(((starts + plan.frame_len_samples / 2)
-                                / audio.sample_rate_hz).tolist())
+            centers_sec.append((starts + plan.frame_len_samples / 2) / audio.sample_rate_hz)
         if not frame_blocks:
             raise ValueError("utterance %s has no speech frames after VAD" % utt)
         frames = np.vstack(frame_blocks)
@@ -849,66 +837,23 @@ def stage_features(cfg, ws):
             feats, _ = mvn(feats)
 
         if label_segments is not None:
-            tags = np.array(
-                [_vowel_index_at(label_segments, t) for t in centers_sec], dtype=np.uint8
-            )
+            tags, remapped = _tag_frames(label_segments, np.concatenate(centers_sec), hop_sec)
             feats = FeatureMatrix(feats.data, feats.frame_hop_sec, tags)
-            remapped = []
-            assignment = [_segment_at(label_segments, t) for t in centers_sec]
-            run_start = 0
-            for k in range(1, len(assignment) + 1):
-                if k == len(assignment) or assignment[k] != assignment[run_start]:
-                    seg_idx = assignment[run_start]
-                    if seg_idx >= 0:
-                        source = label_segments[seg_idx]
-                        remapped.append(
-                            PhoneSegment(
-                                start_sec=run_start * hop_sec,
-                                end_sec=k * hop_sec,
-                                label=source.label,
-                                confidence=source.confidence,
-                            )
-                        )
-                    run_start = k
-            write_label_file(out_lab, remapped)
-            outputs.append(out_lab)
+            write_label_file(run.output(out_lab), remapped)
         write_feature_archive(out_aff, feats)
-        outputs.append(out_aff)
-    _write_provenance(ws, "features", cfg, inputs, outputs)
 
 
-def _feature_source_dir(cfg, ws):
-    return ws.dir("features/reduced" if cfg.transforms.enabled else "features/feat")
-
-
-def _load_features(cfg, ws, manifest, index, entry, reduced=True):
-    base = _feature_source_dir(cfg, ws) if reduced else ws.dir("features/feat")
-    stage = "transforms" if (reduced and cfg.transforms.enabled) else "features"
-    path = _require(base / (ws.utt_id(index, entry) + ".aff"), stage)
-    return read_feature_archive(path), path
-
-
-def _load_labels(ws, index, entry):
-    lab = ws.dir("features/feat") / (ws.utt_id(index, entry) + ".lab")
-    if not lab.exists():
-        return None, None
-    return parse_label_file(lab), lab
-
-
-def stage_transforms(cfg, ws):
+def stage_transforms(run):
     """Fit PCA then HLDA on the train split; write reduced archives for all."""
+    cfg, ws = run.cfg, run.ws
     if not cfg.transforms.enabled:
-        _write_provenance(ws, "transforms", cfg, [], [])
         return
-    manifest = _load_manifest(ws, need_split=True)
+    manifest = run.manifest()
     accents = manifest.accents()
-    inputs = [ws.manifest_path]
     train_feats = []
     train_labels = []
     for index, entry in manifest.with_split("train"):
-        feats, path = _load_features(cfg, ws, manifest, index, entry, reduced=False)
-        inputs.append(path)
-        train_feats.append(feats)
+        train_feats.append(run.features(index, entry, reduced=False))
         train_labels.append(accents.index(entry.accent))
     if not train_feats:
         raise MissingPrerequisiteError("no train utterances; run 'split' first")
@@ -924,181 +869,123 @@ def stage_transforms(cfg, ws):
         max_iters=cfg.transforms.max_iters,
         tol=cfg.transforms.tol,
     )
-    chain_path = ws.dir("models") / "transforms.aft"
-    write_transform_chain(chain_path, [pca, hlda])
-    outputs = [chain_path]
+    write_transform_chain(run.output(ws.dir("models") / "transforms.aft"), [pca, hlda])
 
     reduced_dir = ws.dir("features/reduced")
     for index, entry in enumerate(manifest.entries):
-        feats, path = _load_features(cfg, ws, manifest, index, entry, reduced=False)
-        if path not in inputs:
-            inputs.append(path)
-        reduced = apply_chain([pca, hlda], feats)
-        out = reduced_dir / (ws.utt_id(index, entry) + ".aff")
-        write_feature_archive(out, reduced)
-        outputs.append(out)
-    _write_provenance(ws, "transforms", cfg, inputs, outputs)
+        reduced = apply_chain([pca, hlda], run.features(index, entry, reduced=False))
+        write_feature_archive(run.output(reduced_dir / (ws.utt_id(index, entry) + ".aff")),
+                              reduced)
 
 
-def stage_ubm(cfg, ws):
+def stage_ubm(run):
     """EM-train the universal background model on the pooled train split."""
-    manifest = _load_manifest(ws, need_split=True)
-    inputs = [ws.manifest_path]
-    blocks = []
-    for index, entry in manifest.with_split("train"):
-        feats, path = _load_features(cfg, ws, manifest, index, entry)
-        inputs.append(path)
-        blocks.append(feats.data)
+    cfg, ws = run.cfg, run.ws
+    manifest = run.manifest()
+    blocks = [run.features(index, entry).data for index, entry in manifest.with_split("train")]
     if not blocks:
         raise MissingPrerequisiteError("no train utterances; run 'split' first")
-    data = np.vstack(blocks)
     model = em_train(
-        data,
+        np.vstack(blocks),
         cfg.ubm.components,
         em_iters_per_stage=cfg.ubm.em_iters,
         seed=cfg.corpus.seed,
         final_em_iters=cfg.ubm.final_em_iters,
         label="ubm",
     )
-    out = ws.dir("models") / "ubm.agm"
-    write_model(out, model)
-    _write_provenance(ws, "ubm", cfg, inputs, [out])
+    write_model(run.output(ws.dir("models") / "ubm.agm"), model)
 
 
-def stage_adapt(cfg, ws):
+def stage_adapt(run):
     """MAP-adapt one model per accent from the UBM."""
-    manifest = _load_manifest(ws, need_split=True)
-    ubm_path = _require(ws.dir("models") / "ubm.agm", "ubm")
-    ubm = read_model(ubm_path)
-    inputs = [ws.manifest_path, ubm_path]
+    cfg, ws = run.cfg, run.ws
+    manifest = run.manifest()
+    ubm = read_model(run.require(ws.dir("models") / "ubm.agm", "ubm"))
     accents = manifest.accents()
     per_accent = {}
     for index, entry in manifest.with_split("train"):
-        feats, path = _load_features(cfg, ws, manifest, index, entry)
-        inputs.append(path)
-        per_accent.setdefault(entry.accent, []).append(feats.data)
+        per_accent.setdefault(entry.accent, []).append(run.features(index, entry).data)
     pooled = {a: np.vstack(per_accent[a]) for a in accents if a in per_accent}
     models = adapt_all_accents(ubm, pooled, cfg.adapt)
     accents_dir = ws.dir("models/accents")
-    outputs = []
     for accent in accents:
-        out = accents_dir / (accent + ".agm")
-        write_model(out, models[accent])
-        outputs.append(out)
-    set_path = ws.dir("models") / "accent_set.json"
-    set_path.write_text(
-        json.dumps({"accents": accents, "dim": ubm.dim,
-                    "components": ubm.num_components}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    outputs.append(set_path)
-    _write_provenance(ws, "adapt", cfg, inputs, outputs)
+        write_model(run.output(accents_dir / (accent + ".agm")), models[accent])
+    _write_json(run.output(ws.dir("models") / "accent_set.json"),
+                {"accents": accents, "dim": ubm.dim, "components": ubm.num_components})
 
 
-def _pool_training_vowels(cfg, ws, manifest, inputs):
-    """vowel -> accent -> list of frame blocks, from the train split."""
-    pooled = {v: {} for v in ARPABET_VOWELS}
+def stage_vowel_models(run):
+    """Per-vowel UBMs (pooled accents) adapted into the vowel/accent grid."""
+    cfg, ws = run.cfg, run.ws
+    manifest = run.manifest()
+    accents = manifest.accents()
+    pooled = {v: {} for v in ARPABET_VOWELS}  # vowel -> accent -> train frame blocks
     counts = {v: 0 for v in ARPABET_VOWELS}
     for index, entry in manifest.with_split("train"):
-        feats, path = _load_features(cfg, ws, manifest, index, entry)
-        inputs.append(path)
-        segments, lab_path = _load_labels(ws, index, entry)
+        feats = run.features(index, entry)
+        segments = run.labels(index, entry)
         if segments is None:
             continue
-        inputs.append(lab_path)
-        by_vowel = pool_vowel_features(feats, segments)
-        for vowel, mat in by_vowel.items():
-            if mat.num_frames == 0:
-                continue
-            pooled[vowel].setdefault(entry.accent, []).append(mat.data)
-            counts[vowel] += mat.num_frames
-    return pooled, counts
-
-
-def stage_vowel_models(cfg, ws):
-    """Per-vowel UBMs (pooled accents) adapted into the vowel/accent grid."""
-    manifest = _load_manifest(ws, need_split=True)
-    accents = manifest.accents()
-    inputs = [ws.manifest_path]
-    pooled, counts = _pool_training_vowels(cfg, ws, manifest, inputs)
+        for vowel, mat in pool_vowel_features(feats, segments).items():
+            if mat.num_frames:
+                pooled[vowel].setdefault(entry.accent, []).append(mat.data)
+                counts[vowel] += mat.num_frames
     vowel_dir = ws.dir("models/vowels")
-    outputs = []
     included = []
     for vowel in ARPABET_VOWELS:
         blocks = pooled[vowel]
-        total = counts[vowel]
-        if total < max(cfg.vowels.min_frames, 2 * cfg.vowels.components):
+        if counts[vowel] < max(cfg.vowels.min_frames, 2 * cfg.vowels.components):
             continue
-        all_frames = np.vstack([b for group in blocks.values() for b in group])
         vowel_ubm = em_train(
-            all_frames,
+            np.vstack([b for group in blocks.values() for b in group]),
             cfg.vowels.components,
             em_iters_per_stage=cfg.ubm.em_iters,
             seed=cfg.corpus.seed,
             final_em_iters=cfg.ubm.final_em_iters,
             label="ubm.%s" % vowel,
         )
-        ubm_out = vowel_dir / ("%s.ubm.agm" % vowel)
-        write_model(ubm_out, vowel_ubm)
-        outputs.append(ubm_out)
+        write_model(run.output(vowel_dir / ("%s.ubm.agm" % vowel)), vowel_ubm)
         for accent in accents:
+            model = vowel_ubm
             if accent in blocks:
                 model = map_adapt(vowel_ubm, np.vstack(blocks[accent]), cfg.adapt)
-                model.label = "%s.%s" % (accent, vowel)
-            else:
-                model = read_model(ubm_out)
-                model.label = "%s.%s" % (accent, vowel)
-            out = vowel_dir / ("%s.%s.agm" % (vowel, accent))
-            write_model(out, model)
-            outputs.append(out)
+            write_model(run.output(vowel_dir / ("%s.%s.agm" % (vowel, accent))),
+                        replace(model, label="%s.%s" % (accent, vowel)))
         included.append(vowel)
-    set_path = ws.dir("models") / "vowel_set.json"
-    set_path.write_text(
-        json.dumps(
-            {
-                "accents": accents,
-                "included_vowels": included,
-                "train_frame_counts": {v: int(counts[v]) for v in ARPABET_VOWELS},
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    outputs.append(set_path)
-    _write_provenance(ws, "vowel-models", cfg, inputs, outputs)
+    _write_json(run.output(ws.dir("models") / "vowel_set.json"), {
+        "accents": accents,
+        "included_vowels": included,
+        "train_frame_counts": {v: int(counts[v]) for v in ARPABET_VOWELS},
+    })
 
 
 def _load_vowel_grid(ws):
     set_path = _require(ws.dir("models") / "vowel_set.json", "vowel-models")
     doc = json.loads(set_path.read_text(encoding="utf-8"))
-    accents = doc["accents"]
-    grid = {}
-    ubms = {}
     vowel_dir = ws.dir("models/vowels")
-    for vowel in doc["included_vowels"]:
-        ubms[vowel] = read_model(_require(vowel_dir / ("%s.ubm.agm" % vowel),
-                                          "vowel-models"))
-        grid[vowel] = [
+    grid = {
+        vowel: [
             read_model(_require(vowel_dir / ("%s.%s.agm" % (vowel, accent)),
                                 "vowel-models"))
-            for accent in accents
+            for accent in doc["accents"]
         ]
-    return doc, grid, ubms
+        for vowel in doc["included_vowels"]
+    }
+    return doc, grid, set_path
 
 
-def stage_weights(cfg, ws):
+def stage_weights(run):
     """Combine vowel popularity and Hellinger discriminativeness into weights."""
-    doc, grid, _ = _load_vowel_grid(ws)
+    cfg, ws = run.cfg, run.ws
+    doc, grid, set_path = _load_vowel_grid(ws)
+    run.input(set_path)
     popularity = vowel_popularity(doc["train_frame_counts"])
     distances = pairwise_vowel_distances(
         grid, num_samples=cfg.weights.hellinger_samples, seed=cfg.weights.hellinger_seed
     )
     disc = vowel_discriminativeness(grid, mode=cfg.weights.mode, distances=distances)
     weights = vowel_weights(popularity, disc)
-    out = ws.dir("models") / "vowel_weights.json"
-    payload = {
+    _write_json(run.output(ws.dir("models") / "vowel_weights.json"), {
         "vowels": list(ARPABET_VOWELS),
         "popularity": popularity.tolist(),
         "discriminativeness": disc.tolist(),
@@ -1107,10 +994,7 @@ def stage_weights(cfg, ws):
         "hellinger_samples": cfg.weights.hellinger_samples,
         "hellinger_seed": cfg.weights.hellinger_seed,
         "pairwise_distances": {v: d.tolist() for v, d in distances.items()},
-    }
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    set_path = ws.dir("models") / "vowel_set.json"
-    _write_provenance(ws, "weights", cfg, [set_path], [out])
+    })
 
 
 def load_model_set(ws, mode):
@@ -1118,41 +1002,32 @@ def load_model_set(ws, mode):
     models_dir = ws.dir("models")
     set_path = _require(models_dir / "accent_set.json", "adapt")
     accents = json.loads(set_path.read_text(encoding="utf-8"))["accents"]
-    baseline = None
-    grid = None
-    ubms = None
-    weights = None
     if mode == "baseline":
-        baseline = [
+        return AccentModelSet(accents=accents, baseline=[
             read_model(_require(models_dir / "accents" / (a + ".agm"), "adapt"))
             for a in accents
-        ]
-    elif mode == "vowel":
-        _, grid, ubms = _load_vowel_grid(ws)
+        ])
+    if mode == "vowel":
+        _, grid, _ = _load_vowel_grid(ws)
         weights_path = _require(models_dir / "vowel_weights.json", "weights")
-        weights = np.asarray(
-            json.loads(weights_path.read_text(encoding="utf-8"))["weights"]
-        )
-    else:
-        raise ValueError("unknown mode %r" % mode)
-    return AccentModelSet(
-        accents=accents,
-        baseline=baseline,
-        vowel_grid=grid,
-        vowel_ubms=ubms,
-        vowel_weights=weights,
-    )
+        weights = json.loads(weights_path.read_text(encoding="utf-8"))["weights"]
+        return AccentModelSet(accents=accents, vowel_grid=grid,
+                              vowel_weights=np.asarray(weights))
+    raise ValueError("unknown mode %r" % mode)
 
 
-def _clip_segments(segments, duration_sec):
+def _cap_test_utterance(cfg, feats, segments):
+    """The test-time duration cap, applied to the frames and to their labels."""
+    capped = feats.head(cfg.corpus.max_test_frames)
+    duration = capped.num_frames * capped.frame_hop_sec
     clipped = []
     for seg in segments:
-        if seg.start_sec >= duration_sec - 1e-12:
+        if seg.start_sec >= duration - 1e-12:
             continue
-        end = min(seg.end_sec, duration_sec)
+        end = min(seg.end_sec, duration)
         if end > seg.start_sec:
             clipped.append(PhoneSegment(seg.start_sec, end, seg.label, seg.confidence))
-    return clipped
+    return capped, clipped
 
 
 def _test_threshold(cfg, ws):
@@ -1162,120 +1037,80 @@ def _test_threshold(cfg, ws):
     return cfg.vowels.confidence_threshold
 
 
-def _pooled_for_entry(cfg, ws, manifest, index, entry, threshold):
-    feats, path = _load_features(cfg, ws, manifest, index, entry)
-    capped = feats.head(cfg.corpus.max_test_frames)
-    segments, lab_path = _load_labels(ws, index, entry)
-    if segments is None:
-        raise MissingPrerequisiteError(
-            "utterance %s has no label file; vowel mode needs labels"
-            % ws.utt_id(index, entry)
-        )
-    duration = capped.num_frames * capped.frame_hop_sec
-    kept = filter_by_confidence(_clip_segments(segments, duration), threshold)
-    return pool_vowel_features(capped, kept), [path, lab_path]
-
-
-def stage_classify(cfg, ws, mode="baseline"):
+def stage_classify(run):
     """Write test-split predictions for the chosen mode.
 
     An utterance left with no vowel evidence after thresholding falls back
     to the earliest accent label (the documented tie rule).
     """
-    manifest = _load_manifest(ws, need_split=True)
+    cfg, ws, mode = run.cfg, run.ws, run.mode
+    manifest = run.manifest()
     model_set = load_model_set(ws, mode)
-    inputs = [ws.manifest_path]
     threshold = _test_threshold(cfg, ws) if mode == "vowel" else None
     rows = []
     for index, entry in manifest.with_split("test"):
         utt = ws.utt_id(index, entry)
+        feats = run.features(index, entry)
         if mode == "baseline":
-            feats, path = _load_features(cfg, ws, manifest, index, entry)
-            inputs.append(path)
-            result = classify_baseline(model_set, feats,
-                                       max_frames=cfg.corpus.max_test_frames)
-            chosen = result.chosen_accent
-            frames = result.frames_used
+            result = classify_baseline(model_set, feats, max_frames=cfg.corpus.max_test_frames)
         else:
-            pooled, paths = _pooled_for_entry(cfg, ws, manifest, index, entry, threshold)
-            inputs.extend(paths)
+            segments = run.labels(index, entry)
+            if segments is None:
+                raise MissingPrerequisiteError(
+                    "utterance %s has no label file; vowel mode needs labels" % utt
+                )
+            capped, segments = _cap_test_utterance(cfg, feats, segments)
+            pooled = pool_vowel_features(capped, filter_by_confidence(segments, threshold))
             try:
                 result = classify_vowel_weighted(model_set, pooled)
-                chosen = result.chosen_accent
-                frames = result.frames_used
-            except ValueError:
-                chosen = model_set.accents[0]
-                frames = 0
-        rows.append((utt, entry.accent, chosen, frames))
+            except NoEvidenceError:
+                rows.append((utt, entry.accent, model_set.accents[0], 0))
+                continue
+        rows.append((utt, entry.accent, result.chosen_accent, result.frames_used))
     if not rows:
         raise MissingPrerequisiteError("no test utterances; run 'split' first")
-    out = ws.dir("reports") / ("predictions_%s.tsv" % mode)
-    with open(out, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write("%s\t%s\t%s\t%d\n" % row)
-    _write_provenance(ws, "classify", cfg, inputs, [out])
-
-
-def stage_evaluate(cfg, ws, mode="baseline"):
-    """Accuracy report (text + JSON) from the predictions file."""
-    manifest = _load_manifest(ws, need_split=True)
-    pred_path = _require(ws.dir("reports") / ("predictions_%s.tsv" % mode), "classify")
-    set_path = _require(ws.dir("models") / "accent_set.json", "adapt")
-    accents = json.loads(set_path.read_text(encoding="utf-8"))["accents"]
-    index = {a: i for i, a in enumerate(accents)}
-    confusion = np.zeros((len(accents), len(accents)), dtype=np.int64)
-    for line in pred_path.read_text(encoding="utf-8").splitlines():
-        _, truth, predicted, _ = line.split("\t")
-        if truth not in index:
-            raise ValueError("unknown accent label %r in corpus" % truth)
-        if predicted not in index:
-            raise ValueError("unknown predicted accent %r" % predicted)
-        confusion[index[truth], index[predicted]] += 1
-    row_totals = confusion.sum(axis=1)
-    if np.any(row_totals == 0):
-        raise ValueError(
-            "no test utterances for accents: %s"
-            % ", ".join(a for a in accents if row_totals[index[a]] == 0)
-        )
-    sample = manifest.entries[0] if manifest.entries else None
-    direct_dim = None
-    if sample is not None and Path(sample.audio).suffix == ".aff" and not cfg.transforms.enabled:
-        feats, _ = _load_features(cfg, ws, manifest, 0, sample)
-        direct_dim = feats.dim
-    report = EvalReport(
-        accuracy=float(np.trace(confusion) / confusion.sum()),
-        per_accent={a: float(confusion[i, i] / row_totals[i]) for a, i in index.items()},
-        confusion=confusion,
-        accents=accents,
-        mode=mode,
-        feature_tag=cfg.feature_tag(direct_dim),
-        seed=cfg.corpus.seed,
-        num_utterances=int(confusion.sum()),
+    run.output(ws.dir("reports") / ("predictions_%s.tsv" % mode)).write_text(
+        "".join("%s\t%s\t%s\t%d\n" % row for row in rows), encoding="utf-8"
     )
-    json_out = ws.dir("reports") / ("evaluation_%s.json" % mode)
-    text_out = ws.dir("reports") / ("evaluation_%s.txt" % mode)
-    json_out.write_text(report.to_json(), encoding="utf-8")
-    text_out.write_text(report.to_text(), encoding="utf-8")
-    _write_provenance(ws, "evaluate", cfg, [pred_path, set_path], [json_out, text_out])
+
+
+def stage_evaluate(run):
+    """Accuracy report (text + JSON) from the predictions file."""
+    cfg, ws, mode = run.cfg, run.ws, run.mode
+    # read for the corpus kind only (archives get a DIRECT feature tag); the
+    # report does not list the manifest among its inputs
+    entries = _load_manifest(ws, need_split=True).entries
+    pred_path = run.require(ws.dir("reports") / ("predictions_%s.tsv" % mode), "classify")
+    set_path = run.require(ws.dir("models") / "accent_set.json", "adapt")
+    accent_set = json.loads(set_path.read_text(encoding="utf-8"))
+    rows = (line.split("\t") for line in pred_path.read_text(encoding="utf-8").splitlines())
+    direct = bool(entries) and Path(entries[0].audio).suffix == ".aff"
+    report = confusion_report(
+        accent_set["accents"],
+        [(truth, predicted) for _, truth, predicted, _ in rows],
+        mode,
+        feature_tag=cfg.feature_tag(accent_set["dim"] if direct else None),
+        seed=cfg.corpus.seed,
+    )
+    reports_dir = ws.dir("reports")
+    run.output(reports_dir / ("evaluation_%s.json" % mode)).write_text(
+        report.to_json(), encoding="utf-8")
+    run.output(reports_dir / ("evaluation_%s.txt" % mode)).write_text(
+        report.to_text(), encoding="utf-8")
     return report
 
 
-def stage_calibrate(cfg, ws):
+def stage_calibrate(run):
     """Pick the confidence threshold maximizing dev accuracy (vowel mode)."""
-    manifest = _load_manifest(ws, need_split=True)
+    cfg, ws = run.cfg, run.ws
+    manifest = run.manifest()
     model_set = load_model_set(ws, "vowel")
-    inputs = [ws.manifest_path]
     dev_items = []
     for index, entry in manifest.with_split("dev"):
-        feats, path = _load_features(cfg, ws, manifest, index, entry)
-        inputs.append(path)
-        segments, lab_path = _load_labels(ws, index, entry)
-        if segments is None:
-            continue
-        inputs.append(lab_path)
-        capped = feats.head(cfg.corpus.max_test_frames)
-        duration = capped.num_frames * capped.frame_hop_sec
-        dev_items.append((capped, _clip_segments(segments, duration), entry.accent))
+        feats = run.features(index, entry)
+        segments = run.labels(index, entry)
+        if segments is not None:
+            dev_items.append((*_cap_test_utterance(cfg, feats, segments), entry.accent))
     if not dev_items:
         raise MissingPrerequisiteError("no dev utterances with labels; run 'split' first")
 
@@ -1283,40 +1118,45 @@ def stage_calibrate(cfg, ws):
         pooled = pool_vowel_features(feats, segments)
         try:
             return classify_vowel_weighted(model_set, pooled).chosen_accent
-        except ValueError:
+        except NoEvidenceError:
             return None
 
     threshold = calibrate_threshold(dev_items, cfg.calibrate.grid, classify)
-    out = ws.dir("models") / "confidence_threshold.json"
-    out.write_text(
-        json.dumps({"threshold": threshold, "grid": list(cfg.calibrate.grid)},
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    _write_provenance(ws, "calibrate", cfg, inputs, [out])
+    _write_json(run.output(ws.dir("models") / "confidence_threshold.json"),
+                {"threshold": threshold, "grid": list(cfg.calibrate.grid)})
     return threshold
 
 
+_STAGE_FUNCTIONS = {
+    "vad": stage_vad,
+    "features": stage_features,
+    "transforms": stage_transforms,
+    "ubm": stage_ubm,
+    "adapt": stage_adapt,
+    "vowel-models": stage_vowel_models,
+    "weights": stage_weights,
+    "classify": stage_classify,
+    "evaluate": stage_evaluate,
+    "calibrate": stage_calibrate,
+}
+STAGES = tuple(_STAGE_FUNCTIONS)
+
+
 def run_stage(stage, cfg, ws, mode="baseline"):
-    """Run one named pipeline stage inside the workspace."""
+    """Run one named pipeline stage inside the workspace.
+
+    Once the stage returns, its provenance document (config hash, input and
+    output hashes) goes to reports/provenance/<stage>.json.
+    """
     if isinstance(ws, (str, Path)):
         ws = Workspace(ws)
     cfg.validate()
-    handlers = {
-        "vad": lambda: stage_vad(cfg, ws),
-        "features": lambda: stage_features(cfg, ws),
-        "transforms": lambda: stage_transforms(cfg, ws),
-        "ubm": lambda: stage_ubm(cfg, ws),
-        "adapt": lambda: stage_adapt(cfg, ws),
-        "vowel-models": lambda: stage_vowel_models(cfg, ws),
-        "weights": lambda: stage_weights(cfg, ws),
-        "classify": lambda: stage_classify(cfg, ws, mode),
-        "evaluate": lambda: stage_evaluate(cfg, ws, mode),
-        "calibrate": lambda: stage_calibrate(cfg, ws),
-    }
-    if stage not in handlers:
+    if stage not in _STAGE_FUNCTIONS:
         raise ConfigError("unknown stage %r (expected one of %s)" % (stage, ", ".join(STAGES)))
-    return handlers[stage]()
+    run = StageRun(cfg, ws, mode)
+    result = _STAGE_FUNCTIONS[stage](run)
+    run.write_provenance(stage)
+    return result
 
 
 def _format_duration(seconds):

@@ -227,6 +227,23 @@ class TestArchive:
         with pytest.raises(FormatError, match="truncated"):
             read_feature_archive(path)
 
+    def test_short_tag_block(self, tmp_path):
+        path = tmp_path / "short_tags.aff"
+        feats = FeatureMatrix(np.zeros((10, 4)), tags=np.arange(10, dtype=np.uint8))
+        write_feature_archive(path, feats)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(FormatError, match="7 bytes after the feature data") as err:
+            read_feature_archive(path)
+        assert path.name in str(err.value)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "trailing.aff"
+        write_feature_archive(path, FeatureMatrix(np.zeros((10, 4))))
+        path.write_bytes(path.read_bytes() + b"\x01\x02\x03\x04")
+        with pytest.raises(FormatError, match="4 bytes after the feature data") as err:
+            read_feature_archive(path)
+        assert path.name in str(err.value)
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             FeatureMatrix(np.array([[np.nan, 1.0]]))

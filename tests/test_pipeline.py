@@ -1,5 +1,6 @@
 """Tests for configuration, splitting, synthetic corpora, stages, and the CLI."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -10,12 +11,14 @@ import pytest
 from accent_forge.cli import main as cli_main
 from accent_forge.errors import ConfigError, FormatError, MissingPrerequisiteError
 from accent_forge.frontend import read_feature_archive
+from accent_forge.gmm import DiagGmm, read_model, write_model
 from accent_forge.pipeline import (
     CorpusManifest,
     ManifestEntry,
     PipelineConfig,
     SyntheticSpec,
     Workspace,
+    _tag_frames,
     config_from_text,
     config_to_text,
     corpus_stats,
@@ -49,12 +52,98 @@ def _small_cfg():
     return cfg.validate()
 
 
+# a non-default value for every key of the config file, in file order
+_EVERY_KEY = """
+corpus.seed = 7
+corpus.max_test_frames = 1500
+signal.frame_ms = 20.0
+signal.hop_ms = 5.0
+signal.energy_weight = 4.0
+signal.centroid_weight = 1.5
+signal.min_segment_frames = 3
+frontend.lp_order = 14
+frontend.num_ceps = 12
+frontend.num_filters = 19
+frontend.delta_window = 3
+frontend.warp_window = 201
+frontend.mvn_before_warp = false
+transforms.enabled = false
+transforms.pca_dim = 24
+transforms.hlda_dim = 16
+transforms.context = 2
+transforms.max_iters = 50
+transforms.tol = 1e-05
+ubm.components = 64
+ubm.em_iters = 3
+ubm.final_em_iters = 7
+adapt.relevance_weight = 8.0
+adapt.relevance_mean = 4.0
+adapt.relevance_var = 2.0
+adapt.weights = false
+adapt.means = false
+adapt.vars = false
+vowels.components = 8
+vowels.min_frames = 100
+vowels.confidence_threshold = -55.5
+vowels.use_calibrated_threshold = true
+weights.mode = reciprocal_mean
+weights.hellinger_samples = 3000
+weights.hellinger_seed = 5
+calibrate.grid = -inf,-75.0,-25.0
+synth.num_accents = 4
+synth.feature_dim = 6
+synth.utterances_per_accent = 9
+synth.frames_per_utterance = 200
+synth.segment_frames_min = 5
+synth.segment_frames_max = 25
+synth.vowel_popularity = 1.0,2.0,3.0,4.0,5.0,6.0,7.0,8.0,9.0,10.0,11.0,12.0,13.0,14.0,15.0
+synth.accent_separation = 2.5
+synth.discriminative_vowels = aa,iy
+synth.nonvowel_fraction = 0.2
+synth.noise_segment_fraction = 0.1
+synth.noise_splits = test
+synth.with_confidence = true
+synth.clean_confidence_mean = -15.0
+synth.clean_confidence_std = 2.0
+synth.noise_confidence_mean = -70.0
+synth.noise_confidence_std = 4.0
+synth.noise_floor = 0.1
+synth.seed = 99
+"""
+
+
 class TestConfig:
     def test_roundtrip(self):
         cfg = _small_cfg()
         text = config_to_text(cfg)
         back = config_from_text(text)
         assert config_to_text(back) == text
+
+        cfg = config_from_text(_EVERY_KEY)
+        default = PipelineConfig()
+        unchanged = [
+            "%s.%s" % (section.name, f.name)
+            for section in dataclasses.fields(PipelineConfig)
+            for f in dataclasses.fields(getattr(cfg, section.name))
+            if getattr(getattr(cfg, section.name), f.name)
+            == getattr(getattr(default, section.name), f.name)
+        ]
+        assert unchanged == ["synth.frame_hop_sec"]
+        assert cfg.frontend.warp_window_frames == 201
+        assert (cfg.adapt.adapt_weights, cfg.adapt.adapt_means, cfg.adapt.adapt_vars) == (
+            False, False, False)
+        assert cfg.calibrate.grid == (float("-inf"), -75.0, -25.0)
+        assert cfg.synth.vowel_popularity == tuple(float(v) for v in range(1, 16))
+        assert cfg.synth.discriminative_vowels == ("aa", "iy")
+        assert cfg.synth.noise_splits == ("test",)
+        text = config_to_text(cfg)
+        assert config_from_text(text) == cfg
+        assert [line for line in text.splitlines() if "=" in line] == (
+            _EVERY_KEY.split("\n")[1:-1])
+
+    def test_frame_hop_is_not_a_config_key(self):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            config_from_text("synth.frame_hop_sec = 0.02\n")
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -331,6 +420,102 @@ class TestAudioPipeline:
         assert "0:00:" in text  # H:MM:SS formatting
 
 
+def _tag_frames_scalar(segments, times_sec, hop_sec):
+    """Reference tagging: scan every segment for every frame."""
+
+    def vowel_index_at(t):
+        for seg in segments:
+            if seg.is_vowel and seg.start_sec <= t < seg.end_sec:
+                return ARPABET_VOWELS.index(seg.label) + 1
+        return 0
+
+    def segment_at(t):
+        for i, seg in enumerate(segments):
+            if seg.start_sec <= t < seg.end_sec:
+                return i
+        return -1
+
+    tags = np.array([vowel_index_at(t) for t in times_sec], dtype=np.uint8)
+    assignment = [segment_at(t) for t in times_sec]
+    remapped = []
+    run_start = 0
+    for k in range(1, len(assignment) + 1):
+        if k == len(assignment) or assignment[k] != assignment[run_start]:
+            if assignment[run_start] >= 0:
+                source = segments[assignment[run_start]]
+                remapped.append(PhoneSegment(run_start * hop_sec, k * hop_sec,
+                                             source.label, source.confidence))
+            run_start = k
+    return tags, remapped
+
+
+class TestFrameTagging:
+    def _check(self, segments, times_sec, hop_sec=0.01):
+        tags, remapped = _tag_frames(segments, np.asarray(times_sec, dtype=float), hop_sec)
+        want_tags, want_remapped = _tag_frames_scalar(segments, times_sec, hop_sec)
+        np.testing.assert_array_equal(tags, want_tags)
+        assert tags.dtype == np.uint8
+        assert remapped == want_remapped
+
+    def test_unordered_segments_gaps_and_boundaries(self):
+        segments = [  # out of time order, non-vowels, a gap at [0.30, 0.35)
+            PhoneSegment(0.20, 0.30, "iy", -3.0),
+            PhoneSegment(0.05, 0.10, "sil"),
+            PhoneSegment(0.35, 0.50, "aa", -1.5),
+            PhoneSegment(0.10, 0.20, "t", -2.0),
+            PhoneSegment(0.50, 0.55, "uw"),
+        ]
+        # frame centres before the first segment, exactly on every boundary,
+        # inside the gap and after the last segment
+        times = [0.0, 0.02, 0.05, 0.07, 0.1, 0.15, 0.2, 0.25, 0.3, 0.32, 0.35,
+                 0.4, 0.45, 0.5, 0.549, 0.55, 0.6]
+        self._check(segments, times)
+        self._check([], times)
+
+    def test_random_label_files(self):
+        rng = np.random.default_rng(21)
+        labels = list(ARPABET_VOWELS) + ["sil", "t", "s"]
+        for _ in range(20):
+            # segment edges in 100 ns units, as label files store them
+            edges = np.unique(rng.integers(0, 30_000_000, size=40))
+            segments = [
+                PhoneSegment(a / 1e7, b / 1e7, labels[rng.integers(len(labels))],
+                             float(rng.normal()) if rng.random() < 0.5 else None)
+                for a, b in zip(edges[:-1], edges[1:])
+                if rng.random() < 0.8
+            ]
+            segments = [segments[i] for i in rng.permutation(len(segments))]
+            centres = (np.arange(300) * 160 + 200) / 16000.0
+            times = np.sort(np.concatenate([centres, edges / 1e7]))
+            self._check(segments, times.tolist())
+
+
+class TestVowelEvidence:
+    def test_no_evidence_falls_back_but_a_dim_mismatch_raises(self, tmp_path):
+        cfg = _small_cfg()
+        cfg.synth.with_confidence = True
+        ws = Workspace(tmp_path / "ws")
+        generate_synthetic_corpus(cfg.synth, ws.root)
+        for stage in ("vad", "features", "ubm", "adapt", "vowel-models", "weights"):
+            run_stage(stage, cfg, ws)
+        # every segment below the threshold: the earliest accent, from 0 frames
+        cfg.vowels.confidence_threshold = 1e9
+        run_stage("classify", cfg, ws, mode="vowel")
+        rows = (ws.root / "reports" / "predictions_vowel.tsv").read_text().splitlines()
+        assert rows and all(row.split("\t")[2:] == ["accent1", "0"] for row in rows)
+
+        # 8-dim vowel models for 4-dim features are a fault, not missing evidence
+        cfg.vowels.confidence_threshold = float("-inf")
+        for path in (ws.root / "models" / "vowels").glob("*.agm"):
+            g = read_model(path)
+            write_model(path, DiagGmm(g.weights, np.hstack([g.means, g.means]),
+                                      np.hstack([g.variances, g.variances]), g.label))
+        with pytest.raises(ValueError, match="does not match model dim 8"):
+            run_stage("classify", cfg, ws, mode="vowel")
+        with pytest.raises(ValueError, match="does not match model dim 8"):
+            run_stage("calibrate", cfg, ws)
+
+
 class TestTransformsStage:
     def test_pca_hlda_chain_on_audio(self, tmp_path):
         cfg = _small_cfg()
@@ -393,3 +578,15 @@ class TestCli:
         assert "overall accuracy" in out
         assert (ws / "reports" / "evaluation_vowel.json").exists()
         assert cli_main(["stats"] + args) == 0
+
+    def test_all_calibrates_for_the_calibrated_threshold(self, tmp_path, capsys):
+        cfg = _small_cfg()
+        cfg.vowels.use_calibrated_threshold = True
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(config_to_text(cfg))
+        ws = tmp_path / "ws"
+        args = ["--config", str(cfg_path), "--workspace", str(ws)]
+        assert cli_main(["synth"] + args) == 0
+        assert cli_main(["all", "--mode", "vowel"] + args) == 0
+        assert "stage calibrate" in capsys.readouterr().out
+        assert (ws / "models" / "confidence_threshold.json").exists()
