@@ -39,10 +39,8 @@ from .gmm import (
     DiagGmm,
     GmmStats,
     accumulate_stats,
-    component_density,
     em_train,
     loglik,
-    posterior_alignment,
     read_model,
     write_model,
 )

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import FormatError
 from .frontend import feature_array
@@ -60,12 +59,17 @@ class DiagGmm:
 
 @dataclass
 class GmmStats:
-    """Zeroth/first/second-order sufficient statistics per component."""
+    """Zeroth/first/second-order sufficient statistics per component.
+
+    loglik is the total log-likelihood of the frames under the model that
+    produced the statistics.
+    """
 
     n: np.ndarray
     sum_x: np.ndarray
     sum_x2: np.ndarray
     total_frames: int
+    loglik: float
 
 
 def _check_dim(g, data):
@@ -74,7 +78,7 @@ def _check_dim(g, data):
 
 
 def log_component_densities(g, data):
-    """(K x N) log densities of every frame under every component."""
+    """(N x K) log densities of every frame under every component."""
     _check_dim(g, data)
     inv_var = 1.0 / g.variances
     const = -0.5 * (g.dim * _LOG_2PI + np.sum(np.log(g.variances), axis=1))
@@ -86,24 +90,52 @@ def log_component_densities(g, data):
     return const - 0.5 * quad
 
 
-def component_density(g, i, x):
-    """Density of one component at one point (computed in the log domain)."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    if not 0 <= i < g.num_components:
-        raise ValueError("component index %d out of range" % i)
-    return float(np.exp(log_component_densities(g, x)[0, i]))
+def _logsumexp_rows(x):
+    """scipy.special.logsumexp(x, axis=1), bit for bit, for a real (N x K) array.
+
+    As scipy does, the row maximum and its ties are taken out of the sum:
+    log1p(sum_rest exp(x - max) / ties) + log(ties) + max. Scipy recomputes a
+    non-finite result as log(sum exp(x)); for real input that only happens
+    when the maximum is +-inf or NaN, where both forms give the same value.
+    Scipy also keeps a zero sum out of the division by ties; for real input a
+    row has no ties only when its maximum is NaN, and then the sum is NaN too.
+    When every row has a single maximum, log(ties) is 0 and the division and
+    the per-row tie count are skipped; a NaN row has no maximum, so the tie
+    total alone could not tell it from a row with one.
+    """
+    top = x.max(axis=1)
+    ties = x == top[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.subtract(x, top[:, None])
+        np.copyto(rest, -np.inf, where=ties)
+        rest = np.exp(rest, out=rest).sum(axis=1)
+        if np.count_nonzero(ties) == len(rest) and not np.isnan(top).any():
+            return np.log1p(rest) + top
+        count = np.count_nonzero(ties, axis=1).astype(np.float64)
+        return np.log1p(rest / count) + np.log(count) + top
 
 
-def _log_weights(g):
+def _score_frames(g, block, posteriors=False):
+    """Per-frame log-likelihoods of a frame block and, on request, its posteriors.
+
+    The one density pass behind frame_logpdf, loglik and accumulate_stats.
+    Posteriors are (N x K) and each row is normalised to sum to 1.
+    """
     with np.errstate(divide="ignore"):
-        return np.log(g.weights)
+        log_weights = np.log(g.weights)
+    joint = log_component_densities(g, block) + log_weights
+    frame_ll = _logsumexp_rows(joint)
+    if not posteriors:
+        return frame_ll, None
+    joint -= frame_ll[:, None]
+    post = np.exp(joint, out=joint)
+    post /= post.sum(axis=1, keepdims=True)
+    return frame_ll, post
 
 
 def frame_logpdf(g, feats):
     """Per-frame mixture log density, log sum_i w_i p_i(x)."""
-    data = feature_array(feats)
-    joint = log_component_densities(g, data) + _log_weights(g)
-    return logsumexp(joint, axis=1)
+    return _score_frames(g, feature_array(feats))[0]
 
 
 def loglik(g, feats):
@@ -114,45 +146,27 @@ def loglik(g, feats):
     return float(np.sum(frame_logpdf(g, data)))
 
 
-def responsibilities(g, data):
-    """(K x N) posterior alignment of each frame over components."""
-    joint = log_component_densities(g, data) + _log_weights(g)
-    joint -= logsumexp(joint, axis=1, keepdims=True)
-    post = np.exp(joint)
-    post /= post.sum(axis=1, keepdims=True)
-    return post
-
-
-def posterior_alignment(g, x):
-    """Pr(i | x) for a single frame; entries sum to 1."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return responsibilities(g, x)[0]
-
-
 def accumulate_stats(g, feats, chunk=8192):
-    """Posterior-weighted sufficient statistics, Kahan-compensated per chunk."""
+    """Posterior-weighted sufficient statistics, Kahan-compensated per chunk.
+
+    The same pass yields the model's log-likelihood of the frames, as
+    GmmStats.loglik.
+    """
     data = feature_array(feats)
     _check_dim(g, data)
-    n = np.zeros(g.num_components)
-    sum_x = np.zeros((g.num_components, g.dim))
-    sum_x2 = np.zeros((g.num_components, g.dim))
-    comp_n = np.zeros_like(n)
-    comp_x = np.zeros_like(sum_x)
-    comp_x2 = np.zeros_like(sum_x2)
-
-    def kahan_add(total, comp, term):
-        y = term - comp
-        t = total + y
-        comp[...] = (t - total) - y
-        total[...] = t
-
+    totals = [np.zeros(g.num_components), np.zeros(g.means.shape), np.zeros(g.means.shape)]
+    comps = [np.zeros_like(total) for total in totals]
+    frame_ll = np.empty(data.shape[0])
     for start in range(0, data.shape[0], chunk):
         block = data[start:start + chunk]
-        post = responsibilities(g, block)
-        kahan_add(n, comp_n, post.sum(axis=0))
-        kahan_add(sum_x, comp_x, post.T @ block)
-        kahan_add(sum_x2, comp_x2, post.T @ (block * block))
-    return GmmStats(n=n, sum_x=sum_x, sum_x2=sum_x2, total_frames=data.shape[0])
+        frame_ll[start:start + chunk], post = _score_frames(g, block, posteriors=True)
+        terms = (post.sum(axis=0), post.T @ block, post.T @ (block * block))
+        for total, comp, term in zip(totals, comps, terms):
+            y = term - comp
+            t = total + y
+            comp[...] = (t - total) - y
+            total[...] = t
+    return GmmStats(*totals, total_frames=data.shape[0], loglik=float(np.sum(frame_ll)))
 
 
 def _maximize(stats, floor, old_means, old_variances):
@@ -173,7 +187,6 @@ def em_train(
     feats,
     target_components,
     em_iters_per_stage=5,
-    seed=0,
     final_em_iters=10,
     floor_scale=1e-6,
     return_history=False,
@@ -182,10 +195,10 @@ def em_train(
     """EM-trained mixture grown by binary splitting.
 
     target_components must be a power of two. The per-stage log-likelihood
-    sequence is non-decreasing (up to the variance floor). seed is accepted
-    for interface stability; the split initialization is deterministic.
+    sequence is non-decreasing (up to the variance floor). The split
+    initialization is deterministic. Each EM iteration makes one density pass:
+    the log-likelihood it records comes from the E-step's statistics.
     """
-    del seed
     data = feature_array(feats)
     if target_components < 1 or target_components & (target_components - 1):
         raise ValueError("target component count must be a power of 2")
@@ -204,27 +217,20 @@ def em_train(
     weights = np.ones(1)
     means = data.mean(axis=0)[None, :]
     variances = np.maximum(data.var(axis=0), floor)[None, :]
-    history = []
-
-    current = 1
-    while True:
-        stage_ll = []
-        if current > 1:
-            iters = final_em_iters if current == target_components else em_iters_per_stage
-            for _ in range(iters):
-                g = DiagGmm(weights, means, variances)
-                stats = accumulate_stats(g, data)
-                stage_ll.append(loglik(g, data))
-                weights, means, variances = _maximize(stats, floor, means, variances)
-            stage_ll.append(loglik(DiagGmm(weights, means, variances), data))
-        history.append({"components": current, "loglik": stage_ll})
-        if current >= target_components:
-            break
+    history = [{"components": 1, "loglik": []}]
+    while len(weights) < target_components:
         offset = 0.1 * np.sqrt(variances)
         means = np.vstack([means + offset, means - offset])
         variances = np.vstack([variances, variances])
         weights = np.concatenate([weights, weights]) / 2.0
-        current *= 2
+        stage_ll = []
+        iters = final_em_iters if len(weights) == target_components else em_iters_per_stage
+        for _ in range(iters):
+            stats = accumulate_stats(DiagGmm(weights, means, variances), data)
+            stage_ll.append(stats.loglik)
+            weights, means, variances = _maximize(stats, floor, means, variances)
+        stage_ll.append(loglik(DiagGmm(weights, means, variances), data))
+        history.append({"components": len(weights), "loglik": stage_ll})
 
     model = DiagGmm(weights, means, variances, label=label)
     if return_history:

@@ -625,23 +625,12 @@ def _require(path, stage):
     return Path(path)
 
 
-def _load_manifest(ws, need_split=False):
-    _require(ws.manifest_path, "split (or synth)")
-    manifest = CorpusManifest.load(ws.manifest_path)
-    if need_split and any(e.split is None for e in manifest.entries):
-        raise MissingPrerequisiteError(
-            "manifest %s has no split column; run 'split' first" % ws.manifest_path
-        )
-    return manifest
-
-
 class StageRun:
     """One stage's access to the workspace, recorded for its provenance.
 
     Files read through input, require, manifest, features and labels are
     the stage's provenance inputs; paths passed through output are its
-    outputs. Reads a stage makes directly (model sets, the calibrated
-    threshold) stay out of its provenance.
+    outputs.
     """
 
     def __init__(self, cfg, ws, mode):
@@ -663,8 +652,11 @@ class StageRun:
         return self.input(_require(path, stage))
 
     def manifest(self, need_split=True):
-        manifest = _load_manifest(self.ws, need_split)
-        self.input(self.ws.manifest_path)
+        manifest = CorpusManifest.load(self.require(self.ws.manifest_path, "split (or synth)"))
+        if need_split and any(e.split is None for e in manifest.entries):
+            raise MissingPrerequisiteError(
+                "manifest %s has no split column; run 'split' first" % self.ws.manifest_path
+            )
         return manifest
 
     def features(self, index, entry, reduced=True):
@@ -889,7 +881,6 @@ def stage_ubm(run):
         np.vstack(blocks),
         cfg.ubm.components,
         em_iters_per_stage=cfg.ubm.em_iters,
-        seed=cfg.corpus.seed,
         final_em_iters=cfg.ubm.final_em_iters,
         label="ubm",
     )
@@ -940,7 +931,6 @@ def stage_vowel_models(run):
             np.vstack([b for group in blocks.values() for b in group]),
             cfg.vowels.components,
             em_iters_per_stage=cfg.ubm.em_iters,
-            seed=cfg.corpus.seed,
             final_em_iters=cfg.ubm.final_em_iters,
             label="ubm.%s" % vowel,
         )
@@ -959,26 +949,24 @@ def stage_vowel_models(run):
     })
 
 
-def _load_vowel_grid(ws):
-    set_path = _require(ws.dir("models") / "vowel_set.json", "vowel-models")
+def _load_vowel_grid(ws, require):
+    set_path = require(ws.dir("models") / "vowel_set.json", "vowel-models")
     doc = json.loads(set_path.read_text(encoding="utf-8"))
     vowel_dir = ws.dir("models/vowels")
     grid = {
         vowel: [
-            read_model(_require(vowel_dir / ("%s.%s.agm" % (vowel, accent)),
-                                "vowel-models"))
+            read_model(require(vowel_dir / ("%s.%s.agm" % (vowel, accent)), "vowel-models"))
             for accent in doc["accents"]
         ]
         for vowel in doc["included_vowels"]
     }
-    return doc, grid, set_path
+    return doc, grid
 
 
 def stage_weights(run):
     """Combine vowel popularity and Hellinger discriminativeness into weights."""
     cfg, ws = run.cfg, run.ws
-    doc, grid, set_path = _load_vowel_grid(ws)
-    run.input(set_path)
+    doc, grid = _load_vowel_grid(ws, run.require)
     popularity = vowel_popularity(doc["train_frame_counts"])
     distances = pairwise_vowel_distances(
         grid, num_samples=cfg.weights.hellinger_samples, seed=cfg.weights.hellinger_seed
@@ -997,19 +985,23 @@ def stage_weights(run):
     })
 
 
-def load_model_set(ws, mode):
-    """Assemble the AccentModelSet a classification stage needs."""
+def load_model_set(ws, mode, run=None):
+    """Assemble the AccentModelSet a classification stage needs.
+
+    Given the stage's StageRun, every file read is one of its inputs.
+    """
+    require = _require if run is None else run.require
     models_dir = ws.dir("models")
-    set_path = _require(models_dir / "accent_set.json", "adapt")
+    set_path = require(models_dir / "accent_set.json", "adapt")
     accents = json.loads(set_path.read_text(encoding="utf-8"))["accents"]
     if mode == "baseline":
         return AccentModelSet(accents=accents, baseline=[
-            read_model(_require(models_dir / "accents" / (a + ".agm"), "adapt"))
+            read_model(require(models_dir / "accents" / (a + ".agm"), "adapt"))
             for a in accents
         ])
     if mode == "vowel":
-        _, grid, _ = _load_vowel_grid(ws)
-        weights_path = _require(models_dir / "vowel_weights.json", "weights")
+        _, grid = _load_vowel_grid(ws, require)
+        weights_path = require(models_dir / "vowel_weights.json", "weights")
         weights = json.loads(weights_path.read_text(encoding="utf-8"))["weights"]
         return AccentModelSet(accents=accents, vowel_grid=grid,
                               vowel_weights=np.asarray(weights))
@@ -1030,11 +1022,11 @@ def _cap_test_utterance(cfg, feats, segments):
     return capped, clipped
 
 
-def _test_threshold(cfg, ws):
-    if cfg.vowels.use_calibrated_threshold:
-        path = _require(ws.dir("models") / "confidence_threshold.json", "calibrate")
+def _test_threshold(run):
+    if run.cfg.vowels.use_calibrated_threshold:
+        path = run.require(run.ws.dir("models") / "confidence_threshold.json", "calibrate")
         return float(json.loads(path.read_text(encoding="utf-8"))["threshold"])
-    return cfg.vowels.confidence_threshold
+    return run.cfg.vowels.confidence_threshold
 
 
 def stage_classify(run):
@@ -1045,8 +1037,8 @@ def stage_classify(run):
     """
     cfg, ws, mode = run.cfg, run.ws, run.mode
     manifest = run.manifest()
-    model_set = load_model_set(ws, mode)
-    threshold = _test_threshold(cfg, ws) if mode == "vowel" else None
+    model_set = load_model_set(ws, mode, run)
+    threshold = _test_threshold(run) if mode == "vowel" else None
     rows = []
     for index, entry in manifest.with_split("test"):
         utt = ws.utt_id(index, entry)
@@ -1077,9 +1069,7 @@ def stage_classify(run):
 def stage_evaluate(run):
     """Accuracy report (text + JSON) from the predictions file."""
     cfg, ws, mode = run.cfg, run.ws, run.mode
-    # read for the corpus kind only (archives get a DIRECT feature tag); the
-    # report does not list the manifest among its inputs
-    entries = _load_manifest(ws, need_split=True).entries
+    entries = run.manifest().entries  # for the corpus kind: archives get a DIRECT tag
     pred_path = run.require(ws.dir("reports") / ("predictions_%s.tsv" % mode), "classify")
     set_path = run.require(ws.dir("models") / "accent_set.json", "adapt")
     accent_set = json.loads(set_path.read_text(encoding="utf-8"))
@@ -1104,7 +1094,7 @@ def stage_calibrate(run):
     """Pick the confidence threshold maximizing dev accuracy (vowel mode)."""
     cfg, ws = run.cfg, run.ws
     manifest = run.manifest()
-    model_set = load_model_set(ws, "vowel")
+    model_set = load_model_set(ws, "vowel", run)
     dev_items = []
     for index, entry in manifest.with_split("dev"):
         feats = run.features(index, entry)

@@ -5,19 +5,112 @@ import math
 
 import numpy as np
 import pytest
+import scipy
+from scipy.special import logsumexp
 
+from accent_forge import gmm
 from accent_forge.errors import FormatError
 from accent_forge.gmm import (
     DiagGmm,
     accumulate_stats,
-    component_density,
     em_train,
+    frame_logpdf,
     log_component_densities,
     loglik,
-    posterior_alignment,
     read_model,
     write_model,
 )
+
+
+# Scalar and scipy-based oracles for the scoring kernel.
+
+# The kernel matches scipy's log1p and tie-count form of logsumexp, which
+# scipy uses from 1.15 on; older releases compute log(sum exp(x - max)) + max.
+needs_scipy_log1p_form = pytest.mark.skipif(
+    tuple(int(part) for part in scipy.__version__.split(".")[:2]) < (1, 15),
+    reason="bit parity needs scipy >= 1.15, whose logsumexp uses the log1p and tie-count form",
+)
+
+
+def component_density(g, i, x):
+    """Density of one component at one point (computed in the log domain)."""
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    if not 0 <= i < g.num_components:
+        raise ValueError("component index %d out of range" % i)
+    return float(np.exp(log_component_densities(g, x)[0, i]))
+
+
+def _joint(g, data):
+    """(N x K) log of weight times density."""
+    with np.errstate(divide="ignore"):
+        return log_component_densities(g, data) + np.log(g.weights)
+
+
+def responsibilities(g, data):
+    """(N x K) posteriors through scipy's logsumexp, as the kernel once computed them."""
+    joint = _joint(g, data)
+    joint -= logsumexp(joint, axis=1, keepdims=True)
+    post = np.exp(joint)
+    post /= post.sum(axis=1, keepdims=True)
+    return post
+
+
+def posterior_alignment(g, x):
+    """Pr(i | x) for a single frame through the kernel; entries sum to 1."""
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    return gmm._score_frames(g, x, posteriors=True)[1][0]
+
+
+def scipy_loglik(g, data):
+    return float(np.sum(logsumexp(_joint(g, data), axis=1)))
+
+
+def scipy_stats(g, data, chunk=8192):
+    """Kahan-compensated sufficient statistics from the scipy-based posteriors."""
+    totals = [np.zeros(g.num_components), np.zeros(g.means.shape), np.zeros(g.means.shape)]
+    comps = [np.zeros_like(t) for t in totals]
+    for start in range(0, data.shape[0], chunk):
+        block = data[start:start + chunk]
+        post = responsibilities(g, block)
+        terms = (post.sum(axis=0), post.T @ block, post.T @ (block * block))
+        for total, comp, term in zip(totals, comps, terms):
+            y = term - comp
+            t = total + y
+            comp[...] = (t - total) - y
+            total[...] = t
+    return gmm.GmmStats(*totals, total_frames=data.shape[0], loglik=np.nan)
+
+
+def two_pass_em(data, target_components, em_iters_per_stage=5, final_em_iters=10,
+                floor_scale=1e-6):
+    """EM by binary splitting through scipy, with a separate log-likelihood pass."""
+    floor = floor_scale * np.maximum(data.var(axis=0), 1e-12)
+    weights = np.ones(1)
+    means = data.mean(axis=0)[None, :]
+    variances = np.maximum(data.var(axis=0), floor)[None, :]
+    history = [{"components": 1, "loglik": []}]
+    current = 1
+    while current < target_components:
+        offset = 0.1 * np.sqrt(variances)
+        means = np.vstack([means + offset, means - offset])
+        variances = np.vstack([variances, variances])
+        weights = np.concatenate([weights, weights]) / 2.0
+        current *= 2
+        stage_ll = []
+        iters = final_em_iters if current == target_components else em_iters_per_stage
+        for _ in range(iters):
+            g = DiagGmm(weights, means, variances)
+            stats = scipy_stats(g, data)
+            stage_ll.append(scipy_loglik(g, data))
+            weights, means, variances = gmm._maximize(stats, floor, means, variances)
+        stage_ll.append(scipy_loglik(DiagGmm(weights, means, variances), data))
+        history.append({"components": current, "loglik": stage_ll})
+    return DiagGmm(weights, means, variances), history
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _random_gmm(rng, components, dim, label=""):
@@ -142,6 +235,66 @@ class TestPosterior:
             assert posterior_alignment(g, x).sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _fuzz_rows(rng):
+    """A random (N x K) array with the cases scipy's logsumexp treats specially."""
+    n = int(rng.integers(1, 40))
+    k = int(rng.choice([1, 2, 3, 4, 8, 9, 16, 64]))
+    x = rng.normal(0.0, rng.choice([1e-3, 1.0, 30.0, 1e3]), (n, k)) - rng.uniform(0.0, 500.0)
+    if rng.random() < 0.3:
+        x = np.round(x * 2.0) / 2.0  # ties at the row maximum
+    if rng.random() < 0.3:
+        x[:, rng.integers(0, k)] = -np.inf
+    if rng.random() < 0.2:
+        x[rng.integers(0, n)] = -np.inf
+    if rng.random() < 0.1:
+        x[rng.integers(0, n), rng.integers(0, k)] = np.inf
+    if rng.random() < 0.1:
+        x[rng.integers(0, n), rng.integers(0, k)] = np.nan
+    return x
+
+
+@needs_scipy_log1p_form
+class TestLogsumexpRows:
+    def test_bit_parity_with_scipy_on_fuzz(self):
+        rng = np.random.default_rng(19)
+        for _ in range(600):
+            x = _fuzz_rows(rng)
+            ours = gmm._logsumexp_rows(x)
+            assert _same_bits(ours, logsumexp(x, axis=1))
+            assert _same_bits(ours[:, None], logsumexp(x, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("row, want", [
+        ([-np.inf, -np.inf, -np.inf], -np.inf),
+        ([0.0, np.inf, 1.0], np.inf),
+        ([2.0, 2.0, 2.0], 2.0 + math.log(3.0)),
+        ([-1.5], -1.5),
+        ([1.7e308, 1.7e308, -np.inf], 1.7e308),
+        ([np.nan, 0.0, np.inf], np.nan),
+    ])
+    def test_special_rows(self, row, want):
+        x = np.array([row])
+        assert _same_bits(gmm._logsumexp_rows(x), logsumexp(x, axis=1))
+        assert gmm._logsumexp_rows(x)[0] == pytest.approx(want, nan_ok=True)
+
+    def test_nan_row_beside_tied_row(self):
+        # a NaN row has no maximum and no ties; the tied row beside it still counts two
+        x = np.array([[np.nan, 0.0], [1.0, 1.0]])
+        out = gmm._logsumexp_rows(x)
+        assert _same_bits(out, logsumexp(x, axis=1))
+        assert out[1] == pytest.approx(1.0 + math.log(2.0))
+
+    def test_kernel_posteriors_match_scipy_reference(self):
+        rng = np.random.default_rng(20)
+        for components in (1, 4, 16, 64):
+            g = _random_gmm(rng, components, 3)
+            frames = rng.normal(0.0, 5.0, (500, 3))
+            frame_ll, post = gmm._score_frames(g, frames, posteriors=True)
+            assert _same_bits(post, responsibilities(g, frames))
+            assert _same_bits(frame_ll, logsumexp(_joint(g, frames), axis=1))
+            assert _same_bits(frame_logpdf(g, frames), frame_ll)
+            assert gmm._score_frames(g, frames)[1] is None
+
+
 class TestStats:
     def test_single_component_totals(self):
         g = DiagGmm([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
@@ -181,6 +334,25 @@ class TestStats:
         np.testing.assert_allclose(stats.n, n, atol=1e-10)
         np.testing.assert_allclose(stats.sum_x, sum_x, atol=1e-10)
         np.testing.assert_allclose(stats.sum_x2, sum_x2, atol=1e-10)
+
+    def test_chunk_size_invariance(self):
+        rng = np.random.default_rng(17)
+        g = _random_gmm(rng, 5, 3)
+        frames = rng.normal(0.0, 3.0, (1000, 3))
+        small = accumulate_stats(g, frames, chunk=16)
+        large = accumulate_stats(g, frames, chunk=8192)
+        for name in ("n", "sum_x", "sum_x2"):
+            np.testing.assert_allclose(getattr(small, name), getattr(large, name),
+                                       rtol=1e-10, atol=1e-10)
+        assert small.loglik == pytest.approx(large.loglik, rel=1e-10)
+
+    def test_loglik_is_the_pass_log_likelihood(self):
+        rng = np.random.default_rng(18)
+        g = _random_gmm(rng, 4, 2)
+        frames = rng.standard_normal((300, 2))
+        assert accumulate_stats(g, frames).loglik == loglik(g, frames)
+        assert accumulate_stats(g, frames, chunk=7).loglik == pytest.approx(
+            loglik(g, frames), rel=1e-12)
 
     def test_total_frames_invariant(self):
         rng = np.random.default_rng(8)
@@ -223,11 +395,39 @@ class TestEmTrain:
     def test_deterministic(self):
         rng = np.random.default_rng(12)
         frames = rng.standard_normal((600, 2))
-        a = em_train(frames, 4, seed=3)
-        b = em_train(frames, 4, seed=99)
-        np.testing.assert_array_equal(a.means, b.means)
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.variances, b.variances)
+        a = em_train(frames, 4)
+        b = em_train(frames, 4)
+        for name in ("weights", "means", "variances"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    @needs_scipy_log1p_form
+    @pytest.mark.parametrize("frames_n", [700, 9000])
+    def test_matches_two_pass_reference(self, frames_n):
+        rng = np.random.default_rng(15)
+        frames = rng.standard_normal((frames_n, 3)) + rng.choice([-3.0, 0.0, 3.0], (frames_n, 1))
+        model, history = em_train(frames, 8, em_iters_per_stage=3, final_em_iters=4,
+                                  return_history=True)
+        ref, ref_history = two_pass_em(frames, 8, em_iters_per_stage=3, final_em_iters=4)
+        for name in ("weights", "means", "variances"):
+            assert getattr(model, name).tobytes() == getattr(ref, name).tobytes()
+        assert [h["components"] for h in history] == [h["components"] for h in ref_history]
+        for stage, ref_stage in zip(history, ref_history):
+            np.testing.assert_allclose(stage["loglik"], ref_stage["loglik"], rtol=1e-12)
+
+    def test_one_density_pass_per_iteration(self, monkeypatch):
+        calls = []
+
+        def counting(g, data):
+            calls.append(data.shape[0])
+            return log_component_densities(g, data)
+
+        monkeypatch.setattr(gmm, "log_component_densities", counting)
+        rng = np.random.default_rng(16)
+        frames = rng.standard_normal((2000, 2)) + rng.choice([-2.0, 2.0], (2000, 1))
+        _, history = em_train(frames, 8, return_history=True)
+        iters = [len(stage["loglik"]) - 1 for stage in history[1:]]
+        assert iters == [5, 5, 10]
+        assert len(calls) == sum(n + 1 for n in iters)
 
     def test_too_few_frames(self):
         with pytest.raises(ValueError, match="cannot fit"):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from accent_forge.adapt import map_adapt
 from accent_forge.cli import main as cli_main
 from accent_forge.errors import ConfigError, FormatError, MissingPrerequisiteError
 from accent_forge.frontend import read_feature_archive
@@ -514,6 +515,55 @@ class TestVowelEvidence:
             run_stage("classify", cfg, ws, mode="vowel")
         with pytest.raises(ValueError, match="does not match model dim 8"):
             run_stage("calibrate", cfg, ws)
+
+
+class TestScoringProvenance:
+    def test_scoring_stages_list_the_models_they_read(self, tmp_path):
+        cfg = _small_cfg()
+        cfg.synth.with_confidence = True
+        cfg.vowels.use_calibrated_threshold = True
+        ws = Workspace(tmp_path / "ws")
+        generate_synthetic_corpus(cfg.synth, ws.root)
+        for stage in ("vad", "features", "ubm", "adapt", "vowel-models", "weights",
+                      "calibrate"):
+            run_stage(stage, cfg, ws)
+
+        def inputs(stage):
+            doc = json.loads((ws.root / "reports" / "provenance" / (stage + ".json")).read_text())
+            return doc["inputs"]
+
+        accents = json.loads((ws.root / "models" / "accent_set.json").read_text())["accents"]
+        included = json.loads((ws.root / "models" / "vowel_set.json").read_text())[
+            "included_vowels"]
+        assert included
+        grid = {"models/vowels/%s.%s.agm" % (v, a) for v in included for a in accents}
+        vowel_set = {"models/accent_set.json", "models/vowel_set.json",
+                     "models/vowel_weights.json"} | grid
+        assert grid | {"models/vowel_set.json"} <= set(inputs("weights"))
+        assert vowel_set <= set(inputs("calibrate"))
+        run_stage("classify", cfg, ws, mode="vowel")
+        assert vowel_set | {"models/confidence_threshold.json"} <= set(inputs("classify"))
+        run_stage("evaluate", cfg, ws, mode="vowel")
+        assert "manifest.tsv" in inputs("evaluate")
+
+        run_stage("classify", cfg, ws, mode="baseline")
+        before = inputs("classify")
+        assert {"models/accent_set.json"} | {"models/accents/%s.agm" % a for a in accents} \
+            <= set(before)
+        assert "models/confidence_threshold.json" not in before
+        # retrain one accent model on a single train utterance
+        retrained = ws.root / "models" / "accents" / (accents[0] + ".agm")
+        ubm = read_model(ws.root / "models" / "ubm.agm")
+        feats = read_feature_archive(next((ws.root / "features" / "feat").glob("*.aff")))
+        write_model(retrained, dataclasses.replace(map_adapt(ubm, feats),
+                                                   label=read_model(retrained).label))
+        run_stage("classify", cfg, ws, mode="baseline")
+        after = inputs("classify")
+        key = "models/accents/%s.agm" % accents[0]
+        assert after[key] != before[key]
+        assert after[key] == hashlib.sha256(retrained.read_bytes()).hexdigest()
+        assert {k: v for k, v in after.items() if k != key} == \
+            {k: v for k, v in before.items() if k != key}
 
 
 class TestTransformsStage:
