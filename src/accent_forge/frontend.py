@@ -120,53 +120,49 @@ def equal_loudness(freqs_hz):
     return (fsq / (fsq + 1.6e5)) ** 2 * (fsq + 1.44e6) / (fsq + 9.61e6)
 
 
-def levinson(r, order):
-    """Levinson-Durbin recursion.
+def _levinson_rows(r, order):
+    """Levinson-Durbin recursion over every row of a (K x N) array, N > order.
 
-    Returns (a, gain) where a = [1, a1..ap] is the prediction polynomial
-    A(z) = 1 + sum a_k z^-k and gain is the final prediction-error power.
+    Returns (coeffs, gains): coeffs[k] = [1, a1..ap] is the prediction
+    polynomial A(z) = 1 + sum a_j z^-j of row k and gains[k] its final
+    prediction-error power. The loop runs over the order, not the rows. The
+    inner products go through np.vecdot on C-contiguous operands, which
+    sums in the same order as the BLAS ddot of a per-row np.dot, so every
+    row comes out bit for bit as a one-row recursion would give it.
     """
-    r = np.asarray(r, dtype=np.float64)
-    if len(r) < order + 1:
+    if r.shape[1] < order + 1:
         raise ValueError("autocorrelation too short for LP order %d" % order)
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    err = r[0]
-    if err <= 0:
+    a = np.zeros((r.shape[0], order + 1))
+    a[:, 0] = 1.0
+    err = r[:, 0].copy()
+    if np.any(err <= 0):
         raise ValueError("non-positive zero-lag autocorrelation")
     for i in range(1, order + 1):
-        acc = r[i] + np.dot(a[1:i], r[i - 1:0:-1])
-        k = -acc / err
-        a[1:i + 1] = a[1:i + 1] + k * a[i - 1::-1][:i]
+        dot = np.vecdot(
+            np.ascontiguousarray(a[:, 1:i]), np.ascontiguousarray(r[:, i - 1:0:-1])
+        )
+        k = -(r[:, i] + dot) / err
+        a[:, 1:i + 1] = a[:, 1:i + 1] + k[:, None] * a[:, i - 1::-1]
         err *= 1.0 - k * k
-        if err <= 0:
-            err = _SPECTRUM_FLOOR
-    return a, float(err)
+        err[err <= 0] = _SPECTRUM_FLOOR
+    return a, err
 
 
-def lp_to_cepstrum(a, gain, num_ceps):
-    """Cepstrum of the all-pole model gain / A(z).
+def _lp_to_cepstrum_rows(a, gains, num_ceps):
+    """Cepstra (K x num_ceps) of the all-pole models gains[k] / A_k(z).
 
-    c[0] = log(gain); c[n] = -a[n] - (1/n) sum_{k=1}^{n-1} k c[k] a[n-k].
+    c[0] = log(gain); c[n] = -a[n] - (1/n) sum_{k=1}^{n-1} k c[k] a[n-k],
+    summed left to right for all rows at once.
     """
-    order = len(a) - 1
-    c = np.zeros(num_ceps)
-    c[0] = np.log(gain)
+    order = a.shape[1] - 1
+    c = np.zeros((a.shape[0], num_ceps))
+    c[:, 0] = np.log(gains)
     for n in range(1, num_ceps):
-        acc = 0.0
-        for k in range(1, n):
-            if n - k <= order:
-                acc += k * c[k] * a[n - k]
-        c[n] = (-a[n] if n <= order else 0.0) - acc / n
+        acc = np.zeros(a.shape[0])
+        for k in range(max(1, n - order), n):
+            acc += k * c[:, k] * a[:, n - k]
+        c[:, n] = (-a[:, n] if n <= order else 0.0) - acc / n
     return c
-
-
-def _batch_levinson(autocorr, order):
-    coeffs = np.empty((autocorr.shape[0], order + 1))
-    gains = np.empty(autocorr.shape[0])
-    for i in range(autocorr.shape[0]):
-        coeffs[i], gains[i] = levinson(autocorr[i], order)
-    return coeffs, gains
 
 
 def plp_static(frames, sample_rate_hz, cfg=None, frame_hop_sec=0.01):
@@ -210,10 +206,8 @@ def plp_static(frames, sample_rate_hz, cfg=None, frame_hop_sec=0.01):
     even = np.concatenate([bands, bands[:, -2:0:-1]], axis=1)
     autocorr = np.fft.ifft(even, axis=1).real[:, : cfg.num_filters]
 
-    coeffs, gains = _batch_levinson(autocorr, cfg.lp_order)
-    ceps = np.empty((num_frames, cfg.num_ceps))
-    for i in range(num_frames):
-        ceps[i] = lp_to_cepstrum(coeffs[i], gains[i], cfg.num_ceps)
+    coeffs, gains = _levinson_rows(autocorr, cfg.lp_order)
+    ceps = _lp_to_cepstrum_rows(coeffs, gains, cfg.num_ceps)
     return FeatureMatrix(ceps, frame_hop_sec=frame_hop_sec)
 
 
@@ -280,19 +274,31 @@ def feature_warp(feat, window=301):
         length -= 1
     if length < 1:
         raise ValueError("empty feature matrix")
+    if np.isnan(data).any():
+        raise ValueError("cannot warp NaN features")
+    # pos[t, d] is frame t's place in (value, frame index) order within
+    # column d, so within any window "ranks below t" is pos[j] < pos[t]:
+    # smaller values, and equal values of earlier frames; the narrowest
+    # unsigned type keeps the window comparisons cheap
+    order = np.argsort(data, axis=0, kind="stable")
+    place = np.arange(num_frames, dtype=np.min_scalar_type(num_frames))
+    pos = np.empty(data.shape, dtype=place.dtype)
+    np.put_along_axis(pos, order, place[:, None], axis=0)
+    pos = np.ascontiguousarray(pos.T)
     half = length // 2
-    starts = np.clip(np.arange(num_frames) - half, 0, num_frames - length)
-    win_idx = starts[:, None] + np.arange(length)[None, :]
-    pos = np.arange(num_frames)[:, None]
-    out = np.empty_like(data)
+    inner = slice(half, num_frames - half)
+    below = np.empty((dim, num_frames), dtype=np.intp)
     for d in range(dim):
-        col = data[:, d]
-        windows = col[win_idx]
-        center = col[:, None]
-        less = np.count_nonzero(windows < center, axis=1)
-        ties_before = np.count_nonzero((windows == center) & (win_idx < pos), axis=1)
-        ranks = 1 + less + ties_before
-        out[:, d] = ndtri((ranks - 0.5) / length)
+        col = pos[d]
+        # centred windows, then the edge frames that share the first and
+        # the last window
+        windows = np.lib.stride_tricks.sliding_window_view(col, length)
+        below[d, inner] = np.count_nonzero(windows < col[inner, None], axis=1)
+        below[d, :half] = np.count_nonzero(col[:length] < col[:half, None], axis=1)
+        below[d, inner.stop:] = np.count_nonzero(
+            col[-length:] < col[inner.stop:, None], axis=1
+        )
+    out = ndtri((below + 0.5) / length).T  # rank r = below + 1
     if isinstance(feat, FeatureMatrix):
         return FeatureMatrix(out, feat.frame_hop_sec, feat.tags)
     return FeatureMatrix(out)

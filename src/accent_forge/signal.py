@@ -154,9 +154,7 @@ def frame_signal(audio, plan):
         raise ValueError(
             "signal of %d samples is shorter than one frame (%d samples)" % (len(x), n)
         )
-    count = (len(x) - n) // hop + 1
-    idx = hop * np.arange(count)[:, None] + np.arange(n)[None, :]
-    return x[idx]
+    return np.lib.stride_tricks.sliding_window_view(x, n)[::hop].copy()
 
 
 def energy_rate(frame):
@@ -266,42 +264,36 @@ def estimate_thresholds(values, weight, bins=50, smooth=3):
     return float((weight * m1 + m2) / (weight + 1.0))
 
 
-def _runs(mask, value):
-    """Half-open (start, end) runs where mask == value."""
-    mask = np.asarray(mask, dtype=bool)
-    out = []
-    start = None
-    for i, m in enumerate(mask):
-        if (m == value) and start is None:
-            start = i
-        elif (m != value) and start is not None:
-            out.append((start, i))
-            start = None
-    if start is not None:
-        out.append((start, len(mask)))
-    return out
+def _run_bounds(mask):
+    """Start and end (half-open) index arrays of the True runs of a mask."""
+    padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return edges[0::2], edges[1::2]
 
 
 def _bridge_short_gaps(mask, min_frames):
     """Fill non-speech gaps shorter than min_frames between speech runs."""
     mask = mask.copy()
-    speech = _runs(mask, True)
-    for (_, prev_end), (next_start, _) in zip(speech[:-1], speech[1:]):
-        if next_start - prev_end < min_frames:
-            mask[prev_end:next_start] = True
+    starts, ends = _run_bounds(mask)
+    short = starts[1:] - ends[:-1] < min_frames
+    for start, end in zip(ends[:-1][short], starts[1:][short]):
+        mask[start:end] = True
     return mask
+
 
 def _drop_short_runs(mask, min_frames):
     mask = mask.copy()
-    for start, end in _runs(mask, True):
-        if end - start < min_frames:
-            mask[start:end] = False
+    starts, ends = _run_bounds(mask)
+    short = ends - starts < min_frames
+    for start, end in zip(starts[short], ends[short]):
+        mask[start:end] = False
     return mask
 
 
 def mask_to_segments(mask):
     """Speech mask -> sorted, disjoint half-open (start_frame, end_frame) list."""
-    return _runs(mask, True)
+    starts, ends = _run_bounds(mask)
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def segments_to_mask(segments, num_frames):

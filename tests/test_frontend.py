@@ -5,24 +5,111 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import kstest
 
+from accent_forge import frontend
 from accent_forge.errors import FormatError
 from accent_forge.frontend import (
     FeatureMatrix,
     FrontendConfig,
     append_deltas,
     feature_warp,
-    levinson,
-    lp_to_cepstrum,
     mvn,
     plp_static,
     read_feature_archive,
     write_feature_archive,
 )
 
+_SPECTRUM_FLOOR = 1e-30
+
+
+def levinson(r, order):
+    """Scalar Levinson-Durbin recursion (oracle): one autocorrelation row.
+
+    Returns (a, gain) where a = [1, a1..ap] is the prediction polynomial
+    A(z) = 1 + sum a_k z^-k and gain is the final prediction-error power.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    if len(r) < order + 1:
+        raise ValueError("autocorrelation too short for LP order %d" % order)
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    err = r[0]
+    if err <= 0:
+        raise ValueError("non-positive zero-lag autocorrelation")
+    for i in range(1, order + 1):
+        acc = r[i] + np.dot(a[1:i], r[i - 1:0:-1])
+        k = -acc / err
+        a[1:i + 1] = a[1:i + 1] + k * a[i - 1::-1][:i]
+        err *= 1.0 - k * k
+        if err <= 0:
+            err = _SPECTRUM_FLOOR
+    return a, float(err)
+
+
+def lp_to_cepstrum(a, gain, num_ceps):
+    """Scalar LP-to-cepstrum recursion (oracle) for one all-pole model."""
+    order = len(a) - 1
+    c = np.zeros(num_ceps)
+    c[0] = np.log(gain)
+    for n in range(1, num_ceps):
+        acc = 0.0
+        for k in range(1, n):
+            if n - k <= order:
+                acc += k * c[k] * a[n - k]
+        c[n] = (-a[n] if n <= order else 0.0) - acc / n
+    return c
+
+
+def _batch_levinson(autocorr, order):
+    """Frame-by-frame loop over the scalar recursion (oracle)."""
+    coeffs = np.empty((autocorr.shape[0], order + 1))
+    gains = np.empty(autocorr.shape[0])
+    for i in range(autocorr.shape[0]):
+        coeffs[i], gains[i] = levinson(autocorr[i], order)
+    return coeffs, gains
+
+
+def _cepstra_per_frame(coeffs, gains, num_ceps):
+    return np.array([lp_to_cepstrum(a, g, num_ceps) for a, g in zip(coeffs, gains)])
+
+
+def _plp_static_oracle(frames, sample_rate_hz, cfg=None):
+    """plp_static with its LP back end run one frame at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontend, "_levinson_rows", _batch_levinson)
+        mp.setattr(frontend, "_lp_to_cepstrum_rows", _cepstra_per_frame)
+        return plp_static(frames, sample_rate_hz, cfg).data
+
+
+def _feature_warp_oracle(data, window):
+    """Feature warping by gathering a K x L copy of every window (oracle)."""
+    num_frames, dim = data.shape
+    length = min(window, num_frames)
+    if length % 2 == 0:
+        length -= 1
+    half = length // 2
+    starts = np.clip(np.arange(num_frames) - half, 0, num_frames - length)
+    win_idx = starts[:, None] + np.arange(length)[None, :]
+    pos = np.arange(num_frames)[:, None]
+    out = np.empty_like(data)
+    for d in range(dim):
+        col = data[:, d]
+        windows = col[win_idx]
+        center = col[:, None]
+        less = np.count_nonzero(windows < center, axis=1)
+        ties_before = np.count_nonzero((windows == center) & (win_idx < pos), axis=1)
+        ranks = 1 + less + ties_before
+        out[:, d] = ndtri((ranks - 0.5) / length)
+    return out
+
+
+def _levinson_one(r, order):
+    coeffs, gains = frontend._levinson_rows(np.asarray(r, dtype=np.float64)[None, :], order)
+    return coeffs[0], gains[0]
+
 
 class TestLevinson:
     def test_order_one_by_hand(self):
-        a, gain = levinson([1.0, 0.5], 1)
+        a, gain = _levinson_one([1.0, 0.5], 1)
         np.testing.assert_allclose(a, [1.0, -0.5])
         assert gain == pytest.approx(0.75)
 
@@ -32,7 +119,7 @@ class TestLevinson:
         x = rng.standard_normal(4096)
         order = 6
         r = np.array([np.dot(x[: len(x) - k], x[k:]) for k in range(order + 1)]) / len(x)
-        a, gain = levinson(r, order)
+        a, gain = _levinson_one(r, order)
         toeplitz = np.array([[r[abs(i - j)] for j in range(order)] for i in range(order)])
         predictor = np.linalg.solve(toeplitz, r[1: order + 1])
         np.testing.assert_allclose(a[1:], -predictor, atol=1e-10)
@@ -41,9 +128,43 @@ class TestLevinson:
 
     def test_cepstrum_recursion_analytic(self):
         # ln(1 / (1 - 0.5 z^-1)) has c_n = 0.5^n / n
-        c = lp_to_cepstrum(np.array([1.0, -0.5]), 1.0, 6)
+        c = frontend._lp_to_cepstrum_rows(np.array([[1.0, -0.5]]), np.array([1.0]), 6)[0]
         want = [0.0] + [0.5 ** n / n for n in range(1, 6)]
         np.testing.assert_allclose(c, want, atol=1e-12)
+
+    def test_rows_bitwise_equal_scalar_oracle(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((300, 64))
+        r = np.stack([np.correlate(row, row, "full")[63:63 + 21] for row in x])
+        # rows whose recursion hits the err <= 0 floor at order one: a
+        # constant signal (k = -1) and a reflection coefficient of -2
+        r[7] = 1.0
+        r[11] = 2.0 ** np.arange(21)
+        for order in (1, 2, 5, 12, 20):
+            coeffs, gains = frontend._levinson_rows(r, order)
+            want_coeffs, want_gains = _batch_levinson(r, order)
+            assert np.array_equal(coeffs, want_coeffs)
+            assert np.array_equal(gains, want_gains)
+            ceps = frontend._lp_to_cepstrum_rows(coeffs, gains, min(13, order + 1))
+            assert np.array_equal(ceps, _cepstra_per_frame(coeffs, gains, min(13, order + 1)))
+        assert _batch_levinson(r, 12)[1][7] == _SPECTRUM_FLOOR
+        assert _batch_levinson(r, 12)[1][11] == _SPECTRUM_FLOOR
+
+    def test_cepstra_beyond_order_bitwise(self):
+        rng = np.random.default_rng(22)
+        coeffs = np.hstack([np.ones((50, 1)), 0.3 * rng.standard_normal((50, 4))])
+        gains = rng.uniform(0.1, 2.0, 50)
+        ceps = frontend._lp_to_cepstrum_rows(coeffs, gains, 13)
+        assert np.array_equal(ceps, _cepstra_per_frame(coeffs, gains, 13))
+
+    def test_non_positive_zero_lag_rejected(self):
+        r = np.array([[1.0, 0.5, 0.1], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="non-positive zero-lag"):
+            frontend._levinson_rows(r, 2)
+
+    def test_short_autocorrelation_rejected(self):
+        with pytest.raises(ValueError, match="too short for LP order 3"):
+            frontend._levinson_rows(np.ones((4, 3)), 3)
 
 
 class TestPlpStatic:
@@ -68,6 +189,30 @@ class TestPlpStatic:
         diff = scaled - base
         np.testing.assert_allclose(diff[:, 0], 0.33 * np.log(4.0), atol=1e-8)
         assert np.abs(diff[:, 1:]).max() < 1e-8
+
+    @pytest.mark.parametrize("num_frames", [1, 2, 97])
+    def test_bitwise_equal_per_frame_oracle(self, num_frames):
+        rng = np.random.default_rng(num_frames)
+        frames = 0.1 * rng.standard_normal((num_frames, 400))
+        assert np.array_equal(plp_static(frames, 16000).data, _plp_static_oracle(frames, 16000))
+
+    def test_bitwise_equal_on_tones_silence_and_8k(self):
+        t = np.arange(200) / 8000.0
+        frames = np.vstack([
+            np.zeros(200),
+            np.full(200, 0.3),
+            np.sin(2 * np.pi * 1000.0 * t),
+            np.sin(2 * np.pi * 440.0 * t) + 1e-9 * np.arange(200),
+        ])
+        cfg = FrontendConfig(lp_order=20, num_ceps=13)
+        for c in (None, cfg):
+            assert np.array_equal(plp_static(frames, 8000, c).data,
+                                  _plp_static_oracle(frames, 8000, c))
+
+    def test_lp_order_beyond_filters_rejected(self):
+        cfg = FrontendConfig(lp_order=25, num_filters=21)
+        with pytest.raises(ValueError, match="too short for LP order 25"):
+            plp_static(np.ones((3, 400)), 16000, cfg)
 
     def test_ragged_frames_rejected(self):
         with pytest.raises(ValueError, match="rectangular"):
@@ -190,6 +335,31 @@ class TestFeatureWarp:
         ranks = [1, 2, 3, 4, 5]
         want = [ndtri((r - 0.5) / 5) for r in ranks]
         np.testing.assert_allclose(warped.data[:, 0], want, atol=1e-12)
+
+
+    @pytest.mark.parametrize("window", [3, 5, 101, 301])
+    @pytest.mark.parametrize("extra", [-40, -1, 0, 1, 2, 57])
+    def test_bitwise_equal_gather_oracle(self, window, extra):
+        # K < L (window shrinks, odd and even K), K == L, K - 1 == L, K > L
+        num_frames = max(window + extra, 1)
+        rng = np.random.default_rng(window * 100 + extra + 40)
+        data = rng.standard_normal((num_frames, 4))
+        data[:, 1] = np.round(data[:, 1], 1)  # heavy ties
+        data[:, 2] = np.where(rng.random(num_frames) < 0.5, -0.0, 0.0)
+        data[:, 3] = np.round(data[:, 3]) * np.where(rng.random(num_frames) < 0.5, -1.0, 1.0)
+        got = feature_warp(FeatureMatrix(data), window).data
+        assert got.tobytes() == _feature_warp_oracle(data, window).tobytes()
+
+    @pytest.mark.parametrize("num_frames", [1, 2, 3, 4])
+    def test_tiny_utterances_match_oracle(self, num_frames):
+        data = np.array([[0.5, 0.0], [0.5, -0.0], [-1.0, 0.0], [2.0, -0.0]])[:num_frames]
+        for window in (3, 301):
+            got = feature_warp(data, window).data
+            assert np.array_equal(got, _feature_warp_oracle(data, window))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            feature_warp(np.array([[0.0], [np.nan], [1.0]]), 3)
 
 
 class TestArchive:

@@ -3,11 +3,15 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import accent_forge
 from accent_forge.adapt import map_adapt
 from accent_forge.cli import main as cli_main
 from accent_forge.errors import ConfigError, FormatError, MissingPrerequisiteError
@@ -404,6 +408,37 @@ class TestAudioPipeline:
         by_tag = pool_by_tags(feats)
         for vowel in ARPABET_VOWELS:
             np.testing.assert_array_equal(by_seg[vowel].data, by_tag[vowel].data)
+
+    def test_features_identical_across_blas_thread_counts(self, tmp_path):
+        # vad + features in fresh processes with one and two BLAS threads
+        src_dir = Path(accent_forge.__file__).parents[1]
+        config = tmp_path / "small.cfg"
+        config.write_text(config_to_text(_small_cfg()), encoding="utf-8")
+        digests = []
+        for threads in ("1", "2"):
+            root = tmp_path / ("ws_blas%s" % threads)
+            root.mkdir()
+            _write_audio_corpus(root)
+            env = dict(os.environ, PYTHONPATH=str(src_dir), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            script = (
+                "import sys\n"
+                "from accent_forge.cli import main\n"
+                "for stage in ('vad', 'features'):\n"
+                "    code = main([stage, '--config', sys.argv[1], '--workspace', sys.argv[2]])\n"
+                "    if code:\n"
+                "        sys.exit(code)\n"
+            )
+            subprocess.run([sys.executable, "-c", script, str(config), str(root)],
+                           env=env, check=True, timeout=120)
+            feat_dir = root / "features" / "feat"
+            digests.append({
+                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(feat_dir.iterdir())
+                if path.suffix in (".aff", ".lab")
+            })
+        assert len(digests[0]) == 8  # four archives, four label files
+        assert digests[0] == digests[1]
 
     def test_corpus_stats_table(self, tmp_path):
         cfg = _small_cfg()

@@ -9,6 +9,8 @@ from accent_forge.errors import UnsupportedAudioError
 from accent_forge.pipeline import synthesize_tone_silence
 from accent_forge.signal import (
     AudioBuffer,
+    _bridge_short_gaps,
+    _drop_short_runs,
     FramePlan,
     centroid_from_spectrum,
     energy_rate,
@@ -259,6 +261,74 @@ class TestRemoveSilence:
         vad = remove_silence(audio, plan)
         want = _frame_truth(truth, plan, len(vad.speech_mask))
         assert np.mean(want == vad.speech_mask) >= 0.9
+
+
+def _runs_scalar(mask, value):
+    """Half-open (start, end) runs where mask == value, one frame at a time (oracle)."""
+    mask = np.asarray(mask, dtype=bool)
+    out = []
+    start = None
+    for i, m in enumerate(mask):
+        if (m == value) and start is None:
+            start = i
+        elif (m != value) and start is not None:
+            out.append((start, i))
+            start = None
+    if start is not None:
+        out.append((start, len(mask)))
+    return out
+
+
+def _bridge_short_gaps_scalar(mask, min_frames):
+    mask = mask.copy()
+    speech = _runs_scalar(mask, True)
+    for (_, prev_end), (next_start, _) in zip(speech[:-1], speech[1:]):
+        if next_start - prev_end < min_frames:
+            mask[prev_end:next_start] = True
+    return mask
+
+
+def _drop_short_runs_scalar(mask, min_frames):
+    mask = mask.copy()
+    for start, end in _runs_scalar(mask, True):
+        if end - start < min_frames:
+            mask[start:end] = False
+    return mask
+
+
+def _edge_and_random_masks():
+    rng = np.random.default_rng(44)
+    masks = [np.zeros(0, dtype=bool), np.zeros(1, dtype=bool), np.ones(1, dtype=bool),
+             np.zeros(37, dtype=bool), np.ones(37, dtype=bool)]
+    for length in (2, 3, 10, 200, 2000):
+        for p_flip in (0.02, 0.2, 0.5, 0.9):
+            flips = rng.random(length) < p_flip
+            masks.append(np.logical_xor.accumulate(flips) ^ (rng.random() < 0.5))
+    return masks
+
+
+class TestRunScan:
+    def test_segments_match_scalar_scan(self):
+        for mask in _edge_and_random_masks():
+            got = mask_to_segments(mask)
+            assert got == _runs_scalar(mask, True)
+            assert all(type(v) is int for run in got for v in run)
+
+    def test_bridge_and_drop_match_scalar_scan(self):
+        for mask in _edge_and_random_masks():
+            for min_frames in (0, 1, 2, 5, 50):
+                np.testing.assert_array_equal(
+                    _bridge_short_gaps(mask, min_frames),
+                    _bridge_short_gaps_scalar(mask, min_frames),
+                )
+                np.testing.assert_array_equal(
+                    _drop_short_runs(mask, min_frames),
+                    _drop_short_runs_scalar(mask, min_frames),
+                )
+
+    def test_list_and_int_masks(self):
+        assert mask_to_segments([0, 1, 1, 0, 2]) == [(1, 3), (4, 5)]
+        assert mask_to_segments([]) == []
 
 
 class TestSegmentText:
