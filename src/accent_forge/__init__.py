@@ -12,7 +12,6 @@ from .classify import (
     EvalReport,
     classify_baseline,
     classify_vowel_weighted,
-    evaluate,
     hellinger_gmm,
     vowel_discriminativeness,
     vowel_weights,

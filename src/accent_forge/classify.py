@@ -10,14 +10,14 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoEvidenceError
-from .frontend import FeatureMatrix
-from .gmm import frame_logpdf, loglik
-from .vowels import ARPABET_VOWELS, NUM_VOWELS
+from .frontend import FeatureMatrix, feature_array
+from .gmm import GmmStack, _score_models, frame_logpdf
+from .vowels import ARPABET_VOWELS, NUM_VOWELS, filter_by_confidence, vowel_frame_masks
 
 
 @dataclass
@@ -28,6 +28,7 @@ class AccentModelSet:
     baseline: list | None = None
     vowel_grid: dict | None = None
     vowel_weights: np.ndarray | None = None
+    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.accents) < 2:
@@ -47,6 +48,16 @@ class AccentModelSet:
             self.vowel_weights = np.asarray(self.vowel_weights, dtype=np.float64)
             if self.vowel_weights.shape != (NUM_VOWELS,):
                 raise ValueError("vowel weights must have %d entries" % NUM_VOWELS)
+
+    def stack(self, vowel=None):
+        """The baseline models, or one vowel's grid column, as a GmmStack.
+
+        Built on first use and kept; the model lists are not to change after.
+        """
+        if vowel not in self._stacks:
+            models = self.baseline if vowel is None else self.vowel_grid[vowel]
+            self._stacks[vowel] = GmmStack(models)
+        return self._stacks[vowel]
 
 
 @dataclass
@@ -69,7 +80,7 @@ def classify_baseline(model_set, feats, max_frames=None):
         num_frames = feats.shape[0]
     if num_frames < 1:
         raise ValueError("cannot classify an empty feature matrix")
-    scores = np.array([loglik(m, feats) for m in model_set.baseline])
+    scores = _score_models(model_set.stack(), feats).sum(axis=1)
     best = int(np.argmax(scores))
     return ClassificationResult(
         chosen_accent=model_set.accents[best],
@@ -187,32 +198,17 @@ def vowel_weights(popularity, discriminativeness):
     return w / total
 
 
-def classify_vowel_weighted(model_set, pooled, normalize_per_frame=False):
-    """Weighted combination of per-vowel GMM scores.
+def _vowel_vote(model_set, evidence):
+    """Weighted vowel vote over (vowel index, frames, per-accent log-likelihoods).
 
-    pooled maps vowel -> FeatureMatrix; vowels with no frames (or excluded
-    from the grid) contribute nothing. normalize_per_frame divides each
-    vowel's log-likelihood sum by its frame count before weighting.
+    evidence is in vowel order, the order the totals are accumulated in.
     """
-    if model_set.vowel_grid is None or model_set.vowel_weights is None:
-        raise ValueError("model set has no vowel grid / weights")
-    num_accents = len(model_set.accents)
-    per_vowel = np.zeros((num_accents, NUM_VOWELS))
-    totals = np.zeros(num_accents)
-    frames_used = 0
-    for t, vowel in enumerate(ARPABET_VOWELS):
-        feats = pooled.get(vowel)
-        if feats is None:
-            continue
-        num_frames = feats.num_frames if isinstance(feats, FeatureMatrix) else len(feats)
-        if num_frames == 0 or vowel not in model_set.vowel_grid:
-            continue
-        weight = model_set.vowel_weights[t]
-        for s in range(num_accents):
-            ll = loglik(model_set.vowel_grid[vowel][s], feats)
-            per_vowel[s, t] = ll
-            totals[s] += weight * (ll / num_frames if normalize_per_frame else ll)
-        frames_used += num_frames
+    per_vowel = np.zeros((len(model_set.accents), NUM_VOWELS))
+    totals = np.zeros(len(model_set.accents))
+    for t, _, ll in evidence:
+        per_vowel[:, t] = ll
+        totals += model_set.vowel_weights[t] * ll
+    frames_used = sum(num_frames for _, num_frames, _ in evidence)
     if frames_used == 0:
         raise NoEvidenceError("no vowel evidence: every pooled vowel matrix is empty")
     best = int(np.argmax(totals))
@@ -222,6 +218,67 @@ def classify_vowel_weighted(model_set, pooled, normalize_per_frame=False):
         per_vowel_scores=per_vowel,
         frames_used=frames_used,
     )
+
+
+def _require_vowel_models(model_set):
+    if model_set.vowel_grid is None or model_set.vowel_weights is None:
+        raise ValueError("model set has no vowel grid / weights")
+
+
+def classify_vowel_weighted(model_set, pooled):
+    """Weighted combination of per-vowel GMM scores.
+
+    pooled maps vowel -> FeatureMatrix; vowels with no frames (or excluded
+    from the grid) contribute nothing.
+    """
+    _require_vowel_models(model_set)
+    evidence = []
+    for t, vowel in enumerate(ARPABET_VOWELS):
+        feats = pooled.get(vowel)
+        if feats is None or vowel not in model_set.vowel_grid:
+            continue
+        data = feature_array(feats)
+        if data.shape[0]:
+            ll = _score_models(model_set.stack(vowel), data).sum(axis=1)
+            evidence.append((t, data.shape[0], ll))
+    return _vowel_vote(model_set, evidence)
+
+
+def classify_vowel_thresholds(model_set, feats, segments, thresholds):
+    """classify_vowel_weighted at each confidence threshold, every frame scored once.
+
+    Entry j is classify_vowel_weighted(model_set, pool_vowel_features(feats,
+    filter_by_confidence(segments, thresholds[j]))), bit for bit, or None
+    where that leaves no vowel evidence.
+
+    Each vowel's frames kept at any threshold are scored once; a threshold
+    then sums the rows of the frames it keeps, which are the rows pooling
+    selects, in the same order, copied to be contiguous. A threshold that
+    keeps one frame of a vowel scores that frame alone, since BLAS takes
+    another path for a 1-row block.
+    """
+    _require_vowel_models(model_set)
+    masks = [vowel_frame_masks(feats, filter_by_confidence(segments, threshold))
+             for threshold in thresholds]
+    evidence = [[] for _ in masks]
+    for t, vowel in enumerate(ARPABET_VOWELS):
+        if vowel not in model_set.vowel_grid:
+            continue
+        kept = [m[vowel] for m in masks]
+        union = np.logical_or.reduce(kept)
+        if not union.any():
+            continue
+        stack = model_set.stack(vowel)
+        scored = _score_models(stack, feats.data[union])
+        for mask, found in zip(kept, evidence):
+            selected = mask[union]
+            num_frames = int(np.count_nonzero(selected))
+            if num_frames == 1:
+                found.append((t, 1, _score_models(stack, feats.data[mask]).sum(axis=1)))
+            elif num_frames:
+                found.append((t, num_frames,
+                              np.compress(selected, scored, axis=1).sum(axis=1)))
+    return [_vowel_vote(model_set, found) if found else None for found in evidence]
 
 
 @dataclass
@@ -261,27 +318,6 @@ class EvalReport:
             row = " ".join("%5d" % v for v in self.confusion[i])
             lines.append("%-*s  %8.4f    %s" % (width, accent, self.per_accent[accent], row))
         return "\n".join(lines) + "\n"
-
-
-def evaluate(model_set, test_corpus, mode="baseline", max_frames=None,
-             normalize_per_frame=False, feature_tag="", seed=None):
-    """Accuracy, per-accent accuracy, and confusion over labeled utterances.
-
-    test_corpus items are (payload, accent) pairs; the payload is a
-    FeatureMatrix in baseline mode and a pooled vowel map in vowel mode.
-    """
-    def pairs():
-        for payload, accent in test_corpus:
-            if mode == "baseline":
-                result = classify_baseline(model_set, payload, max_frames=max_frames)
-            elif mode == "vowel":
-                result = classify_vowel_weighted(model_set, payload,
-                                                 normalize_per_frame=normalize_per_frame)
-            else:
-                raise ValueError("unknown mode %r" % mode)
-            yield accent, result.chosen_accent
-
-    return confusion_report(model_set.accents, pairs(), mode, feature_tag, seed)
 
 
 def confusion_report(accents, pairs, mode, feature_tag="", seed=None):

@@ -138,6 +138,66 @@ def frame_logpdf(g, feats):
     return _score_frames(g, feature_array(feats))[0]
 
 
+class GmmStack:
+    """S diagonal GMMs of one shape, held as one block of S*K components.
+
+    `joint` carries the concatenated means and variances; its weights (the
+    concatenation divided by S) are never used. Scoring adds each model's own
+    log weights, `log_weights`, so every model's mixture sum is the one its
+    own _score_frames would form.
+    """
+
+    def __init__(self, models):
+        self.models = tuple(models)
+        if not self.models:
+            raise ValueError("a model stack needs at least one model")
+        shape = self.models[0].means.shape
+        if any(m.means.shape != shape for m in self.models):
+            raise ValueError("stacked models must share component count and dim")
+        self.joint = DiagGmm(
+            np.concatenate([m.weights for m in self.models]) / len(self.models),
+            np.vstack([m.means for m in self.models]),
+            np.vstack([m.variances for m in self.models]),
+        )
+        with np.errstate(divide="ignore"):
+            self.log_weights = np.concatenate([np.log(m.weights) for m in self.models])
+
+
+def _row_chunks(n, chunk):
+    """(start, stop) row ranges of about `chunk` rows; a 1-row tail joins the range before."""
+    bounds = list(range(0, n, chunk)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _score_models(models, feats, chunk=256):
+    """(S x N) per-frame log-likelihoods of S same-shaped GMMs (a GmmStack or a list).
+
+    Row s equals frame_logpdf(models[s], feats) bit for bit, and the result is
+    C-contiguous, so its row sums (np.sum of a row, or .sum(axis=1)) equal
+    loglik(models[s], feats); a strided copy would sum in another order. One
+    log_component_densities per row chunk scores all S*K components; the
+    chunks keep that block in cache. BLAS takes a different product path for
+    a single row or a single component, which changes last bits, so a 1-row
+    block and 1-component models are scored one model at a time, as
+    _score_frames does.
+    """
+    stack = models if isinstance(models, GmmStack) else GmmStack(models)
+    data = feature_array(feats)
+    _check_dim(stack.joint, data)
+    num_models = len(stack.models)
+    k = stack.models[0].num_components
+    if k == 1 or data.shape[0] == 1:
+        return np.array([_score_frames(m, data)[0] for m in stack.models]).reshape(
+            num_models, data.shape[0])
+    frame_ll = np.empty((data.shape[0], num_models))
+    for start, stop in _row_chunks(data.shape[0], chunk):
+        joint = log_component_densities(stack.joint, data[start:stop]) + stack.log_weights
+        frame_ll[start:stop] = _logsumexp_rows(joint.reshape(-1, k)).reshape(-1, num_models)
+    return np.ascontiguousarray(frame_ll.T)
+
+
 def loglik(g, feats):
     """Total log-likelihood of a frame sequence (frames independent)."""
     data = feature_array(feats)

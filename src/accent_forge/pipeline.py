@@ -29,6 +29,7 @@ from .adapt import AdaptConfig, adapt_all_accents, map_adapt
 from .classify import (
     AccentModelSet,
     classify_baseline,
+    classify_vowel_thresholds,
     classify_vowel_weighted,
     confusion_report,
     pairwise_vowel_distances,
@@ -1091,7 +1092,11 @@ def stage_evaluate(run):
 
 
 def stage_calibrate(run):
-    """Pick the confidence threshold maximizing dev accuracy (vowel mode)."""
+    """Pick the confidence threshold maximizing dev accuracy (vowel mode).
+
+    confidence_threshold.json also records the dev accuracy at each grid
+    value, in the config's grid order.
+    """
     cfg, ws = run.cfg, run.ws
     manifest = run.manifest()
     model_set = load_model_set(ws, "vowel", run)
@@ -1104,16 +1109,19 @@ def stage_calibrate(run):
     if not dev_items:
         raise MissingPrerequisiteError("no dev utterances with labels; run 'split' first")
 
-    def classify(feats, segments):
-        pooled = pool_vowel_features(feats, segments)
-        try:
-            return classify_vowel_weighted(model_set, pooled).chosen_accent
-        except NoEvidenceError:
-            return None
+    grid = sorted(cfg.calibrate.grid)
 
-    threshold = calibrate_threshold(dev_items, cfg.calibrate.grid, classify)
-    _write_json(run.output(ws.dir("models") / "confidence_threshold.json"),
-                {"threshold": threshold, "grid": list(cfg.calibrate.grid)})
+    def classify(feats, segments):
+        return [None if result is None else result.chosen_accent
+                for result in classify_vowel_thresholds(model_set, feats, segments, grid)]
+
+    threshold, accuracies = calibrate_threshold(dev_items, cfg.calibrate.grid, classify)
+    curve = dict(zip(grid, accuracies))
+    _write_json(run.output(ws.dir("models") / "confidence_threshold.json"), {
+        "threshold": threshold,
+        "grid": list(cfg.calibrate.grid),
+        "dev_accuracy": [curve[value] for value in cfg.calibrate.grid],
+    })
     return threshold
 
 

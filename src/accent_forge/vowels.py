@@ -127,9 +127,12 @@ def filter_by_confidence(segments, threshold):
 def calibrate_threshold(dev_corpus, grid, classify):
     """Grid value maximizing dev accuracy of the injected vowel classifier.
 
-    dev_corpus items are (features, segments, accent) triples; classify is
-    called as classify(features, filtered_segments) and returns a label (or
-    None, counted as a miss). Ties pick the lowest threshold.
+    dev_corpus items are (features, segments, accent) triples. classify is
+    called once per item, as classify(features, segments), and returns one
+    prediction per value of the sorted grid, the accent it picks when only
+    the segments filter_by_confidence keeps at that value count (a label, or
+    None, counted as a miss). Returns (threshold, accuracies), the accuracies
+    in sorted grid order. Ties pick the lowest threshold.
     """
     grid = sorted(grid)
     if not grid:
@@ -137,26 +140,22 @@ def calibrate_threshold(dev_corpus, grid, classify):
     dev_corpus = list(dev_corpus)
     if not dev_corpus:
         raise ValueError("calibration needs a non-empty dev corpus")
-    best_threshold = None
-    best_accuracy = -1.0
-    for threshold in grid:
-        correct = 0
-        for feats, segments, accent in dev_corpus:
-            predicted = classify(feats, filter_by_confidence(segments, threshold))
-            if predicted == accent:
-                correct += 1
-        accuracy = correct / len(dev_corpus)
-        if accuracy > best_accuracy:
-            best_accuracy = accuracy
-            best_threshold = threshold
-    return best_threshold
+    correct = np.zeros(len(grid), dtype=np.int64)
+    for feats, segments, accent in dev_corpus:
+        predictions = list(classify(feats, segments))
+        if len(predictions) != len(grid):
+            raise ValueError("classify gave %d predictions for %d grid values"
+                             % (len(predictions), len(grid)))
+        correct += [predicted == accent for predicted in predictions]
+    accuracies = correct / len(dev_corpus)
+    return grid[int(np.argmax(accuracies))], accuracies.tolist()
 
 
-def pool_vowel_features(feats, segments):
-    """Per-vowel feature matrices pooled by frame-center membership.
+def vowel_frame_masks(feats, segments):
+    """Per-vowel boolean frame masks by frame-center membership.
 
     Frame k belongs to a segment when its center time (k + 0.5) * hop lies
-    in [start, end). Every Arpabet vowel maps to a matrix (possibly empty);
+    in [start, end). Every Arpabet vowel maps to a mask (possibly empty);
     non-vowel segments are ignored.
     """
     hop = feats.frame_hop_sec
@@ -164,20 +163,26 @@ def pool_vowel_features(feats, segments):
     centers = (np.arange(num_frames) + 0.5) * hop
     duration = num_frames * hop
     masks = {v: np.zeros(num_frames, dtype=bool) for v in ARPABET_VOWELS}
-    for seg in segments:
-        if not seg.is_vowel:
-            continue
+    vowel_segments = [seg for seg in segments if seg.is_vowel]
+    for seg in vowel_segments:
         if seg.end_sec > duration + 1e-9:
             raise ValueError(
                 "segment [%g, %g) extends beyond the utterance end %g"
                 % (seg.start_sec, seg.end_sec, duration)
             )
-        masks[seg.label] |= (centers >= seg.start_sec) & (centers < seg.end_sec)
+    # the centers ascend, so [first center >= start, first center >= end) are its frames
+    bounds = np.searchsorted(centers, [(s.start_sec, s.end_sec) for s in vowel_segments])
+    for seg, (lo, hi) in zip(vowel_segments, bounds.tolist()):
+        masks[seg.label][lo:hi] = True
+    return masks
+
+
+def pool_vowel_features(feats, segments):
+    """Per-vowel feature matrices of the frames vowel_frame_masks assigns."""
     pooled = {}
-    for vowel in ARPABET_VOWELS:
-        mask = masks[vowel]
+    for vowel, mask in vowel_frame_masks(feats, segments).items():
         tags = None if feats.tags is None else feats.tags[mask]
-        pooled[vowel] = FeatureMatrix(feats.data[mask], hop, tags)
+        pooled[vowel] = FeatureMatrix(feats.data[mask], feats.frame_hop_sec, tags)
     return pooled
 
 

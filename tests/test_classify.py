@@ -9,7 +9,7 @@ from accent_forge.classify import (
     AccentModelSet,
     classify_baseline,
     classify_vowel_weighted,
-    evaluate,
+    confusion_report,
     hellinger_gmm,
     vowel_discriminativeness,
     vowel_weights,
@@ -251,16 +251,11 @@ class TestVowelWeightedClassifier:
         assert result.per_vowel_scores[:, ARPABET_VOWELS.index("aa")].any()
         assert not result.per_vowel_scores[:, ARPABET_VOWELS.index("iy")].any()
 
-    def test_per_frame_normalization_rescales_scores(self):
-        ms = self._model_set()
-        rng = np.random.default_rng(18)
-        frames = rng.normal(4.0, 1.0, (20, 2))
-        pooled = {"aa": _fm(frames)}
-        plain = classify_vowel_weighted(ms, pooled)
-        normalized = classify_vowel_weighted(ms, pooled, normalize_per_frame=True)
-        # single vowel: normalized totals are the plain totals / frame count
-        np.testing.assert_allclose(normalized.scores, plain.scores / 20.0, rtol=1e-12)
-        assert normalized.chosen_accent == plain.chosen_accent
+def _baseline_report(model_set, corpus, **kwargs):
+    """confusion_report over classify_baseline's picks for (features, accent) items."""
+    pairs = [(accent, classify_baseline(model_set, feats).chosen_accent)
+             for feats, accent in corpus]
+    return confusion_report(model_set.accents, pairs, "baseline", **kwargs)
 
 
 class TestEvaluate:
@@ -274,7 +269,7 @@ class TestEvaluate:
         for i, accent in enumerate(accents):
             for _ in range(10):
                 corpus.append((_fm(rng.normal(8.0 * i, 1.0, (20, 2))), accent))
-        report = evaluate(ms, corpus, mode="baseline")
+        report = _baseline_report(ms, corpus)
         assert report.accuracy == 1.0
         assert np.all(np.diag(report.confusion) == 10)
         assert report.num_utterances == 30
@@ -288,7 +283,7 @@ class TestEvaluate:
         for accent in accents:
             for _ in range(20):
                 corpus.append((_fm(rng.normal(0, 1, (5, 2))), accent))
-        report = evaluate(ms, corpus, mode="baseline")
+        report = _baseline_report(ms, corpus)
         # bitwise score ties always resolve to the first accent
         assert report.accuracy == pytest.approx(1 / 7, abs=1e-12)
 
@@ -300,14 +295,14 @@ class TestEvaluate:
             (_fm(rng.normal(rng.choice([0.0, 2.0]), 1.5, (5, 2))), rng.choice(accents))
             for _ in range(60)
         ]
-        report = evaluate(ms, corpus, mode="baseline")
+        report = _baseline_report(ms, corpus)
         recount = np.trace(report.confusion) / report.confusion.sum()
         assert report.accuracy == pytest.approx(recount, abs=1e-15)
 
     def test_unknown_accent_rejected(self):
         ms = AccentModelSet(accents=["a", "b"], baseline=[_gauss(0.0), _gauss(1.0)])
         with pytest.raises(ValueError, match="unknown accent"):
-            evaluate(ms, [(_fm(np.zeros((2, 2))), "mystery")], mode="baseline")
+            _baseline_report(ms, [(_fm(np.zeros((2, 2))), "mystery")])
 
     def test_json_report_fields(self):
         import json
@@ -315,7 +310,7 @@ class TestEvaluate:
         ms = AccentModelSet(accents=["a", "b"], baseline=[_gauss(0.0), _gauss(9.0)])
         rng = np.random.default_rng(17)
         corpus = [(_fm(rng.normal(0, 1, (5, 2))), "a"), (_fm(rng.normal(9, 1, (5, 2))), "b")]
-        report = evaluate(ms, corpus, mode="baseline", feature_tag="DIRECT_2", seed=5)
+        report = _baseline_report(ms, corpus, feature_tag="DIRECT_2", seed=5)
         doc = json.loads(report.to_json())
         assert set(doc) >= {"accuracy", "per_accent", "confusion", "mode",
                             "feature_tag", "seed"}

@@ -443,6 +443,69 @@ class TestEmTrain:
             em_train(rng.standard_normal((30, 2)), 4)
 
 
+class TestScoreModels:
+    """Stacked scoring of S models against each model scored on its own."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 32])
+    @pytest.mark.parametrize("s", [2, 7])
+    def test_bit_equal_to_per_model_scoring(self, k, s):
+        rng = np.random.default_rng(100 * k + s)
+        models = [_random_gmm(rng, k, 5) for _ in range(s)]
+        stack = gmm.GmmStack(models)
+        for n in (1, 2, 255, 256, 257, 513, 2000):
+            frames = rng.normal(0.0, 3.0, (n, 5))
+            scores = gmm._score_models(stack, frames)
+            assert scores.shape == (s, n) and scores.flags.c_contiguous
+            totals = scores.sum(axis=1)
+            for i, model in enumerate(models):
+                assert scores[i].tobytes() == frame_logpdf(model, frames).tobytes(), (n, i)
+                assert float(np.sum(scores[i])) == loglik(model, frames), (n, i)
+                assert float(totals[i]) == loglik(model, frames), (n, i)
+
+    def test_row_chunks_fold_a_one_row_tail(self):
+        assert list(gmm._row_chunks(1, 256)) == [(0, 1)]
+        assert list(gmm._row_chunks(256, 256)) == [(0, 256)]
+        assert list(gmm._row_chunks(257, 256)) == [(0, 257)]
+        assert list(gmm._row_chunks(258, 256)) == [(0, 256), (256, 258)]
+        assert list(gmm._row_chunks(513, 256)) == [(0, 256), (256, 513)]
+        assert list(gmm._row_chunks(0, 256)) == []
+
+    def test_small_chunks_and_a_zero_weight(self):
+        rng = np.random.default_rng(7)
+        models = [_random_gmm(rng, 4, 3) for _ in range(3)]
+        models[1] = DiagGmm([0.0, 0.5, 0.25, 0.25], models[1].means, models[1].variances)
+        frames = rng.normal(0.0, 2.0, (41, 3))
+        for chunk in (2, 3, 40):
+            scores = gmm._score_models(models, frames, chunk=chunk)
+            for i, model in enumerate(models):
+                assert scores[i].tobytes() == frame_logpdf(model, frames).tobytes()
+
+    def test_one_density_pass_per_chunk(self, monkeypatch):
+        calls = []
+
+        def counting(g, data):
+            calls.append(data.shape)
+            return log_component_densities(g, data)
+
+        monkeypatch.setattr(gmm, "log_component_densities", counting)
+        rng = np.random.default_rng(8)
+        models = [_random_gmm(rng, 4, 2) for _ in range(7)]
+        gmm._score_models(models, rng.standard_normal((600, 2)))
+        assert calls == [(256, 2), (256, 2), (88, 2)]
+
+    def test_shapes_must_agree(self):
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError, match="share component count and dim"):
+            gmm.GmmStack([_random_gmm(rng, 2, 3), _random_gmm(rng, 4, 3)])
+        with pytest.raises(ValueError, match="does not match model dim 3"):
+            gmm._score_models([_random_gmm(rng, 2, 3)] * 2, np.zeros((0, 4)))
+
+    def test_empty_frames(self):
+        rng = np.random.default_rng(10)
+        models = [_random_gmm(rng, 2, 3)] * 3
+        assert gmm._score_models(models, np.zeros((0, 3))).shape == (3, 0)
+
+
 class TestModelFile:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(14)

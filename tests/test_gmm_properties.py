@@ -66,3 +66,76 @@ def test_em_stage_loglik_non_decreasing(case, target):
         ll = stage["loglik"]
         for before, after in zip(ll, ll[1:]):
             assert after >= before - 1e-8 * abs(before)
+
+
+GRID = (float("-inf"), -80.0, -50.0, -20.0, 1e9)  # 1e9 keeps no scored segment
+GRID_VOWELS = ("aa", "ih", "uw")
+
+
+@st.composite
+def calibration_cases(draw):
+    """A vowel model grid and one capped dev utterance with scored segments.
+
+    Segments are 1-4 frames long or longer runs, may overlap, may carry no
+    score, and often score exactly at a grid value; some are vowels outside
+    the grid or non-vowels, and the test-time cap clips those past its end.
+    """
+    from accent_forge.classify import AccentModelSet
+    from accent_forge.frontend import FeatureMatrix
+    from accent_forge.pipeline import PipelineConfig, _cap_test_utterance
+    from accent_forge.vowels import NUM_VOWELS, PhoneSegment
+
+    k = draw(st.sampled_from([1, 2, 4]))
+    d = draw(st.integers(1, 6))
+    num_accents = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = {}
+    for vowel in GRID_VOWELS[:draw(st.integers(1, len(GRID_VOWELS)))]:
+        grid[vowel] = [
+            DiagGmm(rng.dirichlet(np.ones(k)), rng.normal(0.0, 2.0, (k, d)),
+                    rng.uniform(0.3, 3.0, (k, d)))
+            for _ in range(num_accents)
+        ]
+    weights = rng.uniform(0.0, 1.0, NUM_VOWELS)
+    model_set = AccentModelSet(accents=["a%d" % i for i in range(num_accents)],
+                               vowel_grid=grid, vowel_weights=weights)
+
+    num_frames = draw(st.integers(1, 700))
+    hop = 0.01
+    feats = FeatureMatrix(rng.normal(0.0, 2.0, (num_frames, d)), hop)
+    confidences = st.one_of(st.none(), st.sampled_from(GRID[1:4]),
+                            st.floats(-100.0, 0.0, allow_nan=False))
+    segments = []
+    for _ in range(draw(st.integers(0, 25))):
+        start = draw(st.integers(0, num_frames - 1))
+        length = draw(st.one_of(st.integers(1, 4), st.integers(5, 400)))
+        end = min(start + length, num_frames)
+        label = draw(st.sampled_from(GRID_VOWELS + ("iy", "n")))
+        segments.append(PhoneSegment(start * hop, end * hop, label, draw(confidences)))
+    cfg = PipelineConfig()
+    cfg.corpus.max_test_frames = draw(st.integers(1, num_frames))
+    return model_set, _cap_test_utterance(cfg, feats, segments)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(calibration_cases())
+def test_thresholds_scored_once_equal_repooled_scoring(case):
+    from accent_forge.classify import classify_vowel_thresholds, classify_vowel_weighted
+    from accent_forge.errors import NoEvidenceError
+    from accent_forge.vowels import filter_by_confidence, pool_vowel_features
+
+    model_set, (feats, segments) = case
+    results = classify_vowel_thresholds(model_set, feats, segments, GRID)
+    assert len(results) == len(GRID)
+    for threshold, result in zip(GRID, results):
+        pooled = pool_vowel_features(feats, filter_by_confidence(segments, threshold))
+        try:
+            want = classify_vowel_weighted(model_set, pooled)
+        except NoEvidenceError:
+            assert result is None
+            continue
+        assert result is not None
+        assert result.scores.tobytes() == want.scores.tobytes()
+        assert result.per_vowel_scores.tobytes() == want.per_vowel_scores.tobytes()
+        assert (result.chosen_accent, result.frames_used) == (want.chosen_accent,
+                                                               want.frames_used)

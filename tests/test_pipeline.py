@@ -381,6 +381,26 @@ def _write_audio_corpus(root, num_per_accent=2, accents=("ar", "fr")):
     return manifest
 
 
+def _run_stages_with_blas_threads(threads, config, root, stages):
+    """Run CLI stages (name or (name, mode)) in a fresh process with `threads` BLAS threads."""
+    src_dir = Path(accent_forge.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir), OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    script = (
+        "import sys\n"
+        "from accent_forge.cli import main\n"
+        "for stage in sys.argv[3:]:\n"
+        "    name, _, mode = stage.partition(':')\n"
+        "    args = [name, '--config', sys.argv[1], '--workspace', sys.argv[2]]\n"
+        "    code = main(args + (['--mode', mode] if mode else []))\n"
+        "    if code:\n"
+        "        sys.exit(code)\n"
+    )
+    names = [stage if isinstance(stage, str) else "%s:%s" % stage for stage in stages]
+    subprocess.run([sys.executable, "-c", script, str(config), str(root)] + names,
+                   env=env, check=True, timeout=120, stdout=subprocess.DEVNULL)
+
+
 class TestAudioPipeline:
     def test_vad_features_and_remapped_labels(self, tmp_path):
         from accent_forge.vowels import parse_label_file, pool_by_tags, pool_vowel_features
@@ -411,7 +431,6 @@ class TestAudioPipeline:
 
     def test_features_identical_across_blas_thread_counts(self, tmp_path):
         # vad + features in fresh processes with one and two BLAS threads
-        src_dir = Path(accent_forge.__file__).parents[1]
         config = tmp_path / "small.cfg"
         config.write_text(config_to_text(_small_cfg()), encoding="utf-8")
         digests = []
@@ -419,18 +438,7 @@ class TestAudioPipeline:
             root = tmp_path / ("ws_blas%s" % threads)
             root.mkdir()
             _write_audio_corpus(root)
-            env = dict(os.environ, PYTHONPATH=str(src_dir), OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            script = (
-                "import sys\n"
-                "from accent_forge.cli import main\n"
-                "for stage in ('vad', 'features'):\n"
-                "    code = main([stage, '--config', sys.argv[1], '--workspace', sys.argv[2]])\n"
-                "    if code:\n"
-                "        sys.exit(code)\n"
-            )
-            subprocess.run([sys.executable, "-c", script, str(config), str(root)],
-                           env=env, check=True, timeout=120)
+            _run_stages_with_blas_threads(threads, config, root, ["vad", "features"])
             feat_dir = root / "features" / "feat"
             digests.append({
                 path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -599,6 +607,37 @@ class TestScoringProvenance:
         assert after[key] == hashlib.sha256(retrained.read_bytes()).hexdigest()
         assert {k: v for k, v in after.items() if k != key} == \
             {k: v for k, v in before.items() if k != key}
+
+
+class TestBlasThreadDeterminism:
+    def test_models_and_scores_identical_across_blas_thread_counts(self, tmp_path):
+        # ubm through calibrate and both classify modes, with one and two BLAS
+        # threads; a stacked baseline block (256 rows x 4 accents x 64
+        # components x 8 dims) is big enough for OpenBLAS to thread
+        cfg = _small_cfg()
+        cfg.ubm.components = 64
+        cfg.synth.num_accents = 4
+        cfg.synth.feature_dim = 8
+        cfg.synth.frames_per_utterance = 300
+        cfg.synth.with_confidence = True
+        cfg.synth.noise_segment_fraction = 0.2
+        cfg.vowels.use_calibrated_threshold = True
+        config = tmp_path / "chain.cfg"
+        config.write_text(config_to_text(cfg.validate()), encoding="utf-8")
+        stages = ["vad", "features", "ubm", "adapt", "vowel-models", "weights", "calibrate",
+                  ("classify", "baseline"), ("evaluate", "baseline"),
+                  ("classify", "vowel"), ("evaluate", "vowel")]
+        digests = []
+        for threads in ("1", "2"):
+            ws = Workspace(tmp_path / ("ws_blas%s" % threads))
+            generate_synthetic_corpus(cfg.synth, ws.root)
+            _run_stages_with_blas_threads(threads, config, ws.root, stages)
+            digests.append(_workspace_digest(ws.root))
+        produced = set(digests[0])
+        assert {"models/ubm.agm", "models/confidence_threshold.json",
+                "reports/predictions_baseline.tsv", "reports/predictions_vowel.tsv",
+                "reports/evaluation_vowel.json"} <= produced
+        assert digests[0] == digests[1]
 
 
 class TestTransformsStage:

@@ -103,14 +103,26 @@ class TestFilter:
             assert kept == oracle
 
 
+def _per_grid(pick):
+    """A calibration classifier: pick(feats, segments kept at t) at each sorted t."""
+
+    def classify(feats, segments):
+        return [pick(feats, filter_by_confidence(segments, t)) for t in classify.grid]
+
+    return classify
+
+
 class TestCalibrate:
     def test_single_grid_value(self):
         dev = [(None, [], "a")]
-        assert calibrate_threshold(dev, [-7.5], lambda f, s: "a") == -7.5
+        assert calibrate_threshold(dev, [-7.5], lambda f, s: ["a"]) == (-7.5, [1.0])
 
     def test_flat_curve_picks_lowest(self):
-        dev = [(None, [], "a")]
-        assert calibrate_threshold(dev, [3.0, -2.0, 8.0], lambda f, s: "a") == -2.0
+        dev = [(None, [], "a"), (None, [], "b")]
+        threshold, accuracies = calibrate_threshold(
+            dev, [3.0, -2.0, 8.0], lambda f, s: ["a", "a", "a"])
+        assert threshold == -2.0
+        assert accuracies == [0.5, 0.5, 0.5]
 
     def test_noise_segments_push_threshold_up(self):
         # poison segments score around -80; the classifier only gets the
@@ -124,17 +136,66 @@ class TestCalibrate:
             ]
             dev.append((None, segs, "acc"))
 
-        def classify(feats, segments):
-            return "acc" if all(s.confidence > -50 for s in segments) else "other"
-
+        classify = _per_grid(
+            lambda feats, segments: "acc" if all(s.confidence > -50 for s in segments)
+            else "other")
         grid = [float("-inf"), -90.0, -70.0, -40.0]
-        chosen = calibrate_threshold(dev, grid, classify)
+        classify.grid = sorted(grid)
+        chosen, accuracies = calibrate_threshold(dev, grid, classify)
         assert chosen == -70.0
         assert chosen > -80.0
+        assert accuracies == [0.0, 0.0, 1.0, 1.0]
 
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="grid"):
-            calibrate_threshold([(None, [], "a")], [], lambda f, s: "a")
+            calibrate_threshold([(None, [], "a")], [], lambda f, s: [])
+
+    def test_classify_called_once_per_dev_utterance(self):
+        calls = []
+
+        def classify(*args, **kwargs):
+            calls.append((args, kwargs))
+            return [None, "a", "b"]
+
+        dev = [("f%d" % i, ["s%d" % i], "a") for i in range(5)]
+        threshold, accuracies = calibrate_threshold(dev, [2.0, 0.0, 1.0], classify)
+        assert calls == [(("f%d" % i, ["s%d" % i]), {}) for i in range(5)]
+        assert (threshold, accuracies) == (1.0, [0.0, 1.0, 0.0])
+
+    def test_prediction_count_must_match_the_grid(self):
+        with pytest.raises(ValueError, match="2 predictions for 3 grid values"):
+            calibrate_threshold([(None, [], "a")], [0.0, 1.0, 2.0], lambda f, s: ["a", "a"])
+
+    def test_traced_run_wrapper(self):
+        # the benchmark's traced run wraps calibrate_threshold and counts the
+        # classifier's calls; load its metrics module as it ships
+        import importlib
+
+        metrics = _perfbench_module("metrics")
+        spans = _perfbench_module("spans")
+        for module, function, _ in metrics.TARGETS:
+            assert hasattr(importlib.import_module("accent_forge." + module), function), \
+                (module, function)
+        recorder = spans.SpanRecorder()
+        wrapped = metrics._counting_calibrate(recorder, calibrate_threshold)
+        dev = [(None, [PhoneSegment(0.0, 0.1, "aa", confidence=float(c))], "a")
+               for c in (-60.0, -30.0, -10.0)]
+        classify = _per_grid(lambda feats, segments: "a" if segments else None)
+        classify.grid = [-50.0, -20.0]
+        assert wrapped(dev, classify.grid, classify) == (-50.0, [2 / 3, 1 / 3])
+        values = metrics.layer_metrics(recorder, 0)
+        assert values["vowels.calibrate_threshold.useful_ratio"]["value"] == 1.0
+
+
+def _perfbench_module(name):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / (name + ".py")
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestPooling:
