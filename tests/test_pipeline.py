@@ -611,9 +611,9 @@ class TestScoringProvenance:
 
 class TestBlasThreadDeterminism:
     def test_models_and_scores_identical_across_blas_thread_counts(self, tmp_path):
-        # ubm through calibrate and both classify modes, with one and two BLAS
-        # threads; a stacked baseline block (256 rows x 4 accents x 64
-        # components x 8 dims) is big enough for OpenBLAS to thread
+        # vad through calibrate and both classify modes, with one and two BLAS
+        # threads; a stacked baseline chunk is a 256 x 8 by 8 x 256 product
+        # (4 accents x 64 components), four times a per-model one
         cfg = _small_cfg()
         cfg.ubm.components = 64
         cfg.synth.num_accents = 4

@@ -103,11 +103,11 @@ class TestFilter:
             assert kept == oracle
 
 
-def _per_grid(pick):
-    """A calibration classifier: pick(feats, segments kept at t) at each sorted t."""
+def _per_grid(pick, grid):
+    """A calibration classifier: pick(feats, segments kept at t) for each t of the sorted grid."""
 
     def classify(feats, segments):
-        return [pick(feats, filter_by_confidence(segments, t)) for t in classify.grid]
+        return [pick(feats, filter_by_confidence(segments, t)) for t in sorted(grid)]
 
     return classify
 
@@ -136,11 +136,10 @@ class TestCalibrate:
             ]
             dev.append((None, segs, "acc"))
 
+        grid = [float("-inf"), -90.0, -70.0, -40.0]
         classify = _per_grid(
             lambda feats, segments: "acc" if all(s.confidence > -50 for s in segments)
-            else "other")
-        grid = [float("-inf"), -90.0, -70.0, -40.0]
-        classify.grid = sorted(grid)
+            else "other", grid)
         chosen, accuracies = calibrate_threshold(dev, grid, classify)
         assert chosen == -70.0
         assert chosen > -80.0
@@ -180,9 +179,9 @@ class TestCalibrate:
         wrapped = metrics._counting_calibrate(recorder, calibrate_threshold)
         dev = [(None, [PhoneSegment(0.0, 0.1, "aa", confidence=float(c))], "a")
                for c in (-60.0, -30.0, -10.0)]
-        classify = _per_grid(lambda feats, segments: "a" if segments else None)
-        classify.grid = [-50.0, -20.0]
-        assert wrapped(dev, classify.grid, classify) == (-50.0, [2 / 3, 1 / 3])
+        grid = [-20.0, -50.0]
+        classify = _per_grid(lambda feats, segments: "a" if segments else None, grid)
+        assert wrapped(dev, grid, classify) == (-50.0, [2 / 3, 1 / 3])
         values = metrics.layer_metrics(recorder, 0)
         assert values["vowels.calibrate_threshold.useful_ratio"]["value"] == 1.0
 
