@@ -11,7 +11,21 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from accent_forge import gmm  # noqa: E402
+from accent_forge.classify import (  # noqa: E402
+    AccentModelSet,
+    classify_vowel_thresholds,
+    classify_vowel_weighted,
+)
+from accent_forge.errors import NoEvidenceError  # noqa: E402
+from accent_forge.frontend import FeatureMatrix  # noqa: E402
 from accent_forge.gmm import DiagGmm, em_train, log_component_densities  # noqa: E402
+from accent_forge.pipeline import PipelineConfig, _cap_test_utterance  # noqa: E402
+from accent_forge.vowels import (  # noqa: E402
+    NUM_VOWELS,
+    PhoneSegment,
+    filter_by_confidence,
+    pool_vowel_features,
+)
 
 
 @st.composite
@@ -80,11 +94,6 @@ def calibration_cases(draw):
     score, and often score exactly at a grid value; some are vowels outside
     the grid or non-vowels, and the test-time cap clips those past its end.
     """
-    from accent_forge.classify import AccentModelSet
-    from accent_forge.frontend import FeatureMatrix
-    from accent_forge.pipeline import PipelineConfig, _cap_test_utterance
-    from accent_forge.vowels import NUM_VOWELS, PhoneSegment
-
     k = draw(st.sampled_from([1, 2, 4]))
     d = draw(st.integers(1, 6))
     num_accents = draw(st.integers(2, 3))
@@ -120,10 +129,6 @@ def calibration_cases(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(calibration_cases())
 def test_thresholds_scored_once_equal_repooled_scoring(case):
-    from accent_forge.classify import classify_vowel_thresholds, classify_vowel_weighted
-    from accent_forge.errors import NoEvidenceError
-    from accent_forge.vowels import filter_by_confidence, pool_vowel_features
-
     model_set, (feats, segments) = case
     results = classify_vowel_thresholds(model_set, feats, segments, GRID)
     assert len(results) == len(GRID)

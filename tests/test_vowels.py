@@ -1,5 +1,9 @@
 """Tests for label parsing, confidence filtering, and vowel pooling."""
 
+import importlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -112,6 +116,14 @@ def _per_grid(pick, grid):
     return classify
 
 
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / (name + ".py")
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestCalibrate:
     def test_single_grid_value(self):
         dev = [(None, [], "a")]
@@ -168,8 +180,6 @@ class TestCalibrate:
     def test_traced_run_wrapper(self):
         # the benchmark's traced run wraps calibrate_threshold and counts the
         # classifier's calls; load its metrics module as it ships
-        import importlib
-
         metrics = _perfbench_module("metrics")
         spans = _perfbench_module("spans")
         for module, function, _ in metrics.TARGETS:
@@ -184,17 +194,6 @@ class TestCalibrate:
         assert wrapped(dev, grid, classify) == (-50.0, [2 / 3, 1 / 3])
         values = metrics.layer_metrics(recorder, 0)
         assert values["vowels.calibrate_threshold.useful_ratio"]["value"] == 1.0
-
-
-def _perfbench_module(name):
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "perfbench" / (name + ".py")
-    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestPooling:
