@@ -58,12 +58,9 @@ from .signal import (
     AudioBuffer,
     FramePlan,
     VadResult,
-    energy_rate,
-    estimate_thresholds,
     frame_signal,
     read_wav,
     remove_silence,
-    spectral_centroid,
 )
 from .transforms import (
     LinearTransform,

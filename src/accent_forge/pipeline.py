@@ -290,6 +290,9 @@ class PipelineConfig:
         for name, count in (("ubm", self.ubm.components), ("vowels", self.vowels.components)):
             if count < 1 or count & (count - 1):
                 raise ConfigError("%s.components must be a power of 2, got %d" % (name, count))
+        if not (self.signal.energy_weight > 0 and self.signal.centroid_weight > 0):
+            raise ConfigError(
+                "signal.energy_weight and signal.centroid_weight must be positive")
         if self.weights.mode not in ("mean_distance", "reciprocal_mean"):
             raise ConfigError("weights.mode must be mean_distance or reciprocal_mean")
         if self.synth.vowel_popularity:
@@ -724,10 +727,8 @@ def stage_vad(run):
                 sig.segments_to_text(vad.segments, plan, audio.sample_rate_hz),
                 encoding="utf-8",
             )
-            retained = sum(
-                (e - 1 - s) * plan.hop_samples + plan.frame_len_samples
-                for s, e in vad.segments
-            )
+            ranges = [plan.sample_range(s, e) for s, e in vad.segments]
+            retained = sum(end - start for start, end in ranges)
             meta = {
                 "kind": "audio",
                 "sample_rate_hz": audio.sample_rate_hz,
@@ -804,8 +805,7 @@ def stage_features(run):
         frame_blocks = []
         centers_sec = []
         for start_f, end_f in meta["segments_frames"]:
-            s0 = start_f * plan.hop_samples
-            s1 = (end_f - 1) * plan.hop_samples + plan.frame_len_samples
+            s0, s1 = plan.sample_range(start_f, end_f)
             block = sig.frame_signal(audio.samples[s0:min(s1, len(audio.samples))], plan)
             frame_blocks.append(block)
             starts = s0 + plan.hop_samples * np.arange(block.shape[0])

@@ -70,6 +70,11 @@ class FramePlan:
             return 0
         return (num_samples - self.frame_len_samples) // self.hop_samples + 1
 
+    def sample_range(self, start_frame, end_frame):
+        """Half-open sample span covered by frames [start_frame, end_frame)."""
+        return (start_frame * self.hop_samples,
+                (end_frame - 1) * self.hop_samples + self.frame_len_samples)
+
 
 @dataclass
 class VadResult:
@@ -157,51 +162,11 @@ def frame_signal(audio, plan):
     return np.lib.stride_tricks.sliding_window_view(x, n)[::hop].copy()
 
 
-def energy_rate(frame):
-    """Mean squared magnitude of the frame samples."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.size == 0:
-        raise ValueError("energy of an empty frame is undefined")
-    return float(np.mean(np.abs(frame) ** 2))
-
-
 def _next_pow2(n):
     p = 1
     while p < n:
         p *= 2
     return p
-
-
-def centroid_from_spectrum(mags):
-    """Centroid of a one-sided magnitude spectrum with the DC bin removed.
-
-    Bin k (1-based) is weighted by k + 1, so a single active bin k yields
-    k + 1 and a flat spectrum over K bins yields (K + 3) / 2.
-    """
-    mags = np.asarray(mags, dtype=np.float64)
-    total = mags.sum()
-    if total <= 0.0:
-        return 0.0
-    k = np.arange(1, len(mags) + 1, dtype=np.float64)
-    return float(np.sum((k + 1.0) * mags) / total)
-
-
-def spectral_centroid(frame, nfft=None):
-    """Spectral centroid of one frame.
-
-    The DFT size is the next power of two >= the frame length (zero padded)
-    unless given. All-zero frames return 0.0, which downstream treats as
-    non-speech.
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.size == 0:
-        raise ValueError("spectral centroid of an empty frame is undefined")
-    if not np.any(frame):
-        return 0.0
-    if nfft is None:
-        nfft = _next_pow2(len(frame))
-    mags = np.abs(np.fft.rfft(frame, nfft))[1:]
-    return centroid_from_spectrum(mags)
 
 
 def _histogram_modes(values, bins=50, smooth=3, height_ratio=0.1, valley_ratio=0.3,
@@ -245,25 +210,6 @@ def _histogram_modes(values, bins=50, smooth=3, height_ratio=0.1, valley_ratio=0
     return [centers[main_idx]]
 
 
-def estimate_thresholds(values, weight, bins=50, smooth=3):
-    """Histogram-mode threshold T = (weight*M1 + M2) / (weight + 1).
-
-    M1 <= M2 are the positions of the two most prominent local maxima of a
-    smoothed histogram of the values; with fewer than two maxima the median
-    of the values is returned instead.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size < 10:
-        raise ValueError("threshold estimation needs at least 10 values, got %d" % values.size)
-    if weight <= 0:
-        raise ValueError("threshold weight must be positive")
-    modes = _histogram_modes(values, bins=bins, smooth=smooth)
-    if len(modes) < 2:
-        return float(np.median(values))
-    m1, m2 = modes
-    return float((weight * m1 + m2) / (weight + 1.0))
-
-
 def _run_bounds(mask):
     """Start and end (half-open) index arrays of the True runs of a mask."""
     padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
@@ -296,13 +242,6 @@ def mask_to_segments(mask):
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def segments_to_mask(segments, num_frames):
-    mask = np.zeros(num_frames, dtype=bool)
-    for start, end in segments:
-        mask[start:end] = True
-    return mask
-
-
 def remove_silence(
     audio,
     plan,
@@ -313,8 +252,10 @@ def remove_silence(
 ):
     """Dual-threshold VAD over framed audio.
 
-    A frame is speech when its energy rate and spectral centroid both exceed
-    their histogram-mode thresholds. A statistic whose histogram shows fewer
+    A frame is speech when its energy rate (mean squared sample) and spectral
+    centroid (of its magnitude spectrum, zero padded to a power of two, DC
+    dropped, bin k weighted k + 1; 0 for an all-zero frame, which is never
+    speech) both exceed their histogram-mode thresholds. A statistic whose histogram shows fewer
     than two modes imposes no constraint (there is nothing to separate), so
     uniformly loud input is kept whole. Speech gaps shorter than
     min_segment_frames are bridged, then speech runs shorter than
@@ -357,36 +298,11 @@ def remove_silence(
     )
 
 
-def segment_sample_ranges(segments, plan, num_samples=None):
-    """Frame segments -> non-overlapping (start_sample, end_sample) ranges."""
-    ranges = []
-    prev_end = 0
-    for start_f, end_f in segments:
-        start = start_f * plan.hop_samples
-        end = (end_f - 1) * plan.hop_samples + plan.frame_len_samples
-        start = max(start, prev_end)
-        if num_samples is not None:
-            end = min(end, num_samples)
-        if end > start:
-            ranges.append((start, end))
-            prev_end = end
-    return ranges
-
-
-def trim_audio(audio, vad, plan):
-    """Concatenate the speech portions of the audio."""
-    ranges = segment_sample_ranges(vad.segments, plan, num_samples=len(audio.samples))
-    if not ranges:
-        return AudioBuffer(np.zeros(0), audio.sample_rate_hz)
-    pieces = [audio.samples[s:e] for s, e in ranges]
-    return AudioBuffer(np.concatenate(pieces), audio.sample_rate_hz)
-
-
 def segments_to_text(segments, plan, sample_rate_hz):
     """One line per segment: `<start_sec>\\t<end_sec>` with 3 decimals."""
+    rate = float(sample_rate_hz)
     lines = []
     for start_f, end_f in segments:
-        start = start_f * plan.hop_samples / float(sample_rate_hz)
-        end = ((end_f - 1) * plan.hop_samples + plan.frame_len_samples) / float(sample_rate_hz)
-        lines.append("%.3f\t%.3f" % (start, end))
+        start, end = plan.sample_range(start_f, end_f)
+        lines.append("%.3f\t%.3f" % (start / rate, end / rate))
     return "\n".join(lines) + ("\n" if lines else "")

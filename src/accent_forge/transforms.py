@@ -69,6 +69,15 @@ def splice_frames(data, context):
     return np.hstack(cols)
 
 
+def _canonical_signs(rows):
+    """Flip each row in place so that its largest-magnitude entry is positive."""
+    for row in rows:
+        peak = np.argmax(np.abs(row))
+        if row[peak] < 0:
+            row *= -1.0
+    return rows
+
+
 def fit_pca(feats, out_dim):
     """Leading principal directions, orthonormal rows, centered output."""
     data = feature_array(feats)
@@ -81,14 +90,36 @@ def fit_pca(feats, out_dim):
     cov = np.cov(data, rowvar=False)
     vals, vecs = scipy.linalg.eigh(cov)
     order = np.argsort(vals)[::-1][:out_dim]
-    rows = vecs[:, order].T.copy()
-    for row in rows:  # deterministic sign
-        peak = np.argmax(np.abs(row))
-        if row[peak] < 0:
-            row *= -1.0
+    rows = _canonical_signs(vecs[:, order].T.copy())
     return LinearTransform(
         rows, -rows @ mean, context=0, meta={"eigenvalues": vals[order].copy()}
     )
+
+
+def _class_scatter(data, labels):
+    """One pass over the classes of labelled frames.
+
+    Returns the global mean, the class ids with their means and frame
+    counts, each class's scatter sum_{x in s} (x - mu_s)(x - mu_s)^T, and
+    S_B = (1/K) sum_s K_s (mu_s - mu)(mu_s - mu)^T.
+    """
+    class_ids = np.unique(labels)
+    dim = data.shape[1]
+    global_mean = data.mean(axis=0)
+    class_means = np.zeros((len(class_ids), dim))
+    counts = np.zeros(len(class_ids), dtype=np.int64)
+    scatters = []
+    s_b = np.zeros((dim, dim))
+    for i, cid in enumerate(class_ids):
+        chunk = data[labels == cid]
+        mu = chunk.mean(axis=0)
+        cen = chunk - mu
+        scatters.append(cen.T @ cen)  # one operand array, so BLAS takes its symmetric path
+        diff = mu - global_mean
+        s_b += chunk.shape[0] * np.outer(diff, diff)
+        class_means[i] = mu
+        counts[i] = chunk.shape[0]
+    return global_mean, class_ids, class_means, counts, scatters, s_b / data.shape[0]
 
 
 def scatter_matrices(feats, labels):
@@ -102,32 +133,15 @@ def scatter_matrices(feats, labels):
     labels = np.asarray(labels)
     if labels.shape != (data.shape[0],):
         raise ValueError("labels must have one entry per frame")
-    class_ids = np.unique(labels)
+    global_mean, class_ids, class_means, counts, scatters, s_b = _class_scatter(data, labels)
     if len(class_ids) < 2:
         raise ValueError("need at least 2 classes")
-    total = data.shape[0]
-    dim = data.shape[1]
-    global_mean = data.mean(axis=0)
-    s_w = np.zeros((dim, dim))
-    s_b = np.zeros((dim, dim))
-    class_means = np.zeros((len(class_ids), dim))
-    class_counts = np.zeros(len(class_ids), dtype=np.int64)
-    for i, cid in enumerate(class_ids):
-        chunk = data[labels == cid]
-        if chunk.shape[0] < 2:
-            raise ValueError("class %r has fewer than 2 frames" % (cid,))
-        mu = chunk.mean(axis=0)
-        centered = chunk - mu
-        s_w += centered.T @ centered
-        diff = mu - global_mean
-        s_b += chunk.shape[0] * np.outer(diff, diff)
-        class_means[i] = mu
-        class_counts[i] = chunk.shape[0]
-    s_w /= total
-    s_b /= total
+    small = class_ids[counts < 2]
+    if len(small):
+        raise ValueError("class %r has fewer than 2 frames" % (small[0],))
+    s_w = sum(scatters) / data.shape[0]
     s_w = 0.5 * (s_w + s_w.T)
-    s_b = 0.5 * (s_b + s_b.T)
-    return ScatterPair(s_b, s_w, global_mean, class_means, class_counts, class_ids)
+    return ScatterPair(s_b, s_w, global_mean, class_means, counts, class_ids)
 
 
 def fit_lda(sp, out_dim):
@@ -153,31 +167,10 @@ def fit_lda(sp, out_dim):
     vals, vecs = scipy.linalg.eigh(reduced)
     order = np.argsort(vals)[::-1][:out_dim]
     basis = scipy.linalg.solve_triangular(chol, vecs[:, order], lower=True, trans="T")
-    rows = basis.T.copy()
-    for row in rows:
-        peak = np.argmax(np.abs(row))
-        if row[peak] < 0:
-            row *= -1.0
+    rows = _canonical_signs(basis.T.copy())
     return LinearTransform(
         rows, -rows @ sp.global_mean, context=0, meta={"eigenvalues": vals[order].copy()}
     )
-
-
-def _class_stats(data, labels):
-    class_ids = np.unique(labels)
-    total = data.shape[0]
-    mean = data.mean(axis=0)
-    centered = data - mean
-    total_cov = centered.T @ centered / total
-    covs = []
-    counts = []
-    for cid in class_ids:
-        chunk = data[labels == cid]
-        mu = chunk.mean(axis=0)
-        cen = chunk - mu
-        covs.append(cen.T @ cen / chunk.shape[0])
-        counts.append(chunk.shape[0])
-    return mean, 0.5 * (total_cov + total_cov.T), covs, np.asarray(counts), class_ids
 
 
 def _hlda_objective(mat, retained, total_cov, class_covs, counts):
@@ -235,32 +228,24 @@ def fit_hlda(feats, labels, retained_dim, context=1, max_iters=100, tol=1e-6):
     if retained_dim > dim:
         raise ValueError("retained_dim %d exceeds spliced dim %d" % (retained_dim, dim))
 
-    mean, total_cov, class_covs, counts, _ = _class_stats(data, labs)
+    mean, _, _, counts, scatters, s_b = _class_scatter(data, labs)
     if np.any(counts <= dim):
         raise ValueError("every class needs more frames than the spliced dim %d" % dim)
-    total = int(counts.sum())
+    total = data.shape[0]
+    class_covs = [scatter / count for scatter, count in zip(scatters, counts)]
+    centered = data - mean
+    total_cov = centered.T @ centered / total
+    total_cov = 0.5 * (total_cov + total_cov.T)
+    del centered
 
     # init: whiten the global covariance, then rotate so leading rows align
     # with the between-class spectrum of the whitened data
     vals, vecs = scipy.linalg.eigh(total_cov)
     vals = np.maximum(vals, 1e-10)
     white = (vecs / np.sqrt(vals)).T[::-1]
-    mixture_means = []
-    for cid in np.unique(labs):
-        mixture_means.append(data[labs == cid].mean(axis=0))
-    s_b = np.zeros((dim, dim))
-    for mu, count in zip(mixture_means, counts):
-        diff = mu - mean
-        s_b += count * np.outer(diff, diff)
-    s_b /= total
     between_white = white @ s_b @ white.T
     bvals, bvecs = scipy.linalg.eigh(0.5 * (between_white + between_white.T))
-    rot = bvecs[:, ::-1].T.copy()
-    for row in rot:
-        peak = np.argmax(np.abs(row))
-        if row[peak] < 0:
-            row *= -1.0
-    mat = rot @ white
+    mat = _canonical_signs(bvecs[:, ::-1].T.copy()) @ white
 
     objective = [_hlda_objective(mat, retained_dim, total_cov, class_covs, counts)]
     converged = False

@@ -7,6 +7,7 @@ Producing them (alignment or recognition) is outside this package.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -84,6 +85,8 @@ def parse_label_file(path):
                     raise LabelParseError(
                         "%s:%d: score %r is not a number" % (path, lineno, fields[3])
                     ) from exc
+                if math.isnan(confidence):  # it would fail every threshold, even -inf
+                    raise LabelParseError("%s:%d: score is NaN" % (path, lineno))
             if end_units <= start_units:
                 raise LabelParseError(
                     "%s:%d: segment end %d not after start %d"
@@ -183,17 +186,6 @@ def pool_vowel_features(feats, segments):
     for vowel, mask in vowel_frame_masks(feats, segments).items():
         tags = None if feats.tags is None else feats.tags[mask]
         pooled[vowel] = FeatureMatrix(feats.data[mask], feats.frame_hop_sec, tags)
-    return pooled
-
-
-def pool_by_tags(feats):
-    """Per-vowel pooling from the archive tag channel (tag = vowel index + 1)."""
-    if feats.tags is None:
-        raise ValueError("feature matrix has no tags")
-    pooled = {}
-    for i, vowel in enumerate(ARPABET_VOWELS):
-        mask = feats.tags == i + 1
-        pooled[vowel] = FeatureMatrix(feats.data[mask], feats.frame_hop_sec)
     return pooled
 
 

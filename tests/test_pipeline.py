@@ -278,7 +278,7 @@ class TestSyntheticCorpus:
         assert all(e.split in ("train", "dev", "test") for e in manifest.entries)
 
     def test_labels_match_tags(self, tmp_path):
-        from accent_forge.vowels import parse_label_file, pool_by_tags, pool_vowel_features
+        from accent_forge.vowels import parse_label_file, pool_vowel_features
 
         spec = SyntheticSpec(num_accents=2, utterances_per_accent=8,
                              frames_per_utterance=80, seed=8)
@@ -287,9 +287,8 @@ class TestSyntheticCorpus:
         feats = read_feature_archive(manifest.resolve(entry.audio))
         segs = parse_label_file(manifest.resolve(entry.label))
         by_seg = pool_vowel_features(feats, segs)
-        by_tag = pool_by_tags(feats)
-        for vowel in ARPABET_VOWELS:
-            np.testing.assert_array_equal(by_seg[vowel].data, by_tag[vowel].data)
+        for i, vowel in enumerate(ARPABET_VOWELS):  # tag = vowel index + 1
+            np.testing.assert_array_equal(by_seg[vowel].data, feats.data[feats.tags == i + 1])
 
 
 def _workspace_digest(root):
@@ -403,7 +402,7 @@ def _run_stages_with_blas_threads(threads, config, root, stages):
 
 class TestAudioPipeline:
     def test_vad_features_and_remapped_labels(self, tmp_path):
-        from accent_forge.vowels import parse_label_file, pool_by_tags, pool_vowel_features
+        from accent_forge.vowels import parse_label_file, pool_vowel_features
 
         cfg = _small_cfg()
         ws = Workspace(tmp_path / "ws")
@@ -425,9 +424,8 @@ class TestAudioPipeline:
         assert all(s.confidence is not None for s in segs)
         # tag channel and remapped segments pool identically
         by_seg = pool_vowel_features(feats, segs)
-        by_tag = pool_by_tags(feats)
-        for vowel in ARPABET_VOWELS:
-            np.testing.assert_array_equal(by_seg[vowel].data, by_tag[vowel].data)
+        for i, vowel in enumerate(ARPABET_VOWELS):  # tag = vowel index + 1
+            np.testing.assert_array_equal(by_seg[vowel].data, feats.data[feats.tags == i + 1])
 
     def test_features_identical_across_blas_thread_counts(self, tmp_path):
         # vad + features in fresh processes with one and two BLAS threads

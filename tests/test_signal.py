@@ -5,25 +5,61 @@ import wave
 import numpy as np
 import pytest
 
-from accent_forge.errors import UnsupportedAudioError
-from accent_forge.pipeline import synthesize_tone_silence
+from accent_forge.errors import ConfigError, UnsupportedAudioError
+from accent_forge.pipeline import PipelineConfig, synthesize_tone_silence
 from accent_forge.signal import (
     AudioBuffer,
     _bridge_short_gaps,
     _drop_short_runs,
+    _histogram_modes,
     FramePlan,
-    centroid_from_spectrum,
-    energy_rate,
-    estimate_thresholds,
     frame_signal,
     mask_to_segments,
     read_wav,
     remove_silence,
-    segments_to_mask,
     segments_to_text,
-    spectral_centroid,
     write_wav,
 )
+
+
+# scalar oracles of the per-frame statistics remove_silence computes in one batch
+
+def energy_rate(frame):
+    """Mean squared magnitude of the frame samples."""
+    frame = np.asarray(frame, dtype=np.float64)
+    if frame.size == 0:
+        raise ValueError("energy of an empty frame is undefined")
+    return float(np.mean(np.abs(frame) ** 2))
+
+
+def centroid_from_spectrum(mags):
+    """Centroid of a one-sided magnitude spectrum with the DC bin removed.
+
+    Bin k (1-based) is weighted by k + 1, so a single active bin k yields
+    k + 1 and a flat spectrum over K bins yields (K + 3) / 2.
+    """
+    mags = np.asarray(mags, dtype=np.float64)
+    total = mags.sum()
+    if total <= 0.0:
+        return 0.0
+    k = np.arange(1, len(mags) + 1, dtype=np.float64)
+    return float(np.sum((k + 1.0) * mags) / total)
+
+
+def spectral_centroid(frame, nfft=None):
+    """Spectral centroid of one frame, zero padded to the next power of two.
+
+    All-zero frames return 0.0, which the VAD treats as non-speech.
+    """
+    frame = np.asarray(frame, dtype=np.float64)
+    if frame.size == 0:
+        raise ValueError("spectral centroid of an empty frame is undefined")
+    if not np.any(frame):
+        return 0.0
+    if nfft is None:
+        nfft = 1 << (len(frame) - 1).bit_length()
+    mags = np.abs(np.fft.rfft(frame, nfft))[1:]
+    return centroid_from_spectrum(mags)
 
 
 def _write_pcm16(path, samples_int16, rate=16000, channels=1):
@@ -161,37 +197,68 @@ class TestSpectralCentroid:
             spectral_centroid([])
 
 
+def _two_level_audio():
+    """16 kHz random-sign samples: 500 hops at frame energy 0.01, then 500 at 1.0."""
+    amps = np.repeat([0.1, 1.0], 500 * 160)
+    return AudioBuffer(amps * np.random.default_rng(5).choice([-1.0, 1.0], amps.size), 16000)
+
+
+class TestVadStatistics:
+    def test_batched_statistics_match_scalar_oracles(self):
+        zero_frames = 0
+        for rate in (8000, 16000):
+            tone, _ = synthesize_tone_silence(duration_sec=3.0, sample_rate_hz=rate,
+                                              num_bursts=3, noise_amp=0.0, seed=rate)
+            noisy_tone, _ = synthesize_tone_silence(duration_sec=3.0, sample_rate_hz=rate,
+                                                    num_bursts=2, seed=rate + 1)
+            noise = np.random.default_rng(rate).standard_normal(2 * rate)
+            noise[rate // 2:rate] = 0.0
+            for audio in (tone, noisy_tone, AudioBuffer(noise, rate)):
+                plan = FramePlan.from_ms(rate)
+                vad = remove_silence(audio, plan)
+                frames = frame_signal(audio, plan)
+                zero_frames += int(np.sum(~np.any(frames, axis=1)))
+                np.testing.assert_allclose(
+                    vad.frame_energy, [energy_rate(f) for f in frames], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(vad.frame_centroid,
+                                           [spectral_centroid(f) for f in frames],
+                                           rtol=1e-12, atol=0)
+        assert zero_frames > 0
+
+
 class TestThresholds:
     def test_bimodal_formula(self):
-        rng = np.random.default_rng(5)
-        values = np.concatenate([
-            0.01 + 0.001 * rng.standard_normal(500),
-            1.00 + 0.001 * rng.standard_normal(500),
-        ])
-        t = estimate_thresholds(values, weight=5.0)
-        assert t == pytest.approx((5 * 0.01 + 1.0) / 6.0, abs=0.03)
+        vad = remove_silence(_two_level_audio(), FramePlan.from_ms(16000), energy_weight=5.0)
+        m1, m2 = _histogram_modes(vad.frame_energy)
+        assert vad.energy_threshold == pytest.approx((5 * m1 + m2) / 6.0, rel=1e-12)
+        assert vad.energy_threshold == pytest.approx((5 * 0.01 + 1.0) / 6.0, abs=0.03)
 
-    def test_unimodal_median(self):
+    def test_unimodal_statistic_sets_no_threshold(self):
         rng = np.random.default_rng(6)
-        values = rng.standard_normal(1000)
-        assert estimate_thresholds(values, 5.0) == pytest.approx(np.median(values))
+        vad = remove_silence(AudioBuffer(rng.standard_normal(16000), 16000),
+                             FramePlan.from_ms(16000))
+        assert vad.energy_threshold is None and vad.centroid_threshold is None
+        assert vad.speech_mask.all()
 
     def test_large_weight_limit(self):
-        rng = np.random.default_rng(7)
-        values = np.concatenate([
-            0.01 + 0.001 * rng.standard_normal(500),
-            1.00 + 0.001 * rng.standard_normal(500),
-        ])
-        t = estimate_thresholds(values, weight=1e9)
-        assert t == pytest.approx(0.01, abs=0.03)
+        vad = remove_silence(_two_level_audio(), FramePlan.from_ms(16000), energy_weight=1e9)
+        m1, _ = _histogram_modes(vad.frame_energy)
+        assert vad.energy_threshold == pytest.approx(m1, rel=1e-6)
+        assert 0.01 < vad.energy_threshold < 0.1  # the low mode, not the midpoint
 
     def test_too_few_values(self):
+        plan = FramePlan(4, 2)
+        assert plan.num_frames(21) == 9
         with pytest.raises(ValueError, match="at least 10"):
-            estimate_thresholds(np.arange(9.0), 5.0)
+            remove_silence(AudioBuffer(np.ones(21), 8000), plan)
 
     def test_bad_weight(self):
-        with pytest.raises(ValueError):
-            estimate_thresholds(np.arange(20.0), 0.0)
+        for key in ("energy_weight", "centroid_weight"):
+            for weight in (0.0, -0.5, -1.0, float("nan")):
+                cfg = PipelineConfig()
+                setattr(cfg.signal, key, weight)
+                with pytest.raises(ConfigError, match="must be positive"):
+                    cfg.validate()
 
 
 def _frame_truth(truth_samples, plan, num_frames):
@@ -234,7 +301,9 @@ class TestRemoveSilence:
         audio, _ = synthesize_tone_silence(duration_sec=6.0, speech_fraction=0.5, seed=9)
         plan = FramePlan.from_ms(audio.sample_rate_hz)
         vad = remove_silence(audio, plan)
-        rebuilt = segments_to_mask(vad.segments, len(vad.speech_mask))
+        rebuilt = np.zeros(len(vad.speech_mask), dtype=bool)
+        for start, end in vad.segments:
+            rebuilt[start:end] = True
         np.testing.assert_array_equal(rebuilt, vad.speech_mask)
         assert mask_to_segments(rebuilt) == vad.segments
 
@@ -340,21 +409,38 @@ class TestSegmentText:
         assert lines[1] == "0.200\t0.265"
 
 
-class TestTrimAudio:
-    def test_trimmed_duration_matches_segments(self, tmp_path):
-        from accent_forge.signal import trim_audio
-
+class TestSampleRange:
+    def test_retained_samples_match_segments(self, tmp_path):
         audio, _ = synthesize_tone_silence(duration_sec=6.0, speech_fraction=0.5, seed=40)
         plan = FramePlan.from_ms(audio.sample_rate_hz)
         vad = remove_silence(audio, plan)
-        trimmed = trim_audio(audio, vad, plan)
+        assert len(vad.segments) > 1
+        ranges = [plan.sample_range(s, e) for s, e in vad.segments]
+        # stage_vad's duration_after_sec: each segment's frames span
+        # (frames - 1) hops plus one frame
         expected = sum(
             (e - 1 - s) * plan.hop_samples + plan.frame_len_samples
             for s, e in vad.segments
         )
-        assert len(trimmed.samples) == expected
-        # trimmed output survives a WAV round trip
+        assert sum(e - s for s, e in ranges) == expected
+        assert all(type(v) is int for r in ranges for v in r)
+        assert all(a[1] <= b[0] for a, b in zip(ranges[:-1], ranges[1:]))
+        # each range frames back to exactly its segment's frames
+        frames = frame_signal(audio, plan)
+        for (s, e), (s0, s1) in zip(vad.segments, ranges):
+            np.testing.assert_array_equal(frame_signal(audio.samples[s0:s1], plan),
+                                          frames[s:e])
+        # the speech portions survive a WAV round trip
         out = tmp_path / "trimmed.wav"
-        write_wav(out, trimmed)
-        back = read_wav(out)
-        assert len(back.samples) == expected
+        write_wav(out, AudioBuffer(np.concatenate([audio.samples[s:e] for s, e in ranges]),
+                                   audio.sample_rate_hz))
+        assert len(read_wav(out).samples) == expected
+
+    def test_mask_round_trip(self):
+        plan = FramePlan(400, 160)
+        assert plan.sample_range(0, 1) == (0, 400)
+        assert plan.sample_range(20, 25) == (3200, 4240)
+        mask = np.zeros(40, dtype=bool)
+        for start, end in [(0, 10), (20, 25), (39, 40)]:
+            mask[start:end] = True
+        assert mask_to_segments(mask) == [(0, 10), (20, 25), (39, 40)]

@@ -160,6 +160,15 @@ class TestLda:
         with pytest.raises(ValueError, match="PCA"):
             fit_lda(sp, 1)
 
+    def test_rows_have_canonical_signs(self):
+        # PCA and LDA rows are fixed up to sign; the largest-magnitude entry
+        # of each row is made positive, so the transform is deterministic
+        rng = np.random.default_rng(19)
+        data, labels = _hlda_classes(rng, num_classes=5, dim=6, per_class=200)
+        for fitted in (fit_pca(data, 6), fit_lda(scatter_matrices(data, labels), 4)):
+            rows = fitted.matrix
+            assert np.all(rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)] > 0)
+
 
 def _hlda_classes(rng, num_classes=3, dim=8, per_class=3000, shared_cov=True):
     mixing = rng.standard_normal((dim, dim))

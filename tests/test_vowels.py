@@ -2,6 +2,8 @@
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,6 @@ from accent_forge.vowels import (
     calibrate_threshold,
     filter_by_confidence,
     parse_label_file,
-    pool_by_tags,
     pool_vowel_features,
     vowel_popularity,
     write_label_file,
@@ -79,6 +80,13 @@ class TestParse:
         with pytest.raises(LabelParseError, match="not after"):
             parse_label_file(path)
 
+    def test_nan_score_rejected(self, tmp_path):
+        # a NaN score would fail every confidence threshold, even -inf
+        path = tmp_path / "h.lab"
+        path.write_text("0 1000000 IY -20.0\n1000000 2000000 AA nan\n")
+        with pytest.raises(LabelParseError, match=r"h\.lab:2: score is NaN"):
+            parse_label_file(path)
+
 
 class TestFilter:
     def _segs(self):
@@ -120,6 +128,7 @@ def _perfbench_module(name):
     path = Path(__file__).resolve().parents[1] / "perfbench" / (name + ".py")
     spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
@@ -196,6 +205,18 @@ class TestCalibrate:
         assert values["vowels.calibrate_threshold.useful_ratio"]["value"] == 1.0
 
 
+def test_benchmark_modules_load(monkeypatch):
+    # the workloads import accent_forge names that only a benchmark run
+    # reaches; load them as they ship so that losing one fails here
+    for name in ("oracle", "synth_audio"):
+        monkeypatch.setitem(sys.modules, name, _perfbench_module(name))
+    workloads = _perfbench_module("workloads")
+    declared = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    assert sorted(workloads.WORKLOADS) == sorted(w["name"] for w in declared["workloads"])
+    for workload in workloads.WORKLOADS.values():
+        workload.configure(1)
+
+
 class TestPooling:
     def _feats(self, num_frames=10, dim=2, hop=0.01):
         data = np.arange(num_frames * dim, dtype=float).reshape(num_frames, dim)
@@ -267,9 +288,8 @@ class TestPooling:
                     )
                 start = k
         by_seg = pool_vowel_features(feats, segs)
-        by_tag = pool_by_tags(feats)
-        for vowel in ARPABET_VOWELS:
-            np.testing.assert_array_equal(by_seg[vowel].data, by_tag[vowel].data)
+        for i, vowel in enumerate(ARPABET_VOWELS):  # tag = vowel index + 1
+            np.testing.assert_array_equal(by_seg[vowel].data, feats.data[feats.tags == i + 1])
 
 
 class TestPopularity:
