@@ -108,7 +108,9 @@ def hellinger_gmm(p, q, num_samples=50000, seed=0, method="auto"):
     The Bhattacharyya coefficient BC = integral sqrt(p q) is estimated by
     importance sampling from the equal mixture m = (p + q) / 2; H is
     sqrt(1 - BC) clamped to [0, 1] and deterministic given the seed. Pairs
-    of single Gaussians use the exact closed form unless method="mc".
+    of single Gaussians use the exact closed form unless method="mc". The
+    Monte-Carlo estimate is the two-model case of the shared-sample estimator
+    behind pairwise_vowel_distances, drawn from default_rng(seed).
     """
     if p.dim != q.dim:
         raise ValueError("mixture dims differ: %d vs %d" % (p.dim, q.dim))
@@ -120,35 +122,83 @@ def hellinger_gmm(p, q, num_samples=50000, seed=0, method="auto"):
         if p.num_components != 1 or q.num_components != 1:
             raise ValueError("closed form requires single-component mixtures")
         return _hellinger_closed_form(p, q)
+    distances, _ = _shared_sample_hellinger([p, q], num_samples, np.random.default_rng(seed))
+    return float(distances[0])
+
+
+def _draw(g, num_samples, rng):
+    """num_samples draws from g: component counts from one multinomial, one normal block.
+
+    The draws of component k are rows [stop_k - count_k, stop_k), scaled and
+    shifted in place.
+    """
+    counts = rng.multinomial(num_samples, g.weights / g.weights.sum())
+    z = rng.standard_normal((num_samples, g.dim))
+    stops = np.cumsum(counts)
+    for k, (start, stop) in enumerate(zip(stops - counts, stops)):
+        z[start:stop] *= np.sqrt(g.variances[k])
+        z[start:stop] += g.means[k]
+    return z
+
+
+def _shared_sample_hellinger(models, num_samples, rng):
+    """Monte-Carlo Hellinger distances and standard errors of every model pair.
+
+    Each model gets ceil(num_samples / 2) draws from rng, in model order, and
+    all models are scored on them in one stacked pass (model by model if
+    their shapes differ); only the mean and variance of each pair's terms on
+    those draws are kept. Pair (a, b) averages sqrt(p_a p_b) / m, with
+    m = (p_a + p_b) / 2, over a's draws and b's draws: together an exactly
+    balanced draw from m, so the estimate of BC is unbiased (Hershey & Olsen
+    2007). Pairs are in itertools.combinations order. The standard error of
+    BC comes from the variance within each half; that of H = sqrt(1 - BC) is
+    it over 2H, by the delta method, or the BC error itself where H = 0.
+    """
     if num_samples < 1000:
         raise ValueError("need at least 1000 Monte-Carlo samples")
+    half = -(-num_samples // 2)
+    same_shape = len({g.means.shape for g in models}) == 1
+    stack = GmmStack(models) if same_shape else None
+    mean, var = [], []  # [a][b]: mean and variance of sqrt(p_a p_b) / m over a's draws
+    for a, g in enumerate(models):
+        z = _draw(g, half, rng)
+        ll = (_score_models(stack, z) if same_shape
+              else np.array([frame_logpdf(m, z) for m in models]))
+        terms = np.exp(0.5 * (ll[a] + ll) - np.logaddexp(ll[a], ll) + np.log(2.0))
+        mean.append(terms.mean(axis=1))
+        var.append(terms.var(axis=1, ddof=1))
+    distances, stderr = [], []
+    for a, b in itertools.combinations(range(len(models)), 2):
+        bc = 0.5 * (mean[a][b] + mean[b][a])
+        bc_err = 0.5 * np.sqrt((var[a][b] + var[b][a]) / half)
+        h = float(np.sqrt(np.clip(1.0 - bc, 0.0, 1.0)))
+        distances.append(h)
+        stderr.append(float(bc_err / (2.0 * h) if h > 0 else bc_err))
+    return np.array(distances), np.array(stderr)
 
-    rng = np.random.default_rng(seed)
-    mix_weights = np.concatenate([p.weights, q.weights]) / 2.0
-    means = np.vstack([p.means, q.means])
-    stds = np.sqrt(np.vstack([p.variances, q.variances]))
-    comp = rng.choice(len(mix_weights), size=num_samples, p=mix_weights)
-    z = means[comp] + stds[comp] * rng.standard_normal((num_samples, p.dim))
-    log_p = frame_logpdf(p, z)
-    log_q = frame_logpdf(q, z)
-    log_m = np.logaddexp(log_p, log_q) - np.log(2.0)
-    bc = float(np.mean(np.exp(0.5 * (log_p + log_q) - log_m)))
-    return float(np.sqrt(np.clip(1.0 - bc, 0.0, 1.0)))
 
+def pairwise_vowel_distances(vowel_grid, num_samples=50000, seed=0, *, return_stderr=False):
+    """All-pairs Hellinger distances per vowel, in itertools.combinations order.
 
-def pairwise_vowel_distances(vowel_grid, num_samples=50000, seed=0):
-    """All-pairs Hellinger distances per vowel, in itertools.combinations order."""
-    distances = {}
+    Vowel t's models share one sample set drawn from default_rng(seed + 1000 t),
+    t its index in ARPABET_VOWELS, so a two-model column equals
+    hellinger_gmm(p, q, num_samples, seed + 1000 t). A column of single
+    Gaussians uses the closed form, pair by pair. With return_stderr, also
+    returns the Monte-Carlo standard errors in the same layout (0 for the
+    closed form).
+    """
+    distances, stderr = {}, {}
     for vowel in sorted(vowel_grid):
         models = vowel_grid[vowel]
-        pair_values = []
-        for k, (a, b) in enumerate(itertools.combinations(range(len(models)), 2)):
-            pair_seed = seed + 1000 * ARPABET_VOWELS.index(vowel) + k
-            pair_values.append(
-                hellinger_gmm(models[a], models[b], num_samples=num_samples, seed=pair_seed)
-            )
-        distances[vowel] = np.array(pair_values)
-    return distances
+        if all(g.num_components == 1 for g in models):
+            distances[vowel] = np.array([
+                hellinger_gmm(models[a], models[b], method="closed_form")
+                for a, b in itertools.combinations(range(len(models)), 2)])
+            stderr[vowel] = np.zeros_like(distances[vowel])
+        else:
+            rng = np.random.default_rng(seed + 1000 * ARPABET_VOWELS.index(vowel))
+            distances[vowel], stderr[vowel] = _shared_sample_hellinger(models, num_samples, rng)
+    return (distances, stderr) if return_stderr else distances
 
 
 def vowel_discriminativeness(

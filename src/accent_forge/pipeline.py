@@ -295,6 +295,9 @@ class PipelineConfig:
                 "signal.energy_weight and signal.centroid_weight must be positive")
         if self.weights.mode not in ("mean_distance", "reciprocal_mean"):
             raise ConfigError("weights.mode must be mean_distance or reciprocal_mean")
+        if self.weights.hellinger_samples < 1000:
+            raise ConfigError("weights.hellinger_samples must be at least 1000, got %d"
+                              % self.weights.hellinger_samples)
         if self.synth.vowel_popularity:
             self.synth.popularity()
         return self
@@ -969,8 +972,9 @@ def stage_weights(run):
     cfg, ws = run.cfg, run.ws
     doc, grid = _load_vowel_grid(ws, run.require)
     popularity = vowel_popularity(doc["train_frame_counts"])
-    distances = pairwise_vowel_distances(
-        grid, num_samples=cfg.weights.hellinger_samples, seed=cfg.weights.hellinger_seed
+    distances, stderr = pairwise_vowel_distances(
+        grid, num_samples=cfg.weights.hellinger_samples, seed=cfg.weights.hellinger_seed,
+        return_stderr=True,
     )
     disc = vowel_discriminativeness(grid, mode=cfg.weights.mode, distances=distances)
     weights = vowel_weights(popularity, disc)
@@ -983,6 +987,7 @@ def stage_weights(run):
         "hellinger_samples": cfg.weights.hellinger_samples,
         "hellinger_seed": cfg.weights.hellinger_seed,
         "pairwise_distances": {v: d.tolist() for v, d in distances.items()},
+        "pairwise_stderr": {v: e.tolist() for v, e in stderr.items()},
     })
 
 

@@ -1,21 +1,24 @@
 """Tests for baseline and vowel-weighted accent classification."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from accent_forge import classify
 from accent_forge.classify import (
     AccentModelSet,
     classify_baseline,
     classify_vowel_weighted,
     confusion_report,
     hellinger_gmm,
+    pairwise_vowel_distances,
     vowel_discriminativeness,
     vowel_weights,
 )
 from accent_forge.frontend import FeatureMatrix
-from accent_forge.gmm import DiagGmm
+from accent_forge.gmm import DiagGmm, frame_logpdf
 from accent_forge.vowels import ARPABET_VOWELS, NUM_VOWELS
 
 
@@ -113,6 +116,102 @@ class TestHellinger:
         assert a == b
 
 
+def _per_pair_hellinger(p, q, num_samples, seed):
+    """Scalar oracle: a fresh draw of num_samples from m = (p + q) / 2 for one pair."""
+    rng = np.random.default_rng(seed)
+    mix_weights = np.concatenate([p.weights, q.weights]) / 2.0
+    means = np.vstack([p.means, q.means])
+    stds = np.sqrt(np.vstack([p.variances, q.variances]))
+    comp = rng.choice(len(mix_weights), size=num_samples, p=mix_weights)
+    z = means[comp] + stds[comp] * rng.standard_normal((num_samples, p.dim))
+    log_p = frame_logpdf(p, z)
+    log_q = frame_logpdf(q, z)
+    log_m = np.logaddexp(log_p, log_q) - np.log(2.0)
+    bc = float(np.mean(np.exp(0.5 * (log_p + log_q) - log_m)))
+    return float(np.sqrt(np.clip(1.0 - bc, 0.0, 1.0)))
+
+
+def _mixture_column(seed, num_models=4, k=3, dim=3):
+    rng = np.random.default_rng(seed)
+    column = []
+    for s in range(num_models):
+        weights = rng.uniform(0.2, 1.0, k)
+        column.append(DiagGmm(weights / weights.sum(), rng.normal(0.7 * s, 1.0, (k, dim)),
+                              rng.uniform(0.5, 2.0, (k, dim))))
+    return column
+
+
+class TestSharedSampleHellinger:
+    def test_agrees_with_per_pair_oracle(self):
+        column = _mixture_column(21)
+        distances, stderr = pairwise_vowel_distances({"ae": column}, num_samples=20000,
+                                                     seed=5, return_stderr=True)
+        pairs = list(itertools.combinations(range(len(column)), 2))
+        oracle = [_per_pair_hellinger(column[a], column[b], 20000, 100 + k)
+                  for k, (a, b) in enumerate(pairs)]
+        # both estimates carry about the same error; 5 joint standard errors
+        np.testing.assert_array_less(np.abs(distances["ae"] - oracle),
+                                     5.0 * np.sqrt(2.0) * stderr["ae"])
+        assert np.all(stderr["ae"] > 0) and np.all(stderr["ae"] < 0.01)
+
+    def test_stderr_matches_seed_to_seed_spread(self):
+        base = np.random.default_rng(8).normal(0.0, 1.0, (2, 2))
+        column = [DiagGmm([0.5, 0.5], base + 0.2 * s, np.ones((2, 2))) for s in range(3)]
+        runs = [pairwise_vowel_distances({"aa": column}, num_samples=4000, seed=seed,
+                                         return_stderr=True) for seed in range(40)]
+        distances = np.array([d["aa"] for d, _ in runs])
+        stderr = np.array([e["aa"] for _, e in runs])
+        assert np.all(distances.mean(axis=0) < 0.2)  # where H and BC errors differ
+        ratio = distances.std(axis=0, ddof=1) / stderr.mean(axis=0)
+        assert np.all((ratio > 0.7) & (ratio < 1.4)), ratio
+
+    def test_one_draw_and_one_scoring_pass_per_model(self, monkeypatch):
+        draws, passes = [], []
+        draw, score = classify._draw, classify._score_models
+
+        def counting_draw(g, num_samples, rng):
+            draws.append((g, num_samples))
+            return draw(g, num_samples, rng)
+
+        def counting_score(models, feats, *args, **kwargs):
+            passes.append((models, np.shape(feats)))
+            return score(models, feats, *args, **kwargs)
+
+        monkeypatch.setattr(classify, "_draw", counting_draw)
+        monkeypatch.setattr(classify, "_score_models", counting_score)
+        grid = {"aa": _mixture_column(1, num_models=5), "iy": _mixture_column(2, num_models=5)}
+        distances = pairwise_vowel_distances(grid, num_samples=3001, seed=0)
+        assert [len(d) for d in distances.values()] == [10, 10]
+        # 5 draws and 5 passes per vowel, not 2 of each for each of the 10 pairs
+        assert [n for _, n in draws] == [1501] * 10
+        assert all(g is want for (g, _), want in zip(draws, grid["aa"] + grid["iy"]))
+        assert len(passes) == 10
+        for (models, shape), vowel in zip(passes, ["aa"] * 5 + ["iy"] * 5):
+            assert all(g is want for g, want in zip(models.models, grid[vowel], strict=True))
+            assert shape == (1501, 3)
+
+    def test_single_gaussian_column_is_closed_form(self, monkeypatch):
+        monkeypatch.setattr(classify, "_draw", None)  # any sampling would fail
+        column = [_gauss(float(s)) for s in range(4)]
+        distances, stderr = pairwise_vowel_distances({"aa": column}, return_stderr=True)
+        want = [hellinger_gmm(column[a], column[b], method="closed_form")
+                for a, b in itertools.combinations(range(4), 2)]
+        assert distances["aa"].tolist() == want
+        assert stderr["aa"].tolist() == [0.0] * 6
+
+    def test_mixed_shapes_scored_per_model(self):
+        rng = np.random.default_rng(4)
+        p = DiagGmm([0.5, 0.5], rng.normal(0, 1, (2, 2)), np.ones((2, 2)))
+        q = DiagGmm([0.2, 0.3, 0.5], rng.normal(1, 1, (3, 2)), np.ones((3, 2)))
+        h = hellinger_gmm(p, q, num_samples=20000, seed=1)
+        assert abs(h - _per_pair_hellinger(p, q, 20000, 2)) < 0.02
+
+    def test_too_few_samples(self):
+        column = _mixture_column(5, num_models=3)
+        with pytest.raises(ValueError, match="1000"):
+            pairwise_vowel_distances({"aa": column}, num_samples=999)
+
+
 def _grid(accents, spread_vowels, spread=4.0):
     """Complete vowel grid; models differ across accents only for spread_vowels."""
     grid = {}
@@ -131,8 +230,6 @@ class TestDiscriminativeness:
     def test_pair_count_for_seven_accents(self):
         accents = ["a%d" % i for i in range(7)]
         grid = {"aa": [_gauss(float(i)) for i in range(7)]}
-        from accent_forge.classify import pairwise_vowel_distances
-
         distances = pairwise_vowel_distances(grid, num_samples=1000, seed=0)
         assert len(distances["aa"]) == math.comb(7, 2)
 

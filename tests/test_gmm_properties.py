@@ -1,4 +1,5 @@
-"""Property tests of the GMM scoring kernel and EM on random diagonal mixtures."""
+"""Property tests of the GMM scoring kernel, EM and the Hellinger estimator on random
+diagonal mixtures."""
 
 import math
 import warnings
@@ -7,20 +8,24 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from accent_forge import gmm  # noqa: E402
 from accent_forge.classify import (  # noqa: E402
     AccentModelSet,
+    _shared_sample_hellinger,
     classify_vowel_thresholds,
     classify_vowel_weighted,
+    hellinger_gmm,
+    pairwise_vowel_distances,
 )
 from accent_forge.errors import NoEvidenceError  # noqa: E402
 from accent_forge.frontend import FeatureMatrix  # noqa: E402
 from accent_forge.gmm import DiagGmm, em_train, log_component_densities  # noqa: E402
 from accent_forge.pipeline import PipelineConfig, _cap_test_utterance  # noqa: E402
 from accent_forge.vowels import (  # noqa: E402
+    ARPABET_VOWELS,
     NUM_VOWELS,
     PhoneSegment,
     filter_by_confidence,
@@ -80,6 +85,74 @@ def test_em_stage_loglik_non_decreasing(case, target):
         ll = stage["loglik"]
         for before, after in zip(ll, ll[1:]):
             assert after >= before - 1e-8 * abs(before)
+
+
+@st.composite
+def mixture_pairs(draw, max_components=4, max_dim=3):
+    """Two random diagonal mixtures of one dim, each with its own component count."""
+    d = draw(st.integers(1, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pair = []
+    for _ in range(2):
+        k = draw(st.integers(1, max_components))
+        pair.append(DiagGmm(rng.dirichlet(np.ones(k)), rng.normal(0.0, 2.0, (k, d)),
+                            rng.uniform(0.3, 3.0, (k, d))))
+    return pair
+
+
+SEEDS = st.integers(0, 2**31)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mixture_pairs(), SEEDS)
+def test_hellinger_in_unit_interval(pair, seed):
+    p, q = pair
+    distances, stderr = _shared_sample_hellinger([p, q, p], 2000, np.random.default_rng(seed))
+    assert np.all((distances >= 0.0) & (distances <= 1.0))
+    assert np.all(stderr >= 0.0)
+    assert 0.0 <= hellinger_gmm(p, q, num_samples=2000, seed=seed) <= 1.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mixture_pairs(), SEEDS, st.sampled_from(ARPABET_VOWELS), st.integers(1000, 3001))
+def test_two_model_column_equals_hellinger_gmm(pair, seed, vowel, num_samples):
+    p, q = pair
+    column = pairwise_vowel_distances({vowel: [p, q]}, num_samples=num_samples, seed=seed)
+    want = hellinger_gmm(p, q, num_samples=num_samples,
+                         seed=seed + 1000 * ARPABET_VOWELS.index(vowel))
+    assert column[vowel].tobytes() == np.array([want]).tobytes()
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(mixture_pairs(), SEEDS)
+def test_self_distance_small(pair, seed):
+    p, _ = pair
+    assert hellinger_gmm(p, p, num_samples=50000, seed=seed, method="mc") < 0.02
+
+
+@st.composite
+def gaussian_pairs(draw):
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [DiagGmm([1.0], rng.uniform(-2.0, 2.0, (1, d)), rng.uniform(0.3, 3.0, (1, d)))
+            for _ in range(2)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gaussian_pairs(), SEEDS)
+def test_monte_carlo_within_four_standard_errors_of_closed_form(pair, seed):
+    """The reported error bar covers the exact distance.
+
+    The delta method needs H away from 0, and the sample variance sees the
+    overlap only when BC = 1 - H^2 is not a rare event under m; outside
+    that range the error bar is not claimed to hold.
+    """
+    p, q = pair
+    closed = hellinger_gmm(p, q, method="closed_form")
+    assume(closed > 0.05 and 1.0 - closed * closed > 1e-3)
+    distances, stderr = _shared_sample_hellinger([p, q], 50000, np.random.default_rng(seed))
+    assert distances[0] == hellinger_gmm(p, q, num_samples=50000, seed=seed, method="mc")
+    assert abs(distances[0] - closed) < 4.0 * stderr[0]
 
 
 GRID = (float("-inf"), -80.0, -50.0, -20.0, 1e9)  # 1e9 keeps no scored segment

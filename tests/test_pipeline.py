@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -167,6 +168,13 @@ class TestConfig:
     def test_component_count_power_of_two(self):
         with pytest.raises(ConfigError, match="power of 2"):
             config_from_text("ubm.components = 48\n")
+
+    def test_too_few_hellinger_samples(self):
+        for samples in (999, 0, -5):
+            with pytest.raises(ConfigError, match="hellinger_samples"):
+                config_from_text("weights.hellinger_samples = %d\n" % samples)
+        assert config_from_text("weights.hellinger_samples = 1000\n").weights.hellinger_samples \
+            == 1000
 
     def test_comments_and_blanks(self):
         cfg = config_from_text("# a comment\n\nubm.components = 64  # trailing\n")
@@ -336,6 +344,12 @@ class TestStages:
             (ws.root / "reports" / "evaluation_baseline.json").read_text()
         )
         assert report["accuracy"] >= 0.5  # strongly separated tiny corpus
+        weights = json.loads((ws.root / "models" / "vowel_weights.json").read_text())
+        distances, stderr = weights["pairwise_distances"], weights["pairwise_stderr"]
+        assert list(stderr) == list(distances)
+        for vowel, values in distances.items():
+            assert len(stderr[vowel]) == len(values) == math.comb(cfg.synth.num_accents, 2)
+            assert all(0.0 < e < 0.05 for e in stderr[vowel])
         prov = json.loads(
             (ws.root / "reports" / "provenance" / "ubm.json").read_text()
         )
