@@ -177,15 +177,17 @@ def _shared_sample_hellinger(models, num_samples, rng):
     return np.array(distances), np.array(stderr)
 
 
-def pairwise_vowel_distances(vowel_grid, num_samples=50000, seed=0, *, return_stderr=False):
-    """All-pairs Hellinger distances per vowel, in itertools.combinations order.
+def pairwise_vowel_distances(vowel_grid, num_samples=50000, seed=0):
+    """All-pairs Hellinger distances and their standard errors per vowel.
+
+    Returns (distances, stderr): vowel -> array in itertools.combinations
+    order, the Monte-Carlo standard errors in the same layout (0 for the
+    closed form).
 
     Vowel t's models share one sample set drawn from default_rng(seed + 1000 t),
     t its index in ARPABET_VOWELS, so a two-model column equals
     hellinger_gmm(p, q, num_samples, seed + 1000 t). A column of single
-    Gaussians uses the closed form, pair by pair. With return_stderr, also
-    returns the Monte-Carlo standard errors in the same layout (0 for the
-    closed form).
+    Gaussians uses the closed form, pair by pair.
     """
     distances, stderr = {}, {}
     for vowel in sorted(vowel_grid):
@@ -198,7 +200,7 @@ def pairwise_vowel_distances(vowel_grid, num_samples=50000, seed=0, *, return_st
         else:
             rng = np.random.default_rng(seed + 1000 * ARPABET_VOWELS.index(vowel))
             distances[vowel], stderr[vowel] = _shared_sample_hellinger(models, num_samples, rng)
-    return (distances, stderr) if return_stderr else distances
+    return distances, stderr
 
 
 def vowel_discriminativeness(
@@ -214,7 +216,7 @@ def vowel_discriminativeness(
     if mode not in ("mean_distance", "reciprocal_mean"):
         raise ValueError("unknown discriminativeness mode %r" % mode)
     if distances is None:
-        distances = pairwise_vowel_distances(vowel_grid, num_samples=num_samples, seed=seed)
+        distances = pairwise_vowel_distances(vowel_grid, num_samples=num_samples, seed=seed)[0]
     d = np.zeros(NUM_VOWELS)
     for i, vowel in enumerate(ARPABET_VOWELS):
         if vowel not in vowel_grid:

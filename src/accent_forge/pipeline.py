@@ -973,9 +973,7 @@ def stage_weights(run):
     doc, grid = _load_vowel_grid(ws, run.require)
     popularity = vowel_popularity(doc["train_frame_counts"])
     distances, stderr = pairwise_vowel_distances(
-        grid, num_samples=cfg.weights.hellinger_samples, seed=cfg.weights.hellinger_seed,
-        return_stderr=True,
-    )
+        grid, num_samples=cfg.weights.hellinger_samples, seed=cfg.weights.hellinger_seed)
     disc = vowel_discriminativeness(grid, mode=cfg.weights.mode, distances=distances)
     weights = vowel_weights(popularity, disc)
     _write_json(run.output(ws.dir("models") / "vowel_weights.json"), {

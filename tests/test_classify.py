@@ -144,8 +144,7 @@ def _mixture_column(seed, num_models=4, k=3, dim=3):
 class TestSharedSampleHellinger:
     def test_agrees_with_per_pair_oracle(self):
         column = _mixture_column(21)
-        distances, stderr = pairwise_vowel_distances({"ae": column}, num_samples=20000,
-                                                     seed=5, return_stderr=True)
+        distances, stderr = pairwise_vowel_distances({"ae": column}, num_samples=20000, seed=5)
         pairs = list(itertools.combinations(range(len(column)), 2))
         oracle = [_per_pair_hellinger(column[a], column[b], 20000, 100 + k)
                   for k, (a, b) in enumerate(pairs)]
@@ -157,8 +156,8 @@ class TestSharedSampleHellinger:
     def test_stderr_matches_seed_to_seed_spread(self):
         base = np.random.default_rng(8).normal(0.0, 1.0, (2, 2))
         column = [DiagGmm([0.5, 0.5], base + 0.2 * s, np.ones((2, 2))) for s in range(3)]
-        runs = [pairwise_vowel_distances({"aa": column}, num_samples=4000, seed=seed,
-                                         return_stderr=True) for seed in range(40)]
+        runs = [pairwise_vowel_distances({"aa": column}, num_samples=4000, seed=seed)
+                for seed in range(40)]
         distances = np.array([d["aa"] for d, _ in runs])
         stderr = np.array([e["aa"] for _, e in runs])
         assert np.all(distances.mean(axis=0) < 0.2)  # where H and BC errors differ
@@ -180,7 +179,7 @@ class TestSharedSampleHellinger:
         monkeypatch.setattr(classify, "_draw", counting_draw)
         monkeypatch.setattr(classify, "_score_models", counting_score)
         grid = {"aa": _mixture_column(1, num_models=5), "iy": _mixture_column(2, num_models=5)}
-        distances = pairwise_vowel_distances(grid, num_samples=3001, seed=0)
+        distances, _ = pairwise_vowel_distances(grid, num_samples=3001, seed=0)
         assert [len(d) for d in distances.values()] == [10, 10]
         # 5 draws and 5 passes per vowel, not 2 of each for each of the 10 pairs
         assert [n for _, n in draws] == [1501] * 10
@@ -193,7 +192,7 @@ class TestSharedSampleHellinger:
     def test_single_gaussian_column_is_closed_form(self, monkeypatch):
         monkeypatch.setattr(classify, "_draw", None)  # any sampling would fail
         column = [_gauss(float(s)) for s in range(4)]
-        distances, stderr = pairwise_vowel_distances({"aa": column}, return_stderr=True)
+        distances, stderr = pairwise_vowel_distances({"aa": column})
         want = [hellinger_gmm(column[a], column[b], method="closed_form")
                 for a, b in itertools.combinations(range(4), 2)]
         assert distances["aa"].tolist() == want
@@ -230,7 +229,7 @@ class TestDiscriminativeness:
     def test_pair_count_for_seven_accents(self):
         accents = ["a%d" % i for i in range(7)]
         grid = {"aa": [_gauss(float(i)) for i in range(7)]}
-        distances = pairwise_vowel_distances(grid, num_samples=1000, seed=0)
+        distances, _ = pairwise_vowel_distances(grid, num_samples=1000, seed=0)
         assert len(distances["aa"]) == math.comb(7, 2)
 
     def test_identical_models_score_zero(self):

@@ -117,7 +117,7 @@ def test_hellinger_in_unit_interval(pair, seed):
 @given(mixture_pairs(), SEEDS, st.sampled_from(ARPABET_VOWELS), st.integers(1000, 3001))
 def test_two_model_column_equals_hellinger_gmm(pair, seed, vowel, num_samples):
     p, q = pair
-    column = pairwise_vowel_distances({vowel: [p, q]}, num_samples=num_samples, seed=seed)
+    column, _ = pairwise_vowel_distances({vowel: [p, q]}, num_samples=num_samples, seed=seed)
     want = hellinger_gmm(p, q, num_samples=num_samples,
                          seed=seed + 1000 * ARPABET_VOWELS.index(vowel))
     assert column[vowel].tobytes() == np.array([want]).tobytes()

@@ -5,7 +5,8 @@
 
 For each seed it runs `python3 perfbench/run.py --workload W --seed N` once in
 each checkout, one run at a time, alternating which checkout goes first, and
-reads the JSON object on the last line of each run's standard output.
+reads the JSON object on the last line of each run's standard output. No
+length flag is passed: run.py's default run length is the benchmark's own.
 --workload takes a comma-separated list; the workloads run one after the
 other. The output records the environment (Python, numpy, scipy, BLAS, CPU
 count), each checkout's git commit, every run's metrics, and per metric the
@@ -126,10 +127,9 @@ def environment():
     }
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed):
     """One benchmark run in checkout; the parsed result, or None if it failed."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=False)
     if proc.returncode != 0:
         print("bench_pairs: %s seed %d failed in %s (exit %d)"
@@ -139,10 +139,7 @@ def run_once(checkout, workload, seed, seconds):
 
 
 def _better(checkout):
-    path = Path(checkout) / "BENCHMARK.json"
-    if not path.is_file():
-        return {}
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = json.loads((Path(checkout) / "BENCHMARK.json").read_text(encoding="utf-8"))
     return {m["name"]: m["better"] for m in doc.get("end_to_end", [])}
 
 
@@ -152,14 +149,13 @@ def main(argv=None):
     parser.add_argument("change_dir")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds)
-    parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
     dirs = {"parent": args.parent_dir, "change": args.change_dir}
     better = _better(args.change_dir)
     doc = {
-        "command": "python3 perfbench/run.py --workload W --seed N --seconds %g" % args.seconds,
+        "command": "python3 perfbench/run.py --workload W --seed N",
         "seeds": args.seeds,
         "env": environment(),
         "commits": {side: _git_commit(d) for side, d in dirs.items()},
@@ -171,7 +167,7 @@ def main(argv=None):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             run = {"seed": seed, "order": list(order)}
             for side in order:
-                run[side] = run_once(dirs[side], workload, seed, args.seconds)
+                run[side] = run_once(dirs[side], workload, seed)
             runs.append(run)
             print("bench_pairs: %s seed %d done" % (workload, seed), file=sys.stderr)
         doc["workloads"][workload] = {"summary": summarize(runs, better), "runs": runs}
