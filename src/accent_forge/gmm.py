@@ -82,12 +82,11 @@ def log_component_densities(g, data):
     _check_dim(g, data)
     inv_var = 1.0 / g.variances
     const = -0.5 * (g.dim * _LOG_2PI + np.sum(np.log(g.variances), axis=1))
-    quad = (
-        (data * data) @ inv_var.T
-        - 2.0 * data @ (g.means * inv_var).T
-        + np.sum(g.means * g.means * inv_var, axis=1)
-    )
-    return const - 0.5 * quad
+    quad = (data * data) @ inv_var.T
+    quad -= 2.0 * data @ (g.means * inv_var).T
+    quad += np.sum(g.means * g.means * inv_var, axis=1)
+    quad *= 0.5
+    return np.subtract(const, quad, out=quad)
 
 
 def _logsumexp_rows(x):
@@ -118,12 +117,14 @@ def _logsumexp_rows(x):
 def _score_frames(g, block, posteriors=False):
     """Per-frame log-likelihoods of a frame block and, on request, its posteriors.
 
-    The one density pass behind frame_logpdf, loglik and accumulate_stats.
-    Posteriors are (N x K) and each row is normalised to sum to 1.
+    The one density pass behind accumulate_stats and _score_models, and so
+    behind frame_logpdf and loglik. Posteriors are (N x K) and each row is
+    normalised to sum to 1.
     """
     with np.errstate(divide="ignore"):
         log_weights = np.log(g.weights)
-    joint = log_component_densities(g, block) + log_weights
+    joint = log_component_densities(g, block)
+    joint += log_weights
     frame_ll = _logsumexp_rows(joint)
     if not posteriors:
         return frame_ll, None
@@ -134,8 +135,13 @@ def _score_frames(g, block, posteriors=False):
 
 
 def frame_logpdf(g, feats):
-    """Per-frame mixture log density, log sum_i w_i p_i(x)."""
-    return _score_frames(g, feature_array(feats))[0]
+    """Per-frame mixture log density, log sum_i w_i p_i(x).
+
+    Scored in row chunks by _score_models, so no (frames x components) block
+    is ever held for the whole sequence; rows are independent, so the chunked
+    result equals a single _score_frames pass bit for bit.
+    """
+    return _score_models([g], feats)[0]
 
 
 class GmmStack:
@@ -174,26 +180,31 @@ def _row_chunks(n, chunk):
 def _score_models(models, feats, chunk=256):
     """(S x N) per-frame log-likelihoods of S same-shaped GMMs (a GmmStack or a list).
 
-    Row s equals frame_logpdf(models[s], feats) bit for bit, and the result is
-    C-contiguous, so its row sums (np.sum of a row, or .sum(axis=1)) equal
-    loglik(models[s], feats); a strided copy would sum in another order. One
-    log_component_densities per row chunk scores all S*K components; the
-    chunks keep that block in cache. BLAS takes a different product path for
-    a single row or a single component, which changes last bits, so a 1-row
-    block and 1-component models are scored one model at a time, as
-    _score_frames does.
+    Row s equals _score_frames(models[s], feats) over all frames at once, bit
+    for bit, and the result is C-contiguous, so its row sums (np.sum of a
+    row, or .sum(axis=1)) equal loglik(models[s], feats); a strided copy
+    would sum in another order. One log_component_densities per row chunk
+    scores all S*K components; the chunks keep that block in cache and bound
+    its memory. BLAS takes a different product path for a single row or a
+    single component, which changes last bits, so a 1-row block and
+    1-component models are scored one model at a time, still chunk by chunk,
+    as _score_frames does.
     """
     stack = models if isinstance(models, GmmStack) else GmmStack(models)
     data = feature_array(feats)
     _check_dim(stack.joint, data)
     num_models = len(stack.models)
     k = stack.models[0].num_components
-    if k == 1 or data.shape[0] == 1:
-        return np.array([_score_frames(m, data)[0] for m in stack.models]).reshape(
-            num_models, data.shape[0])
+    per_model = k == 1 or data.shape[0] == 1
     frame_ll = np.empty((data.shape[0], num_models))
     for start, stop in _row_chunks(data.shape[0], chunk):
-        joint = log_component_densities(stack.joint, data[start:stop]) + stack.log_weights
+        block = data[start:stop]
+        if per_model:
+            for s, model in enumerate(stack.models):
+                frame_ll[start:stop, s] = _score_frames(model, block)[0]
+            continue
+        joint = log_component_densities(stack.joint, block)
+        joint += stack.log_weights
         frame_ll[start:stop] = _logsumexp_rows(joint.reshape(-1, k)).reshape(-1, num_models)
     return np.ascontiguousarray(frame_ll.T)
 
@@ -257,7 +268,10 @@ def em_train(
     target_components must be a power of two. The per-stage log-likelihood
     sequence is non-decreasing (up to the variance floor). The split
     initialization is deterministic. Each EM iteration makes one density pass:
-    the log-likelihood it records comes from the E-step's statistics.
+    the log-likelihood it records comes from the E-step's statistics. Only
+    with return_history does each split stage end with one more, chunked
+    pass that scores the stage's final model; the model is the same either
+    way.
     """
     data = feature_array(feats)
     if target_components < 1 or target_components & (target_components - 1):
@@ -289,8 +303,9 @@ def em_train(
             stats = accumulate_stats(DiagGmm(weights, means, variances), data)
             stage_ll.append(stats.loglik)
             weights, means, variances = _maximize(stats, floor, means, variances)
-        stage_ll.append(loglik(DiagGmm(weights, means, variances), data))
-        history.append({"components": len(weights), "loglik": stage_ll})
+        if return_history:
+            stage_ll.append(loglik(DiagGmm(weights, means, variances), data))
+            history.append({"components": len(weights), "loglik": stage_ll})
 
     model = DiagGmm(weights, means, variances, label=label)
     if return_history:
@@ -311,6 +326,7 @@ def write_model(path, g):
 
 
 def read_model(path):
+    """An AGM1 model file; FormatError if it is not exactly what write_model writes."""
     with open(path, "rb") as handle:
         magic = handle.read(4)
         if magic != MODEL_MAGIC:
@@ -319,12 +335,19 @@ def read_model(path):
         if len(header) != 12:
             raise FormatError("truncated model header in %s" % path)
         n, dim, label_len = struct.unpack("<III", header)
-        label = handle.read(label_len).decode("utf-8")
-        body = handle.read((n + 2 * n * dim) * 8)
-        if len(body) != (n + 2 * n * dim) * 8:
-            raise FormatError("truncated model data in %s" % path)
-        flat = np.frombuffer(body, dtype="<f8")
-        weights = flat[:n].copy()
-        means = flat[n:n + n * dim].reshape(n, dim).copy()
-        variances = flat[n + n * dim:].reshape(n, dim).copy()
+        rest = handle.read()
+    body_len = (n + 2 * n * dim) * 8
+    if len(rest) < label_len + body_len:
+        raise FormatError("truncated model data in %s" % path)
+    if len(rest) > label_len + body_len:
+        raise FormatError("%d bytes after the variances in %s"
+                          % (len(rest) - label_len - body_len, path))
+    try:
+        label = rest[:label_len].decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError("model label in %s is not UTF-8" % path) from None
+    flat = np.frombuffer(rest, dtype="<f8", offset=label_len)
+    weights = flat[:n].copy()
+    means = flat[n:n + n * dim].reshape(n, dim).copy()
+    variances = flat[n + n * dim:].reshape(n, dim).copy()
     return DiagGmm(weights, means, variances, label=label)

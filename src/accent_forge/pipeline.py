@@ -881,8 +881,10 @@ def stage_ubm(run):
     blocks = [run.features(index, entry).data for index, entry in manifest.with_split("train")]
     if not blocks:
         raise MissingPrerequisiteError("no train utterances; run 'split' first")
+    frames = np.vstack(blocks)
+    del blocks  # EM holds one copy of the training frames, not two
     model = em_train(
-        np.vstack(blocks),
+        frames,
         cfg.ubm.components,
         em_iters_per_stage=cfg.ubm.em_iters,
         final_em_iters=cfg.ubm.final_em_iters,
@@ -900,7 +902,8 @@ def stage_adapt(run):
     per_accent = {}
     for index, entry in manifest.with_split("train"):
         per_accent.setdefault(entry.accent, []).append(run.features(index, entry).data)
-    pooled = {a: np.vstack(per_accent[a]) for a in accents if a in per_accent}
+    # pop each accent's blocks as it is stacked, so they are never all held twice
+    pooled = {a: np.vstack(per_accent.pop(a)) for a in accents if a in per_accent}
     models = adapt_all_accents(ubm, pooled, cfg.adapt)
     accents_dir = ws.dir("models/accents")
     for accent in accents:

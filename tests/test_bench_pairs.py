@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,8 @@ def _stdout(line):
     return "train_s 1.0 s\nsome other line\n%s\n\n" % line
 
 
-BETTER = {"train_s": "lower", "classify_vowel_utts_per_s": "higher"}
+RULES = {"train_s": {"better": "lower", "bound": 0.2},
+         "classify_vowel_utts_per_s": {"better": "higher", "bound": 0.25}}
 
 
 def test_parse_seeds_and_last_line():
@@ -49,7 +51,7 @@ def test_summary_medians_quartiles_and_wins():
             for s, p, c, up, uc in zip(range(5), parent, change, utts_parent, utts_change)]
     runs.append({"seed": 5, "parent": bench_pairs.parse_result(_stdout(_line(1.0, 1.0))),
                  "change": None})
-    summary = bench_pairs.summarize(runs, BETTER)
+    summary = bench_pairs.summarize(runs, RULES)
     assert (summary["pairs"], summary["failed_runs"], summary["all_correct"]) == (5, 1, True)
     train = summary["metrics"]["train_s"]
     assert train["parent"] == {"median": 12.0, "q1": 11.0, "q3": 13.0}
@@ -65,6 +67,50 @@ def test_summary_medians_quartiles_and_wins():
 def test_summary_flags_incorrect_runs():
     runs = [{"seed": 1, "parent": json.loads(_line(1.0, 1.0)),
              "change": json.loads(_line(1.0, 1.0, failed=2))}]
-    assert not bench_pairs.summarize(runs, BETTER)["all_correct"]
+    assert not bench_pairs.summarize(runs, RULES)["all_correct"]
     assert bench_pairs.summarize([{"seed": 1, "parent": None, "change": None}],
-                                 BETTER)["metrics"] == {}
+                                 RULES)["metrics"] == {}
+
+
+def test_summary_states_the_acceptance_verdict():
+    def runs_of(parent, change):
+        return [{"seed": i, "parent": json.loads(_line(p, 1.0)),
+                 "change": json.loads(_line(c, 1.0))}
+                for i, (p, c) in enumerate(zip(parent, change))]
+
+    parent = [10.0 + 0.1 * i for i in range(10)]  # median 10.45, IQR 0.45
+    gain = bench_pairs.summarize(runs_of(parent, [p - 1.0 for p in parent]), RULES)
+    train = gain["metrics"]["train_s"]
+    assert train["parent_iqr"] == pytest.approx(0.45)
+    assert train["median_gain"] == pytest.approx(1.0)
+    assert train["gain_exceeds_parent_iqr"] and train["gain_holds"]
+    assert train["bound"] == 0.2 and train["within_bound"]
+    assert "parent_iqr" in gain["metrics"]["pipeline.weights.s"]
+    assert "gain_holds" not in gain["metrics"]["pipeline.weights.s"]
+
+    # wins 9 of 10 but the gap is inside the parent's spread: no gain, still in bound
+    change = [p - 0.3 for p in parent[:9]] + [parent[9] + 0.1]
+    train = bench_pairs.summarize(runs_of(parent, change), RULES)["metrics"]["train_s"]
+    assert train["change_wins"] == 9
+    assert not train["gain_exceeds_parent_iqr"] and not train["gain_holds"]
+    assert train["within_bound"]
+
+    # 25% slower than the parent: worse than the 0.2 bound
+    train = bench_pairs.summarize(runs_of(parent, [1.25 * p for p in parent]),
+                                  RULES)["metrics"]["train_s"]
+    assert train["median_gain"] < 0 and not train["within_bound"]
+    assert not train["gain_holds"]
+
+
+@pytest.mark.parametrize("stdout", ["Traceback (most recent call last):\nKeyError: 3\n",
+                                    "", "train_s 1.0 s\n42\n"])
+def test_run_without_a_result_line_is_a_failed_run(monkeypatch, capsys, stdout):
+    def canned(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", canned)
+    assert bench_pairs.run_once("/nowhere", "aff_score", 7) is None
+    assert "aff_score seed 7 in /nowhere printed no result" in capsys.readouterr().err
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kwargs:
+                        subprocess.CompletedProcess(cmd, 0, stdout=_stdout(_line(2.0, 3.0))))
+    assert bench_pairs.run_once("/nowhere", "aff_score", 7)["metrics"]["train_s"]["value"] == 2.0

@@ -2,6 +2,8 @@
 
 import decimal
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +61,23 @@ def posterior_alignment(g, x):
     """Pr(i | x) for a single frame through the kernel; entries sum to 1."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     return gmm._score_frames(g, x, posteriors=True)[1][0]
+
+
+def unchunked_frame_logpdf(g, data):
+    """Frame log-likelihoods from one (N x K) block of all frames, out of place.
+
+    The kernel's arithmetic in the same order, as it was before scoring was
+    chunked and its temporaries built in place.
+    """
+    inv_var = 1.0 / g.variances
+    const = -0.5 * (g.dim * math.log(2.0 * math.pi) + np.sum(np.log(g.variances), axis=1))
+    quad = (
+        (data * data) @ inv_var.T
+        - 2.0 * data @ (g.means * inv_var).T
+        + np.sum(g.means * g.means * inv_var, axis=1)
+    )
+    with np.errstate(divide="ignore"):
+        return gmm._logsumexp_rows(const - 0.5 * quad + np.log(g.weights))
 
 
 def scipy_loglik(g, data):
@@ -427,7 +446,39 @@ class TestEmTrain:
         _, history = em_train(frames, 8, return_history=True)
         iters = [len(stage["loglik"]) - 1 for stage in history[1:]]
         assert iters == [5, 5, 10]
-        assert len(calls) == sum(n + 1 for n in iters)
+        # loglik scores in 256-row chunks, so count the rows scored, not the calls
+        assert sum(calls) == 2000 * sum(n + 1 for n in iters)
+
+    def test_no_history_pass_without_history(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        frames = rng.standard_normal((2000, 3)) + rng.choice([-2.0, 2.0], (2000, 1))
+        with_history, history = em_train(frames, 8, return_history=True)
+        calls = []
+
+        def counting(g, data):
+            calls.append(data.shape[0])
+            return log_component_densities(g, data)
+
+        monkeypatch.setattr(gmm, "log_component_densities", counting)
+        model = em_train(frames, 8)
+        iters = sum(len(stage["loglik"]) - 1 for stage in history[1:])
+        assert calls == [2000] * iters
+        for name in ("weights", "means", "variances"):
+            assert getattr(model, name).tobytes() == getattr(with_history, name).tobytes()
+
+    @pytest.mark.parametrize("return_history", [False, True])
+    def test_peak_memory_is_bounded(self, return_history):
+        """No pass holds a (frames x components) block: here one is 51 MB."""
+        rng = np.random.default_rng(18)
+        frames = rng.standard_normal((200_000, 5))
+        tracemalloc.start()
+        try:
+            em_train(frames, 32, em_iters_per_stage=1, final_em_iters=1,
+                     return_history=return_history)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * frames.nbytes + 8 * 2**20
 
     def test_too_few_frames(self):
         with pytest.raises(ValueError, match="cannot fit"):
@@ -506,6 +557,30 @@ class TestScoreModels:
         assert gmm._score_models(models, np.zeros((0, 3))).shape == (3, 0)
 
 
+class TestChunkedScoring:
+    """frame_logpdf and loglik score in row chunks, bit-equal to one unchunked pass."""
+
+    @pytest.mark.parametrize("k", [1, 4, 32])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 5000])
+    def test_bit_equal_to_unchunked_oracle_one_chunk_at_a_time(self, monkeypatch, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        g = _random_gmm(rng, k, 5)
+        frames = rng.normal(0.0, 3.0, (n, 5))
+        want = unchunked_frame_logpdf(g, frames)
+        rows = []
+
+        def counting(model, data):
+            rows.append(data.shape[0])
+            return log_component_densities(model, data)
+
+        monkeypatch.setattr(gmm, "log_component_densities", counting)
+        assert frame_logpdf(g, frames).tobytes() == want.tobytes()
+        assert max(rows) <= 257 and sum(rows) == n  # a 1-row tail joins the chunk before
+        rows.clear()
+        assert loglik(g, frames) == float(np.sum(want))
+        assert max(rows) <= 257 and sum(rows) == n
+
+
 class TestModelFile:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -522,6 +597,13 @@ class TestModelFile:
         path = tmp_path / "bad.agm"
         path.write_bytes(b"JUNK" + b"\x00" * 20)
         with pytest.raises(FormatError, match="AGM1"):
+            read_model(path)
+
+    def test_non_utf8_label(self, tmp_path):
+        path = tmp_path / "latin1.agm"
+        path.write_bytes(gmm.MODEL_MAGIC + struct.pack("<III", 1, 1, 1) + b"\xe9"
+                         + np.array([1.0, 0.0, 1.0], dtype="<f8").tobytes())
+        with pytest.raises(FormatError, match="label in .*latin1.agm is not UTF-8"):
             read_model(path)
 
     def test_invalid_parameters_rejected(self):

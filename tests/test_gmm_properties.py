@@ -2,7 +2,10 @@
 diagonal mixtures."""
 
 import math
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +23,15 @@ from accent_forge.classify import (  # noqa: E402
     hellinger_gmm,
     pairwise_vowel_distances,
 )
-from accent_forge.errors import NoEvidenceError  # noqa: E402
+from accent_forge.errors import FormatError, NoEvidenceError  # noqa: E402
 from accent_forge.frontend import FeatureMatrix  # noqa: E402
-from accent_forge.gmm import DiagGmm, em_train, log_component_densities  # noqa: E402
+from accent_forge.gmm import (  # noqa: E402
+    DiagGmm,
+    em_train,
+    log_component_densities,
+    read_model,
+    write_model,
+)
 from accent_forge.pipeline import PipelineConfig, _cap_test_utterance  # noqa: E402
 from accent_forge.vowels import (  # noqa: E402
     ARPABET_VOWELS,
@@ -85,6 +94,38 @@ def test_em_stage_loglik_non_decreasing(case, target):
         ll = stage["loglik"]
         for before, after in zip(ll, ll[1:]):
             assert after >= before - 1e-8 * abs(before)
+
+
+@st.composite
+def labelled_mixtures(draw):
+    """A small random mixture with an arbitrary (possibly non-ASCII) label."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return DiagGmm(rng.dirichlet(np.ones(k)), rng.normal(0.0, 2.0, (k, d)),
+                   rng.uniform(0.3, 3.0, (k, d)), label=draw(st.text(max_size=6)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(labelled_mixtures(), st.binary(min_size=1, max_size=16))
+def test_agm1_roundtrip_and_every_malformed_length_rejected(g, trailing):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.agm"
+        write_model(path, g)
+        back = read_model(path)
+        assert back.label == g.label
+        for name in ("weights", "means", "variances"):
+            assert getattr(back, name).tobytes() == getattr(g, name).tobytes()
+        blob = path.read_bytes()
+        names_file = re.escape(str(path))
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError, match=names_file):
+                read_model(path)
+        path.write_bytes(blob + trailing)
+        with pytest.raises(FormatError, match="%d bytes after the variances in %s"
+                           % (len(trailing), names_file)):
+            read_model(path)
 
 
 @st.composite

@@ -10,8 +10,10 @@ length flag is passed: run.py's default run length is the benchmark's own.
 --workload takes a comma-separated list; the workloads run one after the
 other. The output records the environment (Python, numpy, scipy, BLAS, CPU
 count), each checkout's git commit, every run's metrics, and per metric the
-medians and quartiles of both sides and how many pairs the change won, with
-"better" read from CHANGE_DIR/BENCHMARK.json.
+medians and quartiles of both sides, how many pairs the change won, and the
+acceptance arithmetic, with "better" and "bound" read from
+CHANGE_DIR/BENCHMARK.json. A run that exits non-zero or whose last line is not
+a JSON object is recorded as failed (None), with a message on standard error.
 
 Standard library only; it imports nothing from perfbench/.
 """
@@ -45,7 +47,10 @@ def parse_result(stdout):
     lines = [line for line in stdout.splitlines() if line.strip()]
     if not lines:
         raise ValueError("run printed nothing")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if not isinstance(result, dict):
+        raise ValueError("last line is not a JSON object")
+    return result
 
 
 def _quartiles(values):
@@ -55,12 +60,20 @@ def _quartiles(values):
     return q1, q3
 
 
-def summarize(runs, better):
-    """Per-metric medians, quartiles and wins over the pairs where both runs succeeded.
+def summarize(runs, rules):
+    """Per-metric medians, quartiles, wins and verdicts over the pairs where both runs succeeded.
 
     runs: [{"seed": n, "parent": result, "change": result}], each result the
-    parsed last line of a run or None for a failed run. better: metric name
-    -> "lower" or "higher"; metrics not named there get no win count.
+    parsed last line of a run or None for a failed run. rules: metric name ->
+    its BENCHMARK.json entry, with "better" ("lower" or "higher") and
+    "bound"; metrics not named there get no win count and no verdict.
+
+    The verdict states the acceptance arithmetic. median_gain is how far the
+    change's median is better than the parent's (negative when worse). A gain
+    holds when the change won at least nine tenths of the pairs and
+    median_gain exceeds the parent's interquartile range. within_bound holds
+    when the change's median is worse than the parent's by no more than
+    bound, a fraction of the parent's median.
     """
     complete = [r for r in runs if all(r[side] is not None for side in SIDES)]
     names = sorted(set.intersection(*(set(r[side]["metrics"]) for r in complete
@@ -73,15 +86,25 @@ def summarize(runs, better):
         for side in SIDES:
             q1, q3 = _quartiles(values[side])
             row[side] = {"median": statistics.median(values[side]), "q1": q1, "q3": q3}
+        row["parent_iqr"] = row["parent"]["q3"] - row["parent"]["q1"]
         parent_median = row["parent"]["median"]
         if parent_median:
             row["median_change_pct"] = (
                 100.0 * (row["change"]["median"] - parent_median) / abs(parent_median))
-        if name in better:
-            sign = 1.0 if better[name] == "lower" else -1.0
-            row["better"] = better[name]
-            row["change_wins"] = sum(sign * (p - c) > 0 for p, c in
-                                     zip(values["parent"], values["change"]))
+        if name in rules:
+            better, bound = rules[name]["better"], rules[name]["bound"]
+            sign = 1.0 if better == "lower" else -1.0
+            wins = sum(sign * (p - c) > 0 for p, c in zip(values["parent"], values["change"]))
+            gain = sign * (parent_median - row["change"]["median"])
+            row.update({
+                "better": better,
+                "change_wins": wins,
+                "median_gain": gain,
+                "gain_exceeds_parent_iqr": gain > row["parent_iqr"],
+                "gain_holds": 10 * wins >= 9 * len(complete) and gain > row["parent_iqr"],
+                "bound": bound,
+                "within_bound": -gain <= bound * abs(parent_median),
+            })
         summary[name] = row
     return {
         "pairs": len(complete),
@@ -135,12 +158,17 @@ def run_once(checkout, workload, seed):
         print("bench_pairs: %s seed %d failed in %s (exit %d)"
               % (workload, seed, checkout, proc.returncode), file=sys.stderr)
         return None
-    return parse_result(proc.stdout)
+    try:
+        return parse_result(proc.stdout)
+    except ValueError as err:
+        print("bench_pairs: %s seed %d in %s printed no result (%s)"
+              % (workload, seed, checkout, err), file=sys.stderr)
+        return None
 
 
-def _better(checkout):
+def _rules(checkout):
     doc = json.loads((Path(checkout) / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in doc.get("end_to_end", [])}
+    return {m["name"]: m for m in doc.get("end_to_end", [])}
 
 
 def main(argv=None):
@@ -153,7 +181,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     dirs = {"parent": args.parent_dir, "change": args.change_dir}
-    better = _better(args.change_dir)
+    rules = _rules(args.change_dir)
     doc = {
         "command": "python3 perfbench/run.py --workload W --seed N",
         "seeds": args.seeds,
@@ -170,7 +198,7 @@ def main(argv=None):
                 run[side] = run_once(dirs[side], workload, seed)
             runs.append(run)
             print("bench_pairs: %s seed %d done" % (workload, seed), file=sys.stderr)
-        doc["workloads"][workload] = {"summary": summarize(runs, better), "runs": runs}
+        doc["workloads"][workload] = {"summary": summarize(runs, rules), "runs": runs}
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                               encoding="utf-8")
 
