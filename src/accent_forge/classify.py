@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoEvidenceError
-from .frontend import FeatureMatrix, feature_array
+from .frontend import feature_array
 from .gmm import GmmStack, _score_models, frame_logpdf
 from .vowels import ARPABET_VOWELS, NUM_VOWELS, filter_by_confidence, vowel_frame_masks
 
@@ -68,24 +68,19 @@ class ClassificationResult:
     frames_used: int = 0
 
 
-def classify_baseline(model_set, feats, max_frames=None):
+def classify_baseline(model_set, feats):
     """Argmax of total log-likelihood over accents (earliest label on ties)."""
     if model_set.baseline is None:
         raise ValueError("model set has no baseline models")
-    if isinstance(feats, FeatureMatrix):
-        feats = feats.head(max_frames)
-        num_frames = feats.num_frames
-    else:
-        feats = np.asarray(feats, dtype=np.float64)[:max_frames]
-        num_frames = feats.shape[0]
-    if num_frames < 1:
+    data = feature_array(feats)
+    if data.shape[0] < 1:
         raise ValueError("cannot classify an empty feature matrix")
-    scores = _score_models(model_set.stack(), feats).sum(axis=1)
+    scores = _score_models(model_set.stack(), data).sum(axis=1)
     best = int(np.argmax(scores))
     return ClassificationResult(
         chosen_accent=model_set.accents[best],
         scores=scores,
-        frames_used=num_frames,
+        frames_used=data.shape[0],
     )
 
 
@@ -203,20 +198,17 @@ def pairwise_vowel_distances(vowel_grid, num_samples=50000, seed=0):
     return distances, stderr
 
 
-def vowel_discriminativeness(
-    vowel_grid, mode="mean_distance", num_samples=50000, seed=0, distances=None
-):
+def vowel_discriminativeness(vowel_grid, distances, mode="mean_distance"):
     """Per-vowel discriminativeness d over the fixed vowel order.
 
-    mode "mean_distance" scores a vowel by the mean pairwise Hellinger
-    distance among its per-accent models (far apart = discriminative);
-    "reciprocal_mean" uses 1 / mean instead. Vowels missing from the grid
-    get d = 0 and are excluded.
+    distances maps vowel -> its pairwise Hellinger distances, as
+    pairwise_vowel_distances returns them. mode "mean_distance" scores a
+    vowel by the mean pairwise distance among its per-accent models (far
+    apart = discriminative); "reciprocal_mean" uses 1 / mean instead. Vowels
+    missing from the grid get d = 0 and are excluded.
     """
     if mode not in ("mean_distance", "reciprocal_mean"):
         raise ValueError("unknown discriminativeness mode %r" % mode)
-    if distances is None:
-        distances = pairwise_vowel_distances(vowel_grid, num_samples=num_samples, seed=seed)[0]
     d = np.zeros(NUM_VOWELS)
     for i, vowel in enumerate(ARPABET_VOWELS):
         if vowel not in vowel_grid:
@@ -278,10 +270,12 @@ def _require_vowel_models(model_set):
 
 
 def classify_vowel_weighted(model_set, pooled):
-    """Weighted combination of per-vowel GMM scores.
+    """Weighted combination of per-vowel GMM scores, the reference scorer.
 
     pooled maps vowel -> FeatureMatrix; vowels with no frames (or excluded
-    from the grid) contribute nothing.
+    from the grid) contribute nothing. The pipeline scores through
+    classify_vowel_thresholds; this direct form is what the property tests
+    and the benchmark's independent dev-accuracy check compare it against.
     """
     _require_vowel_models(model_set)
     evidence = []

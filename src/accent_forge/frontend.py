@@ -316,6 +316,7 @@ def write_feature_archive(path, feat):
 
 
 def read_feature_archive(path):
+    """An AFF1 archive; FormatError if it is not what write_feature_archive writes."""
     with open(path, "rb") as handle:
         magic = handle.read(4)
         if magic != FEATURE_MAGIC:
@@ -327,15 +328,16 @@ def read_feature_archive(path):
             raise FormatError("truncated feature archive header in %s" % path)
         num_frames, dim = struct.unpack("<II", header[:8])
         hop = struct.unpack("<d", header[8:])[0]
-        body = handle.read(num_frames * dim * 8)
-        if len(body) != num_frames * dim * 8:
-            raise FormatError("truncated feature data in %s" % path)
-        data = np.frombuffer(body, dtype="<f8").reshape(num_frames, dim)
-        tag_bytes = handle.read()
-    if len(tag_bytes) not in (0, num_frames):
+        rest = handle.read()
+    body_len = num_frames * dim * 8
+    if len(rest) < body_len:
+        raise FormatError("truncated feature data in %s" % path)
+    num_tags = len(rest) - body_len
+    if num_tags not in (0, num_frames):
         raise FormatError(
             "%d bytes after the feature data in %s; the tag block must be absent "
-            "or one byte per frame (%d)" % (len(tag_bytes), path, num_frames)
+            "or one byte per frame (%d)" % (num_tags, path, num_frames)
         )
-    tags = np.frombuffer(tag_bytes, dtype=np.uint8).copy() if tag_bytes else None
+    data = np.frombuffer(rest, dtype="<f8", count=num_frames * dim).reshape(num_frames, dim)
+    tags = np.frombuffer(rest, dtype=np.uint8, offset=body_len).copy() if num_tags else None
     return FeatureMatrix(data.copy(), hop, tags)

@@ -30,13 +30,12 @@ from .classify import (
     AccentModelSet,
     classify_baseline,
     classify_vowel_thresholds,
-    classify_vowel_weighted,
     confusion_report,
     pairwise_vowel_distances,
     vowel_discriminativeness,
     vowel_weights,
 )
-from .errors import ConfigError, MissingPrerequisiteError, NoEvidenceError
+from .errors import ConfigError, MissingPrerequisiteError
 from .frontend import (
     FeatureMatrix,
     FrontendConfig,
@@ -61,7 +60,6 @@ from .vowels import (
     VOWEL_INDEX,
     PhoneSegment,
     calibrate_threshold,
-    filter_by_confidence,
     parse_label_file,
     pool_vowel_features,
     vowel_popularity,
@@ -298,6 +296,9 @@ class PipelineConfig:
         if self.weights.hellinger_samples < 1000:
             raise ConfigError("weights.hellinger_samples must be at least 1000, got %d"
                               % self.weights.hellinger_samples)
+        # a NaN threshold keeps no scored segment, and sorting leaves it mid-grid
+        if np.isnan([*self.calibrate.grid, self.vowels.confidence_threshold]).any():
+            raise ConfigError("calibrate.grid and vowels.confidence_threshold must not be NaN")
         if self.synth.vowel_popularity:
             self.synth.popularity()
         return self
@@ -977,7 +978,7 @@ def stage_weights(run):
     popularity = vowel_popularity(doc["train_frame_counts"])
     distances, stderr = pairwise_vowel_distances(
         grid, num_samples=cfg.weights.hellinger_samples, seed=cfg.weights.hellinger_seed)
-    disc = vowel_discriminativeness(grid, mode=cfg.weights.mode, distances=distances)
+    disc = vowel_discriminativeness(grid, distances, mode=cfg.weights.mode)
     weights = vowel_weights(popularity, disc)
     _write_json(run.output(ws.dir("models") / "vowel_weights.json"), {
         "vowels": list(ARPABET_VOWELS),
@@ -1039,6 +1040,7 @@ def _test_threshold(run):
 def stage_classify(run):
     """Write test-split predictions for the chosen mode.
 
+    Both modes score the first corpus.max_test_frames frames of an utterance.
     An utterance left with no vowel evidence after thresholding falls back
     to the earliest accent label (the documented tie rule).
     """
@@ -1051,18 +1053,16 @@ def stage_classify(run):
         utt = ws.utt_id(index, entry)
         feats = run.features(index, entry)
         if mode == "baseline":
-            result = classify_baseline(model_set, feats, max_frames=cfg.corpus.max_test_frames)
+            result = classify_baseline(model_set, feats.head(cfg.corpus.max_test_frames))
         else:
             segments = run.labels(index, entry)
             if segments is None:
                 raise MissingPrerequisiteError(
                     "utterance %s has no label file; vowel mode needs labels" % utt
                 )
-            capped, segments = _cap_test_utterance(cfg, feats, segments)
-            pooled = pool_vowel_features(capped, filter_by_confidence(segments, threshold))
-            try:
-                result = classify_vowel_weighted(model_set, pooled)
-            except NoEvidenceError:
+            result = classify_vowel_thresholds(
+                model_set, *_cap_test_utterance(cfg, feats, segments), [threshold])[0]
+            if result is None:
                 rows.append((utt, entry.accent, model_set.accents[0], 0))
                 continue
         rows.append((utt, entry.accent, result.chosen_accent, result.frames_used))

@@ -339,25 +339,27 @@ def write_transform_chain(path, transforms):
 
 
 def read_transform_chain(path):
-    transforms = []
+    """AFT1 records; FormatError if they are not what write_transform_chain writes."""
     with open(path, "rb") as handle:
-        while True:
-            magic = handle.read(4)
-            if not magic:
-                break
-            if magic != TRANSFORM_MAGIC:
-                raise FormatError(
-                    "bad magic %r in %s (expected %r)" % (magic, path, TRANSFORM_MAGIC)
-                )
-            header = handle.read(12)
-            if len(header) != 12:
-                raise FormatError("truncated transform header in %s" % path)
-            in_dim, out_dim, context = struct.unpack("<III", header)
-            mat_bytes = handle.read(out_dim * in_dim * 8)
-            off_bytes = handle.read(out_dim * 8)
-            if len(mat_bytes) != out_dim * in_dim * 8 or len(off_bytes) != out_dim * 8:
-                raise FormatError("truncated transform data in %s" % path)
-            matrix = np.frombuffer(mat_bytes, dtype="<f8").reshape(out_dim, in_dim)
-            offset = np.frombuffer(off_bytes, dtype="<f8")
-            transforms.append(LinearTransform(matrix.copy(), offset.copy(), context))
+        blob = handle.read()
+    transforms = []
+    pos = 0
+    while pos < len(blob):
+        magic = blob[pos:pos + 4]
+        if magic != TRANSFORM_MAGIC:
+            raise FormatError(
+                "bad magic %r in %s (expected %r)" % (magic, path, TRANSFORM_MAGIC)
+            )
+        header = blob[pos + 4:pos + 16]
+        if len(header) != 12:
+            raise FormatError("truncated transform header in %s" % path)
+        in_dim, out_dim, context = struct.unpack("<III", header)
+        pos += 16
+        size = out_dim * (in_dim + 1)
+        if len(blob) - pos < size * 8:
+            raise FormatError("truncated transform data in %s" % path)
+        flat = np.frombuffer(blob, dtype="<f8", count=size, offset=pos)
+        matrix = flat[:out_dim * in_dim].reshape(out_dim, in_dim)
+        transforms.append(LinearTransform(matrix.copy(), flat[out_dim * in_dim:].copy(), context))
+        pos += size * 8
     return transforms

@@ -1,4 +1,4 @@
-"""Tests for the summary step of tools/bench_pairs.py, on canned result lines."""
+"""Tests for tools/bench_pairs.py, on canned result lines and temporary checkouts."""
 
 import importlib.util
 import json
@@ -114,3 +114,25 @@ def test_run_without_a_result_line_is_a_failed_run(monkeypatch, capsys, stdout):
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kwargs:
                         subprocess.CompletedProcess(cmd, 0, stdout=_stdout(_line(2.0, 3.0))))
     assert bench_pairs.run_once("/nowhere", "aff_score", 7)["metrics"]["train_s"]["value"] == 2.0
+
+
+def test_bench_file_records_each_checkouts_src_lines(monkeypatch, tmp_path):
+    sources = {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"},
+               "change": {"a.py": "x = 1\n", "c.py": "\n\n\n\n", "notes.txt": "1\n2\n"}}
+    for side, files in sources.items():
+        package = tmp_path / side / "src" / "accent_forge"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed:
+                        json.loads(_line(1.0, 1.0)))
+    monkeypatch.setattr(bench_pairs, "environment", lambda: {})
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                      "--workload", "aff_score", "--seeds", "1", "--out", str(out)])
+    assert json.loads(out.read_text())["src_lines"] == {
+        "parent": {"files": {"a.py": 2, "b.py": 1}, "total": 3},
+        "change": {"files": {"a.py": 1, "c.py": 4}, "total": 5},
+        "delta": 2,
+    }

@@ -64,7 +64,7 @@ class TestBaseline:
     def test_max_frames_cap(self):
         ms = AccentModelSet(accents=["a", "b"], baseline=[_gauss(0.0), _gauss(4.0)])
         frames = np.vstack([np.zeros((10, 2)), np.full((100, 2), 4.0)])
-        capped = classify_baseline(ms, _fm(frames), max_frames=10)
+        capped = classify_baseline(ms, _fm(frames).head(10))
         assert capped.chosen_accent == "a"
         assert capped.frames_used == 10
 
@@ -225,6 +225,10 @@ def _grid(accents, spread_vowels, spread=4.0):
     return grid
 
 
+def _distances(grid, seed):
+    return pairwise_vowel_distances(grid, num_samples=2000, seed=seed)[0]
+
+
 class TestDiscriminativeness:
     def test_pair_count_for_seven_accents(self):
         accents = ["a%d" % i for i in range(7)]
@@ -235,13 +239,13 @@ class TestDiscriminativeness:
     def test_identical_models_score_zero(self):
         accents = ["a", "b", "c"]
         grid = _grid(accents, spread_vowels=())
-        d = vowel_discriminativeness(grid, num_samples=2000, seed=1)
+        d = vowel_discriminativeness(grid, _distances(grid, seed=1))
         assert np.all(d < 0.05)
 
     def test_separated_vowel_scores_higher(self):
         accents = ["a", "b", "c"]
         grid = _grid(accents, spread_vowels=("aa",))
-        d = vowel_discriminativeness(grid, num_samples=3000, seed=2)
+        d = vowel_discriminativeness(grid, _distances(grid, seed=2))
         aa = d[ARPABET_VOWELS.index("aa")]
         others = np.delete(d, ARPABET_VOWELS.index("aa"))
         assert aa > 0.5
@@ -249,16 +253,15 @@ class TestDiscriminativeness:
 
     def test_missing_vowel_excluded(self):
         grid = {"aa": [_gauss(0.0), _gauss(5.0)]}
-        d = vowel_discriminativeness(grid, num_samples=2000, seed=3)
+        d = vowel_discriminativeness(grid, _distances(grid, seed=3))
         assert d[ARPABET_VOWELS.index("iy")] == 0.0
 
     def test_reciprocal_mode(self):
         accents = ["a", "b"]
         grid = _grid(accents, spread_vowels=("aa",))
-        d_mean = vowel_discriminativeness(grid, mode="mean_distance",
-                                          num_samples=2000, seed=4)
-        d_recip = vowel_discriminativeness(grid, mode="reciprocal_mean",
-                                           num_samples=2000, seed=4)
+        distances = _distances(grid, seed=4)
+        d_mean = vowel_discriminativeness(grid, distances, mode="mean_distance")
+        d_recip = vowel_discriminativeness(grid, distances, mode="reciprocal_mean")
         aa = ARPABET_VOWELS.index("aa")
         assert d_recip[aa] == pytest.approx(1.0 / d_mean[aa])
 

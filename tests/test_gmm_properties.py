@@ -241,12 +241,13 @@ def calibration_cases(draw):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(calibration_cases())
-def test_thresholds_scored_once_equal_repooled_scoring(case):
+@given(calibration_cases(), st.one_of(st.just(GRID), st.sampled_from(GRID).map(lambda t: [t])))
+def test_thresholds_scored_once_equal_repooled_scoring(case, thresholds):
+    """The whole calibration grid, or the one test threshold stage_classify passes."""
     model_set, (feats, segments) = case
-    results = classify_vowel_thresholds(model_set, feats, segments, GRID)
-    assert len(results) == len(GRID)
-    for threshold, result in zip(GRID, results):
+    results = classify_vowel_thresholds(model_set, feats, segments, thresholds)
+    assert len(results) == len(thresholds)
+    for threshold, result in zip(thresholds, results):
         pooled = pool_vowel_features(feats, filter_by_confidence(segments, threshold))
         try:
             want = classify_vowel_weighted(model_set, pooled)

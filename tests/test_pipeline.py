@@ -176,6 +176,15 @@ class TestConfig:
         assert config_from_text("weights.hellinger_samples = 1000\n").weights.hellinger_samples \
             == 1000
 
+    def test_nan_thresholds_rejected(self):
+        for text in ("calibrate.grid = -inf,nan,-50\n",
+                     "vowels.confidence_threshold = nan\n",
+                     "calibrate.grid = -inf,nan,-50\nvowels.confidence_threshold = nan\n"):
+            with pytest.raises(ConfigError, match="must not be NaN"):
+                config_from_text(text)
+        cfg = config_from_text("calibrate.grid = -inf,-50\nvowels.confidence_threshold = -inf\n")
+        assert cfg.calibrate.grid == (float("-inf"), -50.0)
+
     def test_comments_and_blanks(self):
         cfg = config_from_text("# a comment\n\nubm.components = 64  # trailing\n")
         assert cfg.ubm.components == 64
@@ -356,6 +365,22 @@ class TestStages:
         assert prov["stage"] == "ubm"
         assert prov["config_sha256"]
         assert prov["inputs"] and prov["outputs"]
+
+    def test_baseline_scores_the_capped_utterance(self, tmp_path):
+        cfg = _small_cfg()
+        ws = Workspace(tmp_path / "ws")
+        generate_synthetic_corpus(cfg.synth, ws.root)
+        for stage in ("vad", "features", "ubm", "adapt"):
+            run_stage(stage, cfg, ws)
+        for cap in (1, 100, 2000):
+            cfg.corpus.max_test_frames = cap
+            run_stage("classify", cfg, ws, mode="baseline")
+            rows = [row.split("\t") for row in
+                    (ws.root / "reports" / "predictions_baseline.tsv").read_text().splitlines()]
+            assert rows
+            for utt, _, _, frames_used in rows:
+                feats = read_feature_archive(ws.root / "features" / "feat" / (utt + ".aff"))
+                assert int(frames_used) == min(feats.num_frames, cap)
 
     def test_unknown_stage(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown stage"):

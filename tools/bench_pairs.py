@@ -12,8 +12,10 @@ other. The output records the environment (Python, numpy, scipy, BLAS, CPU
 count), each checkout's git commit, every run's metrics, and per metric the
 medians and quartiles of both sides, how many pairs the change won, and the
 acceptance arithmetic, with "better" and "bound" read from
-CHANGE_DIR/BENCHMARK.json. A run that exits non-zero or whose last line is not
-a JSON object is recorded as failed (None), with a message on standard error.
+CHANGE_DIR/BENCHMARK.json. It also records each checkout's line counts of
+src/accent_forge/*.py, per file and in total, and the change's net delta. A
+run that exits non-zero or whose last line is not a JSON object is recorded as
+failed (None), with a message on standard error.
 
 Standard library only; it imports nothing from perfbench/.
 """
@@ -166,6 +168,13 @@ def run_once(checkout, workload, seed):
         return None
 
 
+def src_lines(checkout):
+    """Line counts (as wc -l counts them) of checkout's src/accent_forge/*.py."""
+    files = {path.name: path.read_bytes().count(b"\n")
+             for path in sorted(Path(checkout, "src", "accent_forge").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
+
+
 def _rules(checkout):
     doc = json.loads((Path(checkout) / "BENCHMARK.json").read_text(encoding="utf-8"))
     return {m["name"]: m for m in doc.get("end_to_end", [])}
@@ -182,11 +191,13 @@ def main(argv=None):
 
     dirs = {"parent": args.parent_dir, "change": args.change_dir}
     rules = _rules(args.change_dir)
+    lines = {side: src_lines(d) for side, d in dirs.items()}
     doc = {
         "command": "python3 perfbench/run.py --workload W --seed N",
         "seeds": args.seeds,
         "env": environment(),
         "commits": {side: _git_commit(d) for side, d in dirs.items()},
+        "src_lines": dict(lines, delta=lines["change"]["total"] - lines["parent"]["total"]),
         "workloads": {},
     }
     for workload in args.workload.split(","):
