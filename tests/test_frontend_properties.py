@@ -104,9 +104,8 @@ def test_aft1_roundtrip_and_every_malformed_length_rejected(chain, trailing):
             path.write_bytes(blob[:cut])
             if cut == 0 or cut in ends:
                 back = read_transform_chain(path)
-                want = chain[:len(back)]
                 assert len(back) == (0 if cut == 0 else ends.index(cut) + 1)
-                for a, b in zip(back, want):
+                for a, b in zip(back, chain):
                     assert (a.matrix.tobytes(), a.offset.tobytes(), a.context) == (
                         b.matrix.tobytes(), b.offset.tobytes(), b.context)
                     assert a.matrix.shape == b.matrix.shape
