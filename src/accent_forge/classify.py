@@ -294,14 +294,13 @@ def classify_vowel_thresholds(model_set, feats, segments, thresholds):
     """classify_vowel_weighted at each confidence threshold, every frame scored once.
 
     Entry j is classify_vowel_weighted(model_set, pool_vowel_features(feats,
-    filter_by_confidence(segments, thresholds[j]))), bit for bit, or None
-    where that leaves no vowel evidence.
+    filter_by_confidence(segments, thresholds[j]))), or None where that
+    leaves no vowel evidence: the same accent and frame count, and scores
+    that agree to within a few ulps (the blocks scored differ in shape).
 
     Each vowel's frames kept at any threshold are scored once; a threshold
     then sums the rows of the frames it keeps, which are the rows pooling
-    selects, in the same order, copied to be contiguous. A threshold that
-    keeps one frame of a vowel scores that frame alone, since BLAS takes
-    another path for a 1-row block.
+    selects, in the same order, copied to be contiguous.
     """
     _require_vowel_models(model_set)
     masks = [vowel_frame_masks(feats, filter_by_confidence(segments, threshold))
@@ -314,14 +313,11 @@ def classify_vowel_thresholds(model_set, feats, segments, thresholds):
         union = np.logical_or.reduce(kept)
         if not union.any():
             continue
-        stack = model_set.stack(vowel)
-        scored = _score_models(stack, feats.data[union])
+        scored = _score_models(model_set.stack(vowel), feats.data[union])
         for mask, found in zip(kept, evidence):
             selected = mask[union]
             num_frames = int(np.count_nonzero(selected))
-            if num_frames == 1:
-                found.append((t, 1, _score_models(stack, feats.data[mask]).sum(axis=1)))
-            elif num_frames:
+            if num_frames:
                 found.append((t, num_frames,
                               np.compress(selected, scored, axis=1).sum(axis=1)))
     return [_vowel_vote(model_set, found) if found else None for found in evidence]

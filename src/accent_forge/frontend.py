@@ -340,4 +340,7 @@ def read_feature_archive(path):
         )
     data = np.frombuffer(rest, dtype="<f8", count=num_frames * dim).reshape(num_frames, dim)
     tags = np.frombuffer(rest, dtype=np.uint8, offset=body_len).copy() if num_tags else None
-    return FeatureMatrix(data.copy(), hop, tags)
+    try:
+        return FeatureMatrix(data.copy(), hop, tags)
+    except ValueError as exc:
+        raise FormatError("%s in %s" % (exc, path)) from None

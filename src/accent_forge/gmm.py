@@ -114,33 +114,8 @@ def _logsumexp_rows(x):
         return np.log1p(rest / count) + np.log(count) + top
 
 
-def _score_frames(g, block, posteriors=False):
-    """Per-frame log-likelihoods of a frame block and, on request, its posteriors.
-
-    The one density pass behind accumulate_stats and _score_models, and so
-    behind frame_logpdf and loglik. Posteriors are (N x K) and each row is
-    normalised to sum to 1.
-    """
-    with np.errstate(divide="ignore"):
-        log_weights = np.log(g.weights)
-    joint = log_component_densities(g, block)
-    joint += log_weights
-    frame_ll = _logsumexp_rows(joint)
-    if not posteriors:
-        return frame_ll, None
-    joint -= frame_ll[:, None]
-    post = np.exp(joint, out=joint)
-    post /= post.sum(axis=1, keepdims=True)
-    return frame_ll, post
-
-
 def frame_logpdf(g, feats):
-    """Per-frame mixture log density, log sum_i w_i p_i(x).
-
-    Scored in row chunks by _score_models, so no (frames x components) block
-    is ever held for the whole sequence; rows are independent, so the chunked
-    result equals a single _score_frames pass bit for bit.
-    """
+    """Per-frame mixture log density, log sum_i w_i p_i(x), scored by _score_models."""
     return _score_models([g], feats)[0]
 
 
@@ -149,8 +124,8 @@ class GmmStack:
 
     `joint` carries the concatenated means and variances; its weights (the
     concatenation divided by S) are never used. Scoring adds each model's own
-    log weights, `log_weights`, so every model's mixture sum is the one its
-    own _score_frames would form.
+    log weights, `log_weights`, so every model's mixture sum runs over its
+    own K components and weights.
     """
 
     def __init__(self, models):
@@ -169,43 +144,41 @@ class GmmStack:
             self.log_weights = np.concatenate([np.log(m.weights) for m in self.models])
 
 
-def _row_chunks(n, chunk):
-    """(start, stop) row ranges of about `chunk` rows; a 1-row tail joins the range before."""
-    bounds = list(range(0, n, chunk)) + [n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return zip(bounds[:-1], bounds[1:])
+def _score_block(stack, block, posteriors=False):
+    """(rows x S) log-likelihoods of a frame block under a GmmStack's S models.
+
+    The one density pass behind every mixture score: one matmul over all S*K
+    components, then a log-sum-exp over each model's K columns plus its own
+    log weights. With posteriors, the (rows x S*K) posteriors come too, each
+    model's K columns summing to 1 per row.
+    """
+    k = stack.models[0].num_components
+    joint = log_component_densities(stack.joint, block)
+    joint += stack.log_weights
+    by_model = joint.reshape(-1, k)
+    frame_ll = _logsumexp_rows(by_model)
+    if posteriors:
+        by_model -= frame_ll[:, None]
+        np.exp(by_model, out=by_model)
+        by_model /= by_model.sum(axis=1, keepdims=True)
+    return frame_ll.reshape(-1, len(stack.models)), joint if posteriors else None
 
 
 def _score_models(models, feats, chunk=256):
     """(S x N) per-frame log-likelihoods of S same-shaped GMMs (a GmmStack or a list).
 
-    Row s equals _score_frames(models[s], feats) over all frames at once, bit
-    for bit, and the result is C-contiguous, so its row sums (np.sum of a
-    row, or .sum(axis=1)) equal loglik(models[s], feats); a strided copy
-    would sum in another order. One log_component_densities per row chunk
-    scores all S*K components; the chunks keep that block in cache and bound
-    its memory. BLAS takes a different product path for a single row or a
-    single component, which changes last bits, so a 1-row block and
-    1-component models are scored one model at a time, still chunk by chunk,
-    as _score_frames does.
+    _score_block runs once per chunk of `chunk` rows, which keeps the block
+    in cache and bounds its memory. The same inputs give the same bytes, and
+    the result is C-contiguous, so its row sums equal loglik(models[s], feats).
+    Row s agrees with models[s] scored alone, or in other chunks, to within a
+    few ulps: BLAS may take another product path for another block shape.
     """
     stack = models if isinstance(models, GmmStack) else GmmStack(models)
     data = feature_array(feats)
     _check_dim(stack.joint, data)
-    num_models = len(stack.models)
-    k = stack.models[0].num_components
-    per_model = k == 1 or data.shape[0] == 1
-    frame_ll = np.empty((data.shape[0], num_models))
-    for start, stop in _row_chunks(data.shape[0], chunk):
-        block = data[start:stop]
-        if per_model:
-            for s, model in enumerate(stack.models):
-                frame_ll[start:stop, s] = _score_frames(model, block)[0]
-            continue
-        joint = log_component_densities(stack.joint, block)
-        joint += stack.log_weights
-        frame_ll[start:stop] = _logsumexp_rows(joint.reshape(-1, k)).reshape(-1, num_models)
+    frame_ll = np.empty((data.shape[0], len(stack.models)))
+    for start in range(0, data.shape[0], chunk):
+        frame_ll[start:start + chunk] = _score_block(stack, data[start:start + chunk])[0]
     return np.ascontiguousarray(frame_ll.T)
 
 
@@ -225,12 +198,13 @@ def accumulate_stats(g, feats, chunk=8192):
     """
     data = feature_array(feats)
     _check_dim(g, data)
+    stack = GmmStack([g])
     totals = [np.zeros(g.num_components), np.zeros(g.means.shape), np.zeros(g.means.shape)]
     comps = [np.zeros_like(total) for total in totals]
-    frame_ll = np.empty(data.shape[0])
+    frame_ll = np.empty((data.shape[0], 1))
     for start in range(0, data.shape[0], chunk):
         block = data[start:start + chunk]
-        frame_ll[start:start + chunk], post = _score_frames(g, block, posteriors=True)
+        frame_ll[start:start + chunk], post = _score_block(stack, block, posteriors=True)
         terms = (post.sum(axis=0), post.T @ block, post.T @ (block * block))
         for total, comp, term in zip(totals, comps, terms):
             y = term - comp
@@ -350,4 +324,7 @@ def read_model(path):
     weights = flat[:n].copy()
     means = flat[n:n + n * dim].reshape(n, dim).copy()
     variances = flat[n + n * dim:].reshape(n, dim).copy()
-    return DiagGmm(weights, means, variances, label=label)
+    try:
+        return DiagGmm(weights, means, variances, label=label)
+    except ValueError as exc:
+        raise FormatError("%s in %s" % (exc, path)) from None

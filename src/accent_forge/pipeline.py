@@ -269,6 +269,16 @@ class PipelineConfig:
     synth: SyntheticSpec = field(default_factory=SyntheticSpec)
 
     def validate(self):
+        # a config file sets fields after construction, so re-run the sections' own checks
+        for section in dataclasses.fields(self):
+            part = getattr(self, section.name)
+            if hasattr(part, "__post_init__"):
+                try:
+                    part.__post_init__()
+                except ValueError as exc:
+                    raise ConfigError("%s: %s" % (section.name, exc)) from exc
+        if self.corpus.max_test_frames < 1:
+            raise ConfigError("corpus.max_test_frames must be at least 1")
         static_dim = 3 * self.frontend.num_ceps
         t = self.transforms
         if t.enabled:

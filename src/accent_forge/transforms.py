@@ -35,8 +35,8 @@ class LinearTransform:
         self.offset = np.asarray(self.offset, dtype=np.float64)
         if self.matrix.ndim != 2 or self.offset.shape != (self.matrix.shape[0],):
             raise ValueError("matrix must be (out_dim x in_dim) with matching offset")
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("transform matrix contains NaN or Inf")
+        if not (np.all(np.isfinite(self.matrix)) and np.all(np.isfinite(self.offset))):
+            raise ValueError("transform matrix or offset contains NaN or Inf")
 
     @property
     def in_dim(self):
@@ -360,6 +360,10 @@ def read_transform_chain(path):
             raise FormatError("truncated transform data in %s" % path)
         flat = np.frombuffer(blob, dtype="<f8", count=size, offset=pos)
         matrix = flat[:out_dim * in_dim].reshape(out_dim, in_dim)
-        transforms.append(LinearTransform(matrix.copy(), flat[out_dim * in_dim:].copy(), context))
+        try:
+            transforms.append(LinearTransform(matrix.copy(), flat[out_dim * in_dim:].copy(),
+                                              context))
+        except ValueError as exc:
+            raise FormatError("%s in %s" % (exc, path)) from None
         pos += size * 8
     return transforms

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -136,3 +137,47 @@ def test_bench_file_records_each_checkouts_src_lines(monkeypatch, tmp_path):
         "change": {"files": {"a.py": 1, "c.py": 4}, "total": 5},
         "delta": 2,
     }
+
+
+def test_tree_digests_count_the_byte_identical_pairs(monkeypatch, tmp_path):
+    def write_tree(root, files):
+        for rel, data in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_bytes(data)
+
+    files = {"models/ubm.agm": b"\x00\x01", "reports/eval.json": b"{}\n", "a": b""}
+    for side in ("parent", "change"):
+        write_tree(tmp_path / side, files)
+    digest = bench_pairs.tree_digest(tmp_path / "parent")
+    assert digest == bench_pairs.tree_digest(tmp_path / "change")
+    assert bench_pairs.tree_digest(tmp_path / "missing") is None
+    (tmp_path / "change" / "a").write_bytes(b"\n")  # one changed byte
+    assert bench_pairs.tree_digest(tmp_path / "change") != digest
+    (tmp_path / "change" / "a").write_bytes(b"")
+    (tmp_path / "change" / "a").rename(tmp_path / "change" / "b")  # same bytes, renamed
+    assert bench_pairs.tree_digest(tmp_path / "change") != digest
+
+    # main digests each side's .perfbench-work/<workload>/ tree after each run
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "accent_forge").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+
+    def fake_run(checkout, workload, seed):
+        tree = {"out.bin": bytes([seed])}
+        if seed == 2 and checkout.endswith("change"):
+            tree["extra"] = b"x"
+        root = Path(checkout, ".perfbench-work", workload)
+        shutil.rmtree(root, ignore_errors=True)  # run.py rebuilds the workspace each run
+        write_tree(root, tree)
+        return json.loads(_line(1.0, 1.0))
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "environment", lambda: {})
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                      "--workload", "aff_score", "--seeds", "1..3", "--out", str(out)])
+    doc = json.loads(out.read_text())["workloads"]["aff_score"]
+    assert doc["summary"]["identical_trees"] == 2
+    trees = [run["trees"] for run in doc["runs"]]
+    assert [t["parent"] == t["change"] for t in trees] == [True, False, True]
+    assert trees[0]["parent"] != trees[2]["parent"]

@@ -1,5 +1,6 @@
 """Property tests of the AFF1 feature and AFT1 transform archives and the HLDA objective."""
 
+import math
 import re
 import struct
 import tempfile
@@ -28,6 +29,8 @@ from accent_forge.transforms import (  # noqa: E402
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
+# a non-finite value and where to write it, as an index into the file's float values
+NON_FINITE = st.tuples(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 2**16))
 
 
 @st.composite
@@ -40,6 +43,11 @@ def feature_matrices(draw):
     return FeatureMatrix(data, draw(st.floats(1e-4, 1.0)), tags)
 
 
+def _poke(blob, offset, value):
+    """blob with the little-endian double at offset replaced by value."""
+    return blob[:offset] + struct.pack("<d", value) + blob[offset + 8:]
+
+
 def _same_features(a, b):
     return (a.data.tobytes() == b.data.tobytes() and a.data.shape == b.data.shape
             and a.frame_hop_sec == b.frame_hop_sec
@@ -48,9 +56,10 @@ def _same_features(a, b):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(feature_matrices(), st.binary(min_size=1, max_size=16))
-def test_aff1_roundtrip_and_every_malformed_length_rejected(feats, trailing):
-    """Only a whole body, then no tag block or one tag byte per frame, reads back."""
+@given(feature_matrices(), st.binary(min_size=1, max_size=16), NON_FINITE)
+def test_aff1_roundtrip_and_every_malformed_length_rejected(feats, trailing, non_finite):
+    """Only a whole body, then no tag block or one tag byte per frame, reads back;
+    a NaN or Inf in the body is rejected."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.aff"
         write_feature_archive(path, feats)
@@ -75,6 +84,11 @@ def test_aff1_roundtrip_and_every_malformed_length_rejected(feats, trailing):
             with pytest.raises(FormatError, match="%d bytes after the feature data in %s"
                                % (extra, names_file)):
                 read_feature_archive(path)
+        if feats.data.size:
+            value, at = non_finite
+            path.write_bytes(_poke(blob, 20 + 8 * (at % feats.data.size), value))
+            with pytest.raises(FormatError, match="NaN or Inf in %s" % names_file):
+                read_feature_archive(path)
 
 
 @st.composite
@@ -90,9 +104,10 @@ def transform_chains(draw):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(transform_chains(), st.binary(min_size=1, max_size=16))
-def test_aft1_roundtrip_and_every_malformed_length_rejected(chain, trailing):
-    """A file cut at a record boundary is the shorter chain; any other cut is rejected."""
+@given(transform_chains(), st.binary(min_size=1, max_size=16), NON_FINITE)
+def test_aft1_roundtrip_and_every_malformed_length_rejected(chain, trailing, non_finite):
+    """A file cut at a record boundary is the shorter chain; any other cut is rejected,
+    and so is a NaN or Inf in a matrix or an offset."""
     assume(not trailing.startswith(TRANSFORM_MAGIC))  # else it may be one more record
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.aft"
@@ -114,6 +129,12 @@ def test_aft1_roundtrip_and_every_malformed_length_rejected(chain, trailing):
                 read_transform_chain(path)
         path.write_bytes(blob + trailing)
         with pytest.raises(FormatError, match=names_file):
+            read_transform_chain(path)
+        floats = [offset for start, end in zip([0] + ends, ends)
+                  for offset in range(start + 16, end, 8)]
+        value, at = non_finite
+        path.write_bytes(_poke(blob, floats[at % len(floats)], value))
+        with pytest.raises(FormatError, match="NaN or Inf in %s" % names_file):
             read_transform_chain(path)
 
 

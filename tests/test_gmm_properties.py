@@ -3,6 +3,7 @@ diagonal mixtures."""
 
 import math
 import re
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -66,7 +67,7 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 @given(mixtures())
 def test_posteriors_sum_to_one(case):
     g, frames = case
-    _, post = gmm._score_frames(g, frames, posteriors=True)
+    _, post = gmm._score_block(gmm.GmmStack([g]), frames, posteriors=True)
     assert np.all(post >= 0.0)
     np.testing.assert_allclose(post.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
@@ -107,8 +108,10 @@ def labelled_mixtures(draw):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(labelled_mixtures(), st.binary(min_size=1, max_size=16))
-def test_agm1_roundtrip_and_every_malformed_length_rejected(g, trailing):
+@given(labelled_mixtures(), st.binary(min_size=1, max_size=16),
+       st.tuples(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 2**16)))
+def test_agm1_roundtrip_and_every_malformed_length_rejected(g, trailing, non_finite):
+    """Every truncation, trailing bytes and a NaN or Inf parameter are rejected."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.agm"
         write_model(path, g)
@@ -125,6 +128,12 @@ def test_agm1_roundtrip_and_every_malformed_length_rejected(g, trailing):
         path.write_bytes(blob + trailing)
         with pytest.raises(FormatError, match="%d bytes after the variances in %s"
                            % (len(trailing), names_file)):
+            read_model(path)
+        value, at = non_finite
+        num_floats = g.num_components * (1 + 2 * g.dim)
+        offset = len(blob) - 8 * num_floats + 8 * (at % num_floats)
+        path.write_bytes(blob[:offset] + struct.pack("<d", value) + blob[offset + 8:])
+        with pytest.raises(FormatError, match="in %s$" % names_file):
             read_model(path)
 
 
@@ -207,9 +216,10 @@ def calibration_cases(draw):
     Segments are 1-4 frames long or longer runs, may overlap, may carry no
     score, and often score exactly at a grid value; some are vowels outside
     the grid or non-vowels, and the test-time cap clips those past its end.
+    Features have 1-6 dims or 39, the PLP dim without transforms.
     """
     k = draw(st.sampled_from([1, 2, 4]))
-    d = draw(st.integers(1, 6))
+    d = draw(st.one_of(st.integers(1, 6), st.just(39)))
     num_accents = draw(st.integers(2, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = {}
@@ -243,10 +253,18 @@ def calibration_cases(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(calibration_cases(), st.one_of(st.just(GRID), st.sampled_from(GRID).map(lambda t: [t])))
 def test_thresholds_scored_once_equal_repooled_scoring(case, thresholds):
-    """The whole calibration grid, or the one test threshold stage_classify passes."""
+    """The whole calibration grid, or the one test threshold stage_classify passes.
+
+    Scoring once and re-pooling score blocks of other shapes, so their scores
+    agree to within a few ulps; the accents and frame counts are exact, and
+    so is a repeated call.
+    """
     model_set, (feats, segments) = case
     results = classify_vowel_thresholds(model_set, feats, segments, thresholds)
     assert len(results) == len(thresholds)
+    again = classify_vowel_thresholds(model_set, feats, segments, thresholds)
+    assert [None if r is None else r.scores.tobytes() for r in again] == [
+        None if r is None else r.scores.tobytes() for r in results]
     for threshold, result in zip(thresholds, results):
         pooled = pool_vowel_features(feats, filter_by_confidence(segments, threshold))
         try:
@@ -255,7 +273,8 @@ def test_thresholds_scored_once_equal_repooled_scoring(case, thresholds):
             assert result is None
             continue
         assert result is not None
-        assert result.scores.tobytes() == want.scores.tobytes()
-        assert result.per_vowel_scores.tobytes() == want.per_vowel_scores.tobytes()
+        np.testing.assert_allclose(result.scores, want.scores, rtol=1e-13, atol=1e-12)
+        np.testing.assert_allclose(result.per_vowel_scores, want.per_vowel_scores,
+                                   rtol=1e-13, atol=1e-12)
         assert (result.chosen_accent, result.frames_used) == (want.chosen_accent,
                                                                want.frames_used)

@@ -185,6 +185,18 @@ class TestConfig:
         cfg = config_from_text("calibrate.grid = -inf,-50\nvowels.confidence_threshold = -inf\n")
         assert cfg.calibrate.grid == (float("-inf"), -50.0)
 
+    @pytest.mark.parametrize("text, match", [
+        ("adapt.relevance_mean = -8\n", "adapt: relevance_mean must be non-negative"),
+        ("frontend.warp_window = 4\n", "frontend: warp window must be odd"),
+        ("frontend.warp_window = 1\n", "frontend: warp window must be odd"),
+        ("frontend.num_ceps = 20\n", "frontend: num_ceps must be <= lp_order"),
+        ("frontend.num_filters = 2\n", "frontend: need at least 3"),
+        ("corpus.max_test_frames = 0\n", "max_test_frames must be at least 1"),
+    ])
+    def test_section_checks_run_on_file_values(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            config_from_text(text)
+
     def test_comments_and_blanks(self):
         cfg = config_from_text("# a comment\n\nubm.components = 64  # trailing\n")
         assert cfg.ubm.components == 64

@@ -13,9 +13,11 @@ count), each checkout's git commit, every run's metrics, and per metric the
 medians and quartiles of both sides, how many pairs the change won, and the
 acceptance arithmetic, with "better" and "bound" read from
 CHANGE_DIR/BENCHMARK.json. It also records each checkout's line counts of
-src/accent_forge/*.py, per file and in total, and the change's net delta. A
-run that exits non-zero or whose last line is not a JSON object is recorded as
-failed (None), with a message on standard error.
+src/accent_forge/*.py, per file and in total, and the change's net delta.
+After each run it records the sha256 digest of the checkout's
+.perfbench-work/<workload>/ tree, and the summary counts the pairs whose two
+trees are byte-identical. A run that exits non-zero or whose last line is not
+a JSON object is recorded as failed (None), with a message on standard error.
 
 Standard library only; it imports nothing from perfbench/.
 """
@@ -23,6 +25,7 @@ Standard library only; it imports nothing from perfbench/.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -65,10 +68,13 @@ def _quartiles(values):
 def summarize(runs, rules):
     """Per-metric medians, quartiles, wins and verdicts over the pairs where both runs succeeded.
 
-    runs: [{"seed": n, "parent": result, "change": result}], each result the
-    parsed last line of a run or None for a failed run. rules: metric name ->
-    its BENCHMARK.json entry, with "better" ("lower" or "higher") and
-    "bound"; metrics not named there get no win count and no verdict.
+    runs: [{"seed": n, "parent": result, "change": result, "trees": digests}],
+    each result the parsed last line of a run or None for a failed run, and
+    the optional digests each side's tree_digest of its workspace;
+    identical_trees counts the runs whose two digests are equal. rules:
+    metric name -> its BENCHMARK.json entry, with "better" ("lower" or
+    "higher") and "bound"; metrics not named there get no win count and no
+    verdict.
 
     The verdict states the acceptance arithmetic. median_gain is how far the
     change's median is better than the parent's (negative when worse). A gain
@@ -110,6 +116,9 @@ def summarize(runs, rules):
         summary[name] = row
     return {
         "pairs": len(complete),
+        "identical_trees": sum(None not in r["trees"].values()
+                               and r["trees"]["parent"] == r["trees"]["change"]
+                               for r in runs if "trees" in r),
         "failed_runs": sum(r[side] is None for r in runs for side in SIDES),
         "all_correct": all(r[side]["correct"] and not r[side]["failed"]
                            for r in complete for side in SIDES),
@@ -168,6 +177,21 @@ def run_once(checkout, workload, seed):
         return None
 
 
+def tree_digest(root):
+    """sha256 over the sorted relative paths and file sha256s of a directory tree.
+
+    None if root is not a directory.
+    """
+    root = Path(root)
+    if not root.is_dir():
+        return None
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()):
+        file_hash = hashlib.sha256((root / rel).read_bytes()).hexdigest()
+        digest.update(("%s\0%s\n" % (rel, file_hash)).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def src_lines(checkout):
     """Line counts (as wc -l counts them) of checkout's src/accent_forge/*.py."""
     files = {path.name: path.read_bytes().count(b"\n")
@@ -204,9 +228,10 @@ def main(argv=None):
         runs = []
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            run = {"seed": seed, "order": list(order)}
+            run = {"seed": seed, "order": list(order), "trees": {}}
             for side in order:
                 run[side] = run_once(dirs[side], workload, seed)
+                run["trees"][side] = tree_digest(Path(dirs[side], ".perfbench-work", workload))
             runs.append(run)
             print("bench_pairs: %s seed %d done" % (workload, seed), file=sys.stderr)
         doc["workloads"][workload] = {"summary": summarize(runs, rules), "runs": runs}
