@@ -122,10 +122,10 @@ def frame_logpdf(g, feats):
 class GmmStack:
     """S diagonal GMMs of one shape, held as one block of S*K components.
 
-    `joint` carries the concatenated means and variances; its weights (the
-    concatenation divided by S) are never used. Scoring adds each model's own
-    log weights, `log_weights`, so every model's mixture sum runs over its
-    own K components and weights.
+    `joint` carries the concatenated means and variances (for one model, the
+    model itself); its weights (the concatenation divided by S) are never
+    used. Scoring adds each model's own log weights, `log_weights`, so every
+    model's mixture sum runs over its own K components and weights.
     """
 
     def __init__(self, models):
@@ -135,7 +135,7 @@ class GmmStack:
         shape = self.models[0].means.shape
         if any(m.means.shape != shape for m in self.models):
             raise ValueError("stacked models must share component count and dim")
-        self.joint = DiagGmm(
+        self.joint = self.models[0] if len(self.models) == 1 else DiagGmm(
             np.concatenate([m.weights for m in self.models]) / len(self.models),
             np.vstack([m.means for m in self.models]),
             np.vstack([m.variances for m in self.models]),
