@@ -78,39 +78,48 @@ def _check_dim(g, data):
 
 
 def log_component_densities(g, data):
-    """(N x K) log densities of every frame under every component."""
+    """(N x K) log densities of every frame under every component.
+
+    The product is computed component-major, as (K x N), and returned as its
+    transpose view; .T of the result is the C-contiguous (K x N) block.
+    """
     _check_dim(g, data)
     inv_var = 1.0 / g.variances
     const = -0.5 * (g.dim * _LOG_2PI + np.sum(np.log(g.variances), axis=1))
-    quad = (data * data) @ inv_var.T
-    quad -= 2.0 * data @ (g.means * inv_var).T
-    quad += np.sum(g.means * g.means * inv_var, axis=1)
+    quad = inv_var @ (data * data).T
+    quad -= (g.means * inv_var) @ (2.0 * data).T
+    quad += np.sum(g.means * g.means * inv_var, axis=1)[:, None]
     quad *= 0.5
-    return np.subtract(const, quad, out=quad)
+    return np.subtract(const[:, None], quad, out=quad).T
 
 
 def _logsumexp_rows(x):
-    """scipy.special.logsumexp(x, axis=1), bit for bit, for a real (N x K) array.
+    """Log-sum-exp over the component axis, the second to last, of a real array.
 
-    As scipy does, the row maximum and its ties are taken out of the sum:
-    log1p(sum_rest exp(x - max) / ties) + log(ties) + max. Scipy recomputes a
-    non-finite result as log(sum exp(x)); for real input that only happens
-    when the maximum is +-inf or NaN, where both forms give the same value.
-    Scipy also keeps a zero sum out of the division by ties; for real input a
-    row has no ties only when its maximum is NaN, and then the sum is NaN too.
-    When every row has a single maximum, log(ties) is 0 and the division and
-    the per-row tie count are skipped; a NaN row has no maximum, so the tie
-    total alone could not tell it from a row with one.
+    Of a (K x N) block it is scipy.special.logsumexp(x, axis=0) bit for bit,
+    by construction: numpy sums an outer axis in sequence, one component row
+    after the other, as scipy's axis-0 sum does. Every pass is elementwise
+    over contiguous frame rows. An (S x K x N) block gives (S x N).
+
+    As scipy does, the component maximum and its ties are taken out of the
+    sum: log1p(sum_rest exp(x - max) / ties) + log(ties) + max. Scipy
+    recomputes a non-finite result as log(sum exp(x)); for real input that
+    only happens when the maximum is +-inf or NaN, where both forms give the
+    same value. Scipy also keeps a zero sum out of the division by ties; for
+    real input a frame has no ties only when its maximum is NaN, and then
+    the sum is NaN too. When every frame has a single maximum, log(ties) is 0
+    and the division and the per-frame tie count are skipped; a NaN frame has
+    no maximum, so the tie total alone could not tell it from one with one.
     """
-    top = x.max(axis=1)
-    ties = x == top[:, None]
+    top = x.max(axis=-2)
+    ties = x == top[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        rest = np.subtract(x, top[:, None])
+        rest = np.subtract(x, top[..., None, :])
         np.copyto(rest, -np.inf, where=ties)
-        rest = np.exp(rest, out=rest).sum(axis=1)
-        if np.count_nonzero(ties) == len(rest) and not np.isnan(top).any():
+        rest = np.exp(rest, out=rest).sum(axis=-2)
+        if np.count_nonzero(ties) == rest.size and not np.isnan(top).any():
             return np.log1p(rest) + top
-        count = np.count_nonzero(ties, axis=1).astype(np.float64)
+        count = np.count_nonzero(ties, axis=-2).astype(np.float64)
         return np.log1p(rest / count) + np.log(count) + top
 
 
@@ -145,23 +154,24 @@ class GmmStack:
 
 
 def _score_block(stack, block, posteriors=False):
-    """(rows x S) log-likelihoods of a frame block under a GmmStack's S models.
+    """(S x rows) log-likelihoods of a frame block under a GmmStack's S models.
 
     The one density pass behind every mixture score: one matmul over all S*K
-    components, then a log-sum-exp over each model's K columns plus its own
-    log weights. With posteriors, the (rows x S*K) posteriors come too, each
-    model's K columns summing to 1 per row.
+    components, laid out component-major as (S*K x rows), then each model's
+    own log weights and a log-sum-exp over its K component rows. With
+    posteriors, the (S*K x rows) posteriors come too, each model's K rows
+    summing to 1 per frame.
     """
     k = stack.models[0].num_components
-    joint = log_component_densities(stack.joint, block)
-    joint += stack.log_weights
-    by_model = joint.reshape(-1, k)
+    joint = log_component_densities(stack.joint, block).T
+    joint += stack.log_weights[:, None]
+    by_model = joint.reshape(len(stack.models), k, -1)
     frame_ll = _logsumexp_rows(by_model)
     if posteriors:
-        by_model -= frame_ll[:, None]
+        by_model -= frame_ll[:, None, :]
         np.exp(by_model, out=by_model)
         by_model /= by_model.sum(axis=1, keepdims=True)
-    return frame_ll.reshape(-1, len(stack.models)), joint if posteriors else None
+    return frame_ll, joint if posteriors else None
 
 
 def _score_models(models, feats, chunk=256):
@@ -176,10 +186,10 @@ def _score_models(models, feats, chunk=256):
     stack = models if isinstance(models, GmmStack) else GmmStack(models)
     data = feature_array(feats)
     _check_dim(stack.joint, data)
-    frame_ll = np.empty((data.shape[0], len(stack.models)))
+    frame_ll = np.empty((len(stack.models), data.shape[0]))
     for start in range(0, data.shape[0], chunk):
-        frame_ll[start:start + chunk] = _score_block(stack, data[start:start + chunk])[0]
-    return np.ascontiguousarray(frame_ll.T)
+        frame_ll[:, start:start + chunk] = _score_block(stack, data[start:start + chunk])[0]
+    return frame_ll
 
 
 def loglik(g, feats):
@@ -201,11 +211,11 @@ def accumulate_stats(g, feats, chunk=8192):
     stack = GmmStack([g])
     totals = [np.zeros(g.num_components), np.zeros(g.means.shape), np.zeros(g.means.shape)]
     comps = [np.zeros_like(total) for total in totals]
-    frame_ll = np.empty((data.shape[0], 1))
+    frame_ll = np.empty((1, data.shape[0]))
     for start in range(0, data.shape[0], chunk):
         block = data[start:start + chunk]
-        frame_ll[start:start + chunk], post = _score_block(stack, block, posteriors=True)
-        terms = (post.sum(axis=0), post.T @ block, post.T @ (block * block))
+        frame_ll[:, start:start + chunk], post = _score_block(stack, block, posteriors=True)
+        terms = (post.sum(axis=1), post @ block, post @ (block * block))
         for total, comp, term in zip(totals, comps, terms):
             y = term - comp
             t = total + y

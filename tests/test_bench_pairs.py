@@ -181,3 +181,43 @@ def test_tree_digests_count_the_byte_identical_pairs(monkeypatch, tmp_path):
     trees = [run["trees"] for run in doc["runs"]]
     assert [t["parent"] == t["change"] for t in trees] == [True, False, True]
     assert trees[0]["parent"] != trees[2]["parent"]
+
+
+STAGE_STDOUT = ("check ok  : baseline accuracy the same in every round\n"
+                "stage seconds: vad 0.010 features 0.500 ubm %.3f adapt 0.250\n"
+                "pass seconds: baseline 0.100; vowel 0.200\n%s\n")
+
+
+def test_stage_seconds_give_per_stage_rows(monkeypatch):
+    assert bench_pairs.parse_stage_seconds(STAGE_STDOUT % (2.5, "{}")) == {
+        "vad": 0.01, "features": 0.5, "ubm": 2.5, "adapt": 0.25}
+    assert bench_pairs.parse_stage_seconds(_stdout(_line(1.0, 1.0))) == {}
+
+    outputs = {}
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, cwd, **kwargs:
+                        subprocess.CompletedProcess(cmd, 0, stdout=outputs[cwd]))
+    runs = []
+    parent_ubm, change_ubm = [2.5, 2.7, 2.6, 2.4], [1.7, 1.8, 2.8, 1.6]
+    for seed, (p, c) in enumerate(zip(parent_ubm, change_ubm)):
+        outputs["parent"] = STAGE_STDOUT % (p, _line(10.0, 1.0))
+        outputs["change"] = STAGE_STDOUT % (c, _line(9.0, 1.0))
+        runs.append({"seed": seed, **{side: bench_pairs.run_once(side, "aff_score", seed)
+                                      for side in bench_pairs.SIDES}})
+    assert runs[0]["parent"]["stages"]["ubm"] == 2.5
+    # a run without the line records no stages and is not a failed run
+    outputs["change"] = _stdout(_line(9.0, 1.0))
+    runs.append({"seed": 9, "parent": bench_pairs.run_once("parent", "aff_score", 9),
+                 "change": bench_pairs.run_once("change", "aff_score", 9)})
+    assert "stages" not in runs[-1]["change"]
+
+    summary = bench_pairs.summarize(runs, RULES)
+    assert (summary["pairs"], summary["failed_runs"]) == (5, 0)
+    assert list(summary["stages"]) == ["vad", "features", "ubm", "adapt"]
+    ubm = summary["stages"]["ubm"]
+    assert ubm["pairs"] == 4 and ubm["unit"] == "s" and ubm["better"] == "lower"
+    assert ubm["parent"]["median"] == pytest.approx(2.55)
+    assert ubm["change"]["median"] == pytest.approx(1.75)
+    assert ubm["change_wins"] == 3 and not ubm["gain_holds"]
+    assert "within_bound" not in ubm
+    assert summary["stages"]["vad"]["change_wins"] == 0
+    assert bench_pairs.summarize(runs[-1:], RULES)["stages"] == {}

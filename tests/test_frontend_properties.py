@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import Phase, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from accent_forge.errors import FormatError  # noqa: E402
@@ -55,7 +55,13 @@ def _same_features(a, b):
             and (a.tags is None or a.tags.tobytes() == b.tags.tobytes()))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+# The same examples as any other property, but a failure is reported unshrunk:
+# each example re-reads every truncation of its file, so shrinking takes minutes.
+FORMAT_PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
+                           phases=[phase for phase in Phase if phase is not Phase.shrink])
+
+
+@FORMAT_PROPERTY
 @given(feature_matrices(), st.binary(min_size=1, max_size=16), NON_FINITE)
 def test_aff1_roundtrip_and_every_malformed_length_rejected(feats, trailing, non_finite):
     """Only a whole body, then no tag block or one tag byte per frame, reads back;
@@ -103,7 +109,7 @@ def transform_chains(draw):
     return chain
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@FORMAT_PROPERTY
 @given(transform_chains(), st.binary(min_size=1, max_size=16), NON_FINITE)
 def test_aft1_roundtrip_and_every_malformed_length_rejected(chain, trailing, non_finite):
     """A file cut at a record boundary is the shorter chain; any other cut is rejected,

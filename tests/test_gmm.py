@@ -43,34 +43,34 @@ def component_density(g, i, x):
 
 
 def _joint(g, data):
-    """(N x K) log of weight times density."""
+    """(K x N) log of weight times density, component-major as the kernel lays it out."""
     with np.errstate(divide="ignore"):
-        return log_component_densities(g, data) + np.log(g.weights)
+        return log_component_densities(g, data).T + np.log(g.weights)[:, None]
 
 
 def responsibilities(g, data):
-    """(N x K) posteriors through scipy's logsumexp, as the kernel once computed them."""
+    """(K x N) posteriors through scipy's logsumexp over the component axis."""
     joint = _joint(g, data)
-    joint -= logsumexp(joint, axis=1, keepdims=True)
+    joint -= logsumexp(joint, axis=0, keepdims=True)
     post = np.exp(joint)
-    post /= post.sum(axis=1, keepdims=True)
+    post /= post.sum(axis=0, keepdims=True)
     return post
 
 
 def score_one(g, frames, posteriors=False):
-    """The block kernel on a one-model stack: (N,) log-likelihoods and the posteriors."""
+    """The block kernel on a one-model stack: (N,) log-likelihoods and the (K x N) posteriors."""
     frame_ll, post = gmm._score_block(gmm.GmmStack([g]), frames, posteriors)
-    return frame_ll[:, 0], post
+    return frame_ll[0], post
 
 
 def posterior_alignment(g, x):
     """Pr(i | x) for a single frame through the kernel; entries sum to 1."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return score_one(g, x, posteriors=True)[1][0]
+    return score_one(g, x, posteriors=True)[1][:, 0]
 
 
 def unchunked_frame_logpdf(g, data):
-    """Frame log-likelihoods from one (N x K) block of all frames, out of place.
+    """Frame log-likelihoods from one (K x N) block of all frames, out of place.
 
     The kernel's arithmetic in the same order, as it was before scoring was
     chunked and its temporaries built in place.
@@ -78,16 +78,16 @@ def unchunked_frame_logpdf(g, data):
     inv_var = 1.0 / g.variances
     const = -0.5 * (g.dim * math.log(2.0 * math.pi) + np.sum(np.log(g.variances), axis=1))
     quad = (
-        (data * data) @ inv_var.T
-        - 2.0 * data @ (g.means * inv_var).T
-        + np.sum(g.means * g.means * inv_var, axis=1)
+        inv_var @ (data * data).T
+        - (g.means * inv_var) @ (2.0 * data).T
+        + np.sum(g.means * g.means * inv_var, axis=1)[:, None]
     )
     with np.errstate(divide="ignore"):
-        return gmm._logsumexp_rows(const - 0.5 * quad + np.log(g.weights))
+        return gmm._logsumexp_rows(const[:, None] - 0.5 * quad + np.log(g.weights)[:, None])
 
 
 def scipy_loglik(g, data):
-    return float(np.sum(logsumexp(_joint(g, data), axis=1)))
+    return float(np.sum(logsumexp(_joint(g, data), axis=0)))
 
 
 def scipy_stats(g, data, chunk=8192):
@@ -97,7 +97,7 @@ def scipy_stats(g, data, chunk=8192):
     for start in range(0, data.shape[0], chunk):
         block = data[start:start + chunk]
         post = responsibilities(g, block)
-        terms = (post.sum(axis=0), post.T @ block, post.T @ (block * block))
+        terms = (post.sum(axis=1), post @ block, post @ (block * block))
         for total, comp, term in zip(totals, comps, terms):
             y = term - comp
             t = total + y
@@ -271,33 +271,54 @@ class TestPosterior:
             assert posterior_alignment(g, x).sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def _fuzz_rows(rng):
-    """A random (N x K) array with the cases scipy's logsumexp treats specially."""
+def _fuzz_components(rng):
+    """A random component-major (K x N) array with the cases scipy's logsumexp treats
+    specially: ties at a frame's maximum, -inf components and frames, +inf and NaN."""
     n = int(rng.integers(1, 40))
-    k = int(rng.choice([1, 2, 3, 4, 8, 9, 16, 64]))
-    x = rng.normal(0.0, rng.choice([1e-3, 1.0, 30.0, 1e3]), (n, k)) - rng.uniform(0.0, 500.0)
+    k = int(rng.choice([1, 2, 3, 4, 7, 8, 9, 16, 64, 256]))
+    x = rng.normal(0.0, rng.choice([1e-3, 1.0, 30.0, 1e3]), (k, n)) - rng.uniform(0.0, 500.0)
     if rng.random() < 0.3:
-        x = np.round(x * 2.0) / 2.0  # ties at the row maximum
+        x = np.round(x * 2.0) / 2.0  # ties at the frame maximum
     if rng.random() < 0.3:
-        x[:, rng.integers(0, k)] = -np.inf
+        x[rng.integers(0, k)] = -np.inf
     if rng.random() < 0.2:
-        x[rng.integers(0, n)] = -np.inf
+        x[:, rng.integers(0, n)] = -np.inf
     if rng.random() < 0.1:
-        x[rng.integers(0, n), rng.integers(0, k)] = np.inf
+        x[rng.integers(0, k), rng.integers(0, n)] = np.inf
     if rng.random() < 0.1:
-        x[rng.integers(0, n), rng.integers(0, k)] = np.nan
+        x[rng.integers(0, k), rng.integers(0, n)] = -np.inf
+    if rng.random() < 0.1:
+        x[rng.integers(0, k), rng.integers(0, n)] = np.nan
     return x
 
 
 @needs_scipy_log1p_form
 class TestLogsumexpRows:
+    """_logsumexp_rows reduces over the component axis, the second to last."""
+
     def test_bit_parity_with_scipy_on_fuzz(self):
         rng = np.random.default_rng(19)
         for _ in range(600):
-            x = _fuzz_rows(rng)
+            x = _fuzz_components(rng)
             ours = gmm._logsumexp_rows(x)
-            assert _same_bits(ours, logsumexp(x, axis=1))
-            assert _same_bits(ours[:, None], logsumexp(x, axis=1, keepdims=True))
+            assert _same_bits(ours, logsumexp(x, axis=0))
+            assert _same_bits(ours[None, :], logsumexp(x, axis=0, keepdims=True))
+            # an (S x K x N) stack reduces each model's K components on its own
+            stack = np.stack([x, x[::-1], np.roll(x, 1, axis=1)])
+            assert _same_bits(gmm._logsumexp_rows(stack), logsumexp(stack, axis=1))
+
+    @pytest.mark.parametrize("k", [1, 4, 7, 8, 9, 64, 256])
+    def test_bit_parity_with_scipy_at_each_component_count(self, k):
+        """Every component count, with tied, +-inf and NaN component rows."""
+        rng = np.random.default_rng(k)
+        x = rng.normal(-50.0, 20.0, (k, 300))
+        x[:, :50] = np.round(x[:, :50] / 8.0) * 8.0  # ties at the frame maximum
+        x[rng.integers(0, k), 50:100] = np.inf
+        x[:, 100:110] = -np.inf
+        x[rng.integers(0, k), 110:150] = -np.inf
+        x[rng.integers(0, k), 150:160] = np.nan
+        x[:, 160:170] = x[:1, 160:170]  # every component tied
+        assert _same_bits(gmm._logsumexp_rows(x), logsumexp(x, axis=0))
 
     @pytest.mark.parametrize("row, want", [
         ([-np.inf, -np.inf, -np.inf], -np.inf),
@@ -308,15 +329,15 @@ class TestLogsumexpRows:
         ([np.nan, 0.0, np.inf], np.nan),
     ])
     def test_special_rows(self, row, want):
-        x = np.array([row])
-        assert _same_bits(gmm._logsumexp_rows(x), logsumexp(x, axis=1))
+        x = np.array([row]).T  # one frame's components
+        assert _same_bits(gmm._logsumexp_rows(x), logsumexp(x, axis=0))
         assert gmm._logsumexp_rows(x)[0] == pytest.approx(want, nan_ok=True)
 
     def test_nan_row_beside_tied_row(self):
-        # a NaN row has no maximum and no ties; the tied row beside it still counts two
-        x = np.array([[np.nan, 0.0], [1.0, 1.0]])
+        # a NaN frame has no maximum and no ties; the tied frame beside it still counts two
+        x = np.array([[np.nan, 0.0], [1.0, 1.0]]).T
         out = gmm._logsumexp_rows(x)
-        assert _same_bits(out, logsumexp(x, axis=1))
+        assert _same_bits(out, logsumexp(x, axis=0))
         assert out[1] == pytest.approx(1.0 + math.log(2.0))
 
     def test_kernel_posteriors_match_scipy_reference(self):
@@ -326,7 +347,7 @@ class TestLogsumexpRows:
             frames = rng.normal(0.0, 5.0, (500, 3))
             frame_ll, post = score_one(g, frames, posteriors=True)
             assert _same_bits(post, responsibilities(g, frames))
-            assert _same_bits(frame_ll, logsumexp(_joint(g, frames), axis=1))
+            assert _same_bits(frame_ll, logsumexp(_joint(g, frames), axis=0))
             assert _same_bits(frame_logpdf(g, frames), frame_ll)
             assert score_one(g, frames)[1] is None
 

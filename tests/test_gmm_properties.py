@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import Phase, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from accent_forge import gmm  # noqa: E402
+from accent_forge.adapt import AdaptConfig, map_adapt  # noqa: E402
 from accent_forge.classify import (  # noqa: E402
     AccentModelSet,
     _shared_sample_hellinger,
@@ -69,18 +70,72 @@ def test_posteriors_sum_to_one(case):
     g, frames = case
     _, post = gmm._score_block(gmm.GmmStack([g]), frames, posteriors=True)
     assert np.all(post >= 0.0)
-    np.testing.assert_allclose(post.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(post.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
 
 @PROPERTY
 @given(mixtures())
 def test_frame_logsumexp_between_max_and_max_plus_log_k(case):
     g, frames = case
-    joint = log_component_densities(g, frames) + np.log(g.weights)
+    joint = log_component_densities(g, frames).T + np.log(g.weights)[:, None]
     frame_ll = gmm._logsumexp_rows(joint)
-    top = joint.max(axis=1)
+    top = joint.max(axis=0)
     assert np.all(frame_ll >= top)
     assert np.all(frame_ll <= top + math.log(g.num_components) + 1e-12 * (1.0 + np.abs(top)))
+
+
+def _adapt_quietly(ubm, frames, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # floored adapted variances
+        return map_adapt(ubm, frames, cfg)
+
+
+def _posterior_data_means(ubm, frames):
+    """Occupancy n and posterior-weighted data mean per component, from the kernel's
+    component-major posteriors of one block."""
+    _, post = gmm._score_block(gmm.GmmStack([ubm]), frames, posteriors=True)
+    n = post.sum(axis=1)
+    occupied = n > 0
+    return n, (post @ frames) / np.where(occupied, n, 1.0)[:, None], occupied
+
+
+@PROPERTY
+@given(mixtures())
+def test_map_zero_mean_relevance_moves_means_to_the_data_mean(case):
+    ubm, frames = case
+    _, data_mean, occupied = _posterior_data_means(ubm, frames)
+    adapted = _adapt_quietly(ubm, frames, AdaptConfig(relevance_mean=0.0))
+    np.testing.assert_array_equal(adapted.means[occupied], data_mean[occupied])
+    np.testing.assert_array_equal(adapted.means[~occupied], ubm.means[~occupied])
+
+
+@PROPERTY
+@given(mixtures(), st.sampled_from([1e30, math.inf]))
+def test_map_very_large_relevance_reproduces_the_ubm(case, relevance):
+    """alpha = n / (n + r) is below 1e-27, so each parameter is the UBM's to within
+    rounding; var + mean^2 - mean^2 loses up to an ulp of mean^2 (<= 400 here)."""
+    ubm, frames = case
+    adapted = _adapt_quietly(ubm, frames, AdaptConfig(relevance, relevance, relevance))
+    np.testing.assert_allclose(adapted.weights, ubm.weights, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(adapted.means, ubm.means, rtol=1e-12, atol=1e-20)
+    np.testing.assert_allclose(adapted.variances, ubm.variances, rtol=1e-10, atol=0)
+
+
+@PROPERTY
+@given(mixtures(), st.floats(0.01, 1000.0))
+def test_map_mean_on_the_segment_from_ubm_to_data_mean(case, relevance):
+    """mean = ubm_mean + alpha (data_mean - ubm_mean), alpha = n / (n + r), to a few
+    ulps of the endpoints, and so between them."""
+    ubm, frames = case
+    n, data_mean, occupied = _posterior_data_means(ubm, frames)
+    adapted = _adapt_quietly(ubm, frames, AdaptConfig(relevance_mean=relevance))
+    alpha = (n / (n + relevance))[:, None]
+    want = ubm.means + alpha * (data_mean - ubm.means)
+    scale = np.abs(ubm.means) + np.abs(data_mean)
+    assert np.all(np.abs(adapted.means - want) <= 1e-14 * scale)
+    lo, hi = np.minimum(ubm.means, data_mean), np.maximum(ubm.means, data_mean)
+    assert np.all((adapted.means >= lo - 1e-14 * scale) & (adapted.means <= hi + 1e-14 * scale))
+    np.testing.assert_array_equal(adapted.means[~occupied], ubm.means[~occupied])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -107,7 +162,13 @@ def labelled_mixtures(draw):
                    rng.uniform(0.3, 3.0, (k, d)), label=draw(st.text(max_size=6)))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+# The same examples as any other property, but a failure is reported unshrunk:
+# each example re-reads every truncation of its file, so shrinking takes minutes.
+FORMAT_PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
+                           phases=[phase for phase in Phase if phase is not Phase.shrink])
+
+
+@FORMAT_PROPERTY
 @given(labelled_mixtures(), st.binary(min_size=1, max_size=16),
        st.tuples(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 2**16)))
 def test_agm1_roundtrip_and_every_malformed_length_rejected(g, trailing, non_finite):

@@ -18,6 +18,10 @@ After each run it records the sha256 digest of the checkout's
 .perfbench-work/<workload>/ tree, and the summary counts the pairs whose two
 trees are byte-identical. A run that exits non-zero or whose last line is not
 a JSON object is recorded as failed (None), with a message on standard error.
+Each run's "stage seconds: vad 0.123 features ..." line is kept under the
+result's "stages", and the summary gives each training stage its medians,
+quartiles and wins, which shows the stage a change moved. A run without
+that line records no stages; it is not a failed run.
 
 Standard library only; it imports nothing from perfbench/.
 """
@@ -58,6 +62,15 @@ def parse_result(stdout):
     return result
 
 
+def parse_stage_seconds(stdout):
+    """{stage: seconds} from a run's "stage seconds:" line; {} if it printed none."""
+    for line in stdout.splitlines():
+        if line.startswith("stage seconds:"):
+            fields = line[len("stage seconds:"):].split()
+            return {name: float(value) for name, value in zip(fields[::2], fields[1::2])}
+    return {}
+
+
 def _quartiles(values):
     if len(values) < 2:
         return values[0], values[0]
@@ -71,7 +84,9 @@ def summarize(runs, rules):
     runs: [{"seed": n, "parent": result, "change": result, "trees": digests}],
     each result the parsed last line of a run or None for a failed run, and
     the optional digests each side's tree_digest of its workspace;
-    identical_trees counts the runs whose two digests are equal. rules:
+    identical_trees counts the runs whose two digests are equal. "stages"
+    holds the same medians, quartiles and wins (lower is better, no bound)
+    for each training stage, over the pairs whose two runs both timed it. rules:
     metric name -> its BENCHMARK.json entry, with "better" ("lower" or
     "higher") and "bound"; metrics not named there get no win count and no
     verdict.
@@ -90,30 +105,15 @@ def summarize(runs, rules):
     for name in names:
         values = {side: [r[side]["metrics"][name]["value"] for r in complete]
                   for side in SIDES}
-        row = {"unit": complete[0]["change"]["metrics"][name]["unit"], "pairs": len(complete)}
-        for side in SIDES:
-            q1, q3 = _quartiles(values[side])
-            row[side] = {"median": statistics.median(values[side]), "q1": q1, "q3": q3}
-        row["parent_iqr"] = row["parent"]["q3"] - row["parent"]["q1"]
-        parent_median = row["parent"]["median"]
-        if parent_median:
-            row["median_change_pct"] = (
-                100.0 * (row["change"]["median"] - parent_median) / abs(parent_median))
-        if name in rules:
-            better, bound = rules[name]["better"], rules[name]["bound"]
-            sign = 1.0 if better == "lower" else -1.0
-            wins = sum(sign * (p - c) > 0 for p, c in zip(values["parent"], values["change"]))
-            gain = sign * (parent_median - row["change"]["median"])
-            row.update({
-                "better": better,
-                "change_wins": wins,
-                "median_gain": gain,
-                "gain_exceeds_parent_iqr": gain > row["parent_iqr"],
-                "gain_holds": 10 * wins >= 9 * len(complete) and gain > row["parent_iqr"],
-                "bound": bound,
-                "within_bound": -gain <= bound * abs(parent_median),
-            })
-        summary[name] = row
+        unit = complete[0]["change"]["metrics"][name]["unit"]
+        summary[name] = _row(values, unit, rules.get(name))
+    stages = {}
+    for name in dict.fromkeys(n for r in complete for side in SIDES
+                              for n in r[side].get("stages", {})):
+        timed = [r for r in complete if all(name in r[side].get("stages", {}) for side in SIDES)]
+        if timed:
+            values = {side: [r[side]["stages"][name] for r in timed] for side in SIDES}
+            stages[name] = _row(values, "s", {"better": "lower"})
     return {
         "pairs": len(complete),
         "identical_trees": sum(None not in r["trees"].values()
@@ -123,7 +123,38 @@ def summarize(runs, rules):
         "all_correct": all(r[side]["correct"] and not r[side]["failed"]
                            for r in complete for side in SIDES),
         "metrics": summary,
+        "stages": stages,
     }
+
+
+def _row(values, unit, rule):
+    """One metric's medians and quartiles; with a rule, its wins and verdict, and with
+    the rule's bound, whether the change stays within it."""
+    row = {"unit": unit, "pairs": len(values["parent"])}
+    for side in SIDES:
+        q1, q3 = _quartiles(values[side])
+        row[side] = {"median": statistics.median(values[side]), "q1": q1, "q3": q3}
+    row["parent_iqr"] = row["parent"]["q3"] - row["parent"]["q1"]
+    parent_median = row["parent"]["median"]
+    if parent_median:
+        row["median_change_pct"] = (
+            100.0 * (row["change"]["median"] - parent_median) / abs(parent_median))
+    if rule is not None:
+        better, bound = rule["better"], rule.get("bound")
+        sign = 1.0 if better == "lower" else -1.0
+        wins = sum(sign * (p - c) > 0 for p, c in zip(values["parent"], values["change"]))
+        gain = sign * (parent_median - row["change"]["median"])
+        row.update({
+            "better": better,
+            "change_wins": wins,
+            "median_gain": gain,
+            "gain_exceeds_parent_iqr": gain > row["parent_iqr"],
+            "gain_holds": 10 * wins >= 9 * row["pairs"] and gain > row["parent_iqr"],
+        })
+        if bound is not None:
+            row.update({"bound": bound,
+                        "within_bound": -gain <= bound * abs(parent_median)})
+    return row
 
 
 def _git_commit(checkout):
@@ -170,11 +201,15 @@ def run_once(checkout, workload, seed):
               % (workload, seed, checkout, proc.returncode), file=sys.stderr)
         return None
     try:
-        return parse_result(proc.stdout)
+        result = parse_result(proc.stdout)
     except ValueError as err:
         print("bench_pairs: %s seed %d in %s printed no result (%s)"
               % (workload, seed, checkout, err), file=sys.stderr)
         return None
+    stages = parse_stage_seconds(proc.stdout)
+    if stages:
+        result["stages"] = stages
+    return result
 
 
 def tree_digest(root):
