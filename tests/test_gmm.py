@@ -306,19 +306,16 @@ class TestLogsumexpRows:
             # an (S x K x N) stack reduces each model's K components on its own
             stack = np.stack([x, x[::-1], np.roll(x, 1, axis=1)])
             assert _same_bits(gmm._logsumexp_rows(stack), logsumexp(stack, axis=1))
-
-    @pytest.mark.parametrize("k", [1, 4, 7, 8, 9, 64, 256])
-    def test_bit_parity_with_scipy_at_each_component_count(self, k):
-        """Every component count, with tied, +-inf and NaN component rows."""
-        rng = np.random.default_rng(k)
-        x = rng.normal(-50.0, 20.0, (k, 300))
-        x[:, :50] = np.round(x[:, :50] / 8.0) * 8.0  # ties at the frame maximum
-        x[rng.integers(0, k), 50:100] = np.inf
-        x[:, 100:110] = -np.inf
-        x[rng.integers(0, k), 110:150] = -np.inf
-        x[rng.integers(0, k), 150:160] = np.nan
-        x[:, 160:170] = x[:1, 160:170]  # every component tied
-        assert _same_bits(gmm._logsumexp_rows(x), logsumexp(x, axis=0))
+        # each component count, with tied, +-inf and NaN component values
+        for k in (1, 4, 7, 8, 9, 64, 256):
+            x = rng.normal(-50.0, 20.0, (k, 300))
+            x[:, :50] = np.round(x[:, :50] / 8.0) * 8.0  # ties at the frame maximum
+            x[rng.integers(0, k), 50:100] = np.inf
+            x[:, 100:110] = -np.inf
+            x[rng.integers(0, k), 110:150] = -np.inf
+            x[rng.integers(0, k), 150:160] = np.nan
+            x[:, 160:170] = x[:1, 160:170]  # every component tied
+            assert _same_bits(gmm._logsumexp_rows(x), logsumexp(x, axis=0)), k
 
     @pytest.mark.parametrize("row, want", [
         ([-np.inf, -np.inf, -np.inf], -np.inf),
