@@ -258,6 +258,17 @@ def mvn(feat, floor=1e-10):
     return FeatureMatrix(out), stats
 
 
+# window centres per block of feature_warp's comparisons, which bounds the
+# (dims x block x window) boolean temporary whatever the utterance length
+_WARP_BLOCK = 256
+
+
+def _count_below(windows, centres):
+    """How many entries of each window (..., B, L) lie below its centre (..., B)."""
+    less = windows < centres[..., None]
+    return less.view(np.uint8).sum(axis=-1, dtype=np.intp)
+
+
 def feature_warp(feat, window=301):
     """Short-term Gaussianization (feature warping).
 
@@ -286,18 +297,17 @@ def feature_warp(feat, window=301):
     np.put_along_axis(pos, order, place[:, None], axis=0)
     pos = np.ascontiguousarray(pos.T)
     half = length // 2
-    inner = slice(half, num_frames - half)
+    num_inner = num_frames - 2 * half
     below = np.empty((dim, num_frames), dtype=np.intp)
-    for d in range(dim):
-        col = pos[d]
-        # centred windows, then the edge frames that share the first and
-        # the last window
-        windows = np.lib.stride_tricks.sliding_window_view(col, length)
-        below[d, inner] = np.count_nonzero(windows < col[inner, None], axis=1)
-        below[d, :half] = np.count_nonzero(col[:length] < col[:half, None], axis=1)
-        below[d, inner.stop:] = np.count_nonzero(
-            col[-length:] < col[inner.stop:, None], axis=1
-        )
+    # the edge frames share the first and the last window
+    below[:, :half] = _count_below(pos[:, None, :length], pos[:, :half])
+    below[:, half + num_inner:] = _count_below(pos[:, None, -length:], pos[:, half + num_inner:])
+    # every column at once, over blocks of centred windows
+    windows = np.lib.stride_tricks.sliding_window_view(pos, length, axis=1)
+    for start in range(0, num_inner, _WARP_BLOCK):
+        stop = min(start + _WARP_BLOCK, num_inner)
+        below[:, half + start:half + stop] = _count_below(
+            windows[:, start:stop], pos[:, half + start:half + stop])
     out = ndtri((below + 0.5) / length).T  # rank r = below + 1
     if isinstance(feat, FeatureMatrix):
         return FeatureMatrix(out, feat.frame_hop_sec, feat.tags)

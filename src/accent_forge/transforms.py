@@ -173,34 +173,103 @@ def fit_lda(sp, out_dim):
     )
 
 
-def _hlda_objective(mat, retained, total_cov, class_covs, counts):
-    total = counts.sum()
+@dataclass
+class _HldaStats:
+    """The second-order statistics an HLDA fit reads, fixed for the whole fit."""
+
+    counts: np.ndarray  # (S,) frames per class
+    class_covs: np.ndarray  # (S, d, d) class covariances
+    total_cov: np.ndarray  # (d, d) total covariance
+    total_inv: np.ndarray | None  # its inverse, or None if it is singular
+
+    @property
+    def total(self):
+        return self.counts.sum()
+
+
+def _hlda_objective(mat, retained, stats):
+    """K log|det A| - 1/2 sum_s K_s sum_{j<p} log var_sj - K/2 sum_{j>=p} log var_j."""
     sign, logdet = np.linalg.slogdet(mat)
     if sign <= 0 and logdet == -np.inf:
         return -np.inf
-    obj = total * logdet
-    proj_retained = mat[:retained]
-    for cov, count in zip(class_covs, counts):
-        var = np.einsum("ij,jk,ik->i", proj_retained, cov, proj_retained)
-        obj -= 0.5 * count * np.sum(np.log(np.maximum(var, _VAR_FLOOR)))
+    kept = mat[:retained]
+    var = np.sum(kept @ stats.class_covs * kept, axis=-1)  # (S, retained)
+    obj = stats.total * logdet - 0.5 * np.sum(
+        stats.counts @ np.log(np.maximum(var, _VAR_FLOOR)))
     if retained < mat.shape[0]:
-        proj_rest = mat[retained:]
-        var = np.einsum("ij,jk,ik->i", proj_rest, total_cov, proj_rest)
-        obj -= 0.5 * total * np.sum(np.log(np.maximum(var, _VAR_FLOOR)))
+        rest = mat[retained:]
+        var = np.sum(rest @ stats.total_cov * rest, axis=1)
+        obj -= 0.5 * stats.total * np.sum(np.log(np.maximum(var, _VAR_FLOOR)))
     return float(obj)
 
 
-def _row_objective(row, cof, retained_row, total, total_cov, class_covs, counts):
-    inner = float(row @ cof)
+def _row_objective(inner, var, weights, total):
+    """The objective's terms in one row: K log|row . cof| - 1/2 sum weights log var,
+    from the row's inner product with its cofactor column and its floored variances."""
     if inner == 0.0:
         return -np.inf
-    obj = total * np.log(abs(inner))
-    if retained_row:
-        for cov, count in zip(class_covs, counts):
-            obj -= 0.5 * count * np.log(max(float(row @ cov @ row), _VAR_FLOOR))
-    else:
-        obj -= 0.5 * total * np.log(max(float(row @ total_cov @ row), _VAR_FLOOR))
-    return obj
+    return total * np.log(abs(inner)) - 0.5 * np.sum(weights * np.log(var))
+
+
+def _retained_row(row, cof, stats):
+    """The best of row and three fixed-point steps g^-1 cof, where
+    g = sum_s (K_s / var_s) Sigma_s at the previous step; None if row stays best."""
+    counts, covs = stats.counts, stats.class_covs
+    dim = len(row)
+    flat_covs = covs.reshape(len(counts), dim * dim)
+    var = np.maximum(covs @ row @ row, _VAR_FLOOR)
+    best, best_q = None, _row_objective(row @ cof, var, counts, stats.total)
+    for _ in range(3):
+        g = ((counts / var) @ flat_covs).reshape(dim, dim)
+        try:
+            solved = np.linalg.solve(g, cof)
+        except np.linalg.LinAlgError:
+            break
+        denom = cof @ solved
+        if denom <= 0:
+            break
+        candidate = solved * np.sqrt(stats.total / denom)
+        var = np.maximum(covs @ candidate @ candidate, _VAR_FLOOR)
+        q = _row_objective(candidate @ cof, var, counts, stats.total)
+        if q > best_q:
+            best, best_q = candidate, q
+    return best
+
+
+def _rejected_row(row, cof, stats):
+    """The better of row and the step g^-1 cof with g = (K / var) Sigma_total,
+    which is Sigma_total^-1 cof scaled to keep row's variance; None if row stays best."""
+    if stats.total_inv is None:
+        return None
+    total, total_cov = stats.total, stats.total_cov
+    var = max(row @ total_cov @ row, _VAR_FLOOR)
+    direction = stats.total_inv @ cof
+    denom = cof @ direction
+    if denom <= 0:
+        return None
+    candidate = direction * np.sqrt(var / denom)
+    q = _row_objective(candidate @ cof,
+                       max(candidate @ total_cov @ candidate, _VAR_FLOOR), total, total)
+    return candidate if q > _row_objective(row @ cof, var, total, total) else None
+
+
+def _hlda_sweep(mat, retained, stats):
+    """One cyclic pass of row updates over the square transform mat, in place.
+
+    Row j's cofactor direction is column j of mat^-1. The inverse is taken
+    once per sweep; replacing row j by new is the rank-one change
+    mat + e_j (new - row)^T, so a Sherman-Morrison update keeps it current
+    at O(d^2) per row.
+    """
+    inv = np.linalg.inv(mat)
+    for j in range(mat.shape[0]):
+        cof = inv[:, j].copy()
+        row = mat[j]
+        best = _retained_row(row, cof, stats) if j < retained else _rejected_row(row, cof, stats)
+        if best is not None:
+            delta = best - row
+            inv -= np.outer(cof, (delta @ inv) / (1.0 + delta @ cof))
+            mat[j] = best
 
 
 def fit_hlda(feats, labels, retained_dim, context=1, max_iters=100, tol=1e-6):
@@ -232,11 +301,15 @@ def fit_hlda(feats, labels, retained_dim, context=1, max_iters=100, tol=1e-6):
     if np.any(counts <= dim):
         raise ValueError("every class needs more frames than the spliced dim %d" % dim)
     total = data.shape[0]
-    class_covs = [scatter / count for scatter, count in zip(scatters, counts)]
     centered = data - mean
     total_cov = centered.T @ centered / total
     total_cov = 0.5 * (total_cov + total_cov.T)
     del centered
+    try:
+        total_inv = np.linalg.inv(total_cov)
+    except np.linalg.LinAlgError:  # exactly singular: the rejected rows stay put
+        total_inv = None
+    stats = _HldaStats(counts, np.stack(scatters) / counts[:, None, None], total_cov, total_inv)
 
     # init: whiten the global covariance, then rotate so leading rows align
     # with the between-class spectrum of the whitened data
@@ -247,43 +320,11 @@ def fit_hlda(feats, labels, retained_dim, context=1, max_iters=100, tol=1e-6):
     bvals, bvecs = scipy.linalg.eigh(0.5 * (between_white + between_white.T))
     mat = _canonical_signs(bvecs[:, ::-1].T.copy()) @ white
 
-    objective = [_hlda_objective(mat, retained_dim, total_cov, class_covs, counts)]
+    objective = [_hlda_objective(mat, retained_dim, stats)]
     converged = False
     for _ in range(max_iters):
-        for j in range(dim):
-            inv = np.linalg.inv(mat)
-            cof = inv[:, j]
-            row = mat[j]
-            retained_row = j < retained_dim
-            best_row = row
-            best_q = _row_objective(row, cof, retained_row, total,
-                                    total_cov, class_covs, counts)
-            current = row
-            for _inner in range(3 if retained_row else 1):
-                if retained_row:
-                    g = np.zeros((dim, dim))
-                    for cov, count in zip(class_covs, counts):
-                        var = max(float(current @ cov @ current), _VAR_FLOOR)
-                        g += (count / var) * cov
-                else:
-                    var = max(float(current @ total_cov @ current), _VAR_FLOOR)
-                    g = (total / var) * total_cov
-                try:
-                    solved = np.linalg.solve(g, cof)
-                except np.linalg.LinAlgError:
-                    break
-                denom = float(cof @ solved)
-                if denom <= 0:
-                    break
-                candidate = solved * np.sqrt(total / denom)
-                q = _row_objective(candidate, cof, retained_row, total,
-                                   total_cov, class_covs, counts)
-                if q > best_q:
-                    best_q = q
-                    best_row = candidate
-                current = candidate
-            mat[j] = best_row
-        objective.append(_hlda_objective(mat, retained_dim, total_cov, class_covs, counts))
+        _hlda_sweep(mat, retained_dim, stats)
+        objective.append(_hlda_objective(mat, retained_dim, stats))
         gain = objective[-1] - objective[-2]
         if gain <= tol * max(1.0, abs(objective[-2])):
             converged = True

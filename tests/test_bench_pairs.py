@@ -126,7 +126,7 @@ def test_bench_file_records_each_checkouts_src_lines(monkeypatch, tmp_path):
         for name, text in files.items():
             (package / name).write_text(text)
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
-    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed:
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, trace=False:
                         json.loads(_line(1.0, 1.0)))
     monkeypatch.setattr(bench_pairs, "environment", lambda: {})
     out = tmp_path / "BENCH.json"
@@ -162,7 +162,7 @@ def test_tree_digests_count_the_byte_identical_pairs(monkeypatch, tmp_path):
         (tmp_path / side / "src" / "accent_forge").mkdir(parents=True)
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
 
-    def fake_run(checkout, workload, seed):
+    def fake_run(checkout, workload, seed, trace=False):
         tree = {"out.bin": bytes([seed])}
         if seed == 2 and checkout.endswith("change"):
             tree["extra"] = b"x"
@@ -221,3 +221,84 @@ def test_stage_seconds_give_per_stage_rows(monkeypatch):
     assert "within_bound" not in ubm
     assert summary["stages"]["vad"]["change_wins"] == 0
     assert bench_pairs.summarize(runs[-1:], RULES)["stages"] == {}
+
+
+def test_subtree_digests_count_the_byte_identical_pairs_per_subtree(monkeypatch, tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "accent_forge").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+
+    def fake_run(checkout, workload, seed, trace=False):
+        change = checkout.endswith("change")
+        tree = {"features/feat/u1.aff": b"feat", "features/reduced/u1.aff": b"red",
+                "models/ubm.agm": b"ubm", "reports/eval.json": b"{}",
+                "manifest.tsv": bytes([seed])}
+        if change:  # an announced change: the reduced features and the models move
+            tree["features/reduced/u1.aff"] = b"red2"
+            tree["models/ubm.agm"] = b"ubm2"
+            if seed == 2:
+                tree["features/feat/u2.aff"] = b"new"
+                del tree["reports/eval.json"]
+        root = Path(checkout, ".perfbench-work", workload)
+        shutil.rmtree(root, ignore_errors=True)
+        for rel, data in tree.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_bytes(data)
+        return json.loads(_line(1.0, 1.0))
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "environment", lambda: {})
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                      "--workload", "wav_paper", "--seeds", "1..3", "--out", str(out)])
+    doc = json.loads(out.read_text())["workloads"]["wav_paper"]
+    assert doc["summary"]["identical_trees"] == 0
+    assert doc["summary"]["identical_subtrees"] == {
+        "features/feat": 2, "features/reduced": 0, "models": 0, "reports": 2}
+    # a subtree missing on one side is a digest of None, never identical
+    assert doc["runs"][1]["subtrees"]["change"]["reports"] is None
+    assert doc["runs"][1]["subtrees"]["parent"]["reports"] is not None
+
+
+TRACED_STDOUT = ("stage seconds: vad 0.100 features 1.000 transforms 2.000\n"
+                 "traced wall_s 9.0 s (train 7.0 s + median passes)\n"
+                 "frontend.feature_warp.s = 1.38 s\n%s\n")
+
+
+def test_traced_run_per_side_at_the_first_seed(monkeypatch, tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "accent_forge").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    commands = []
+
+    def canned(cmd, cwd, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 1, stdout="")
+        commands.append((Path(cwd).name, cmd[2:]))
+        if "--trace" not in cmd:
+            return subprocess.CompletedProcess(cmd, 0, stdout=_stdout(_line(5.0, 1.0)))
+        warp = 1.38 if Path(cwd).name == "parent" else 0.6
+        line = json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
+            "frontend.feature_warp.s": {"unit": "s", "value": warp},
+            "transforms.fit_hlda.iters": {"unit": "count", "value": 20}}})
+        return subprocess.CompletedProcess(cmd, 0, stdout=TRACED_STDOUT % line)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", canned)
+    monkeypatch.setattr(bench_pairs, "environment", lambda: {})
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                      "--workload", "wav_paper", "--seeds", "7..8", "--out", str(out)])
+    workload = json.loads(out.read_text())["workloads"]["wav_paper"]
+    traced = workload["traced"]
+    assert traced["seed"] == 7
+    assert traced["parent"]["metrics"]["frontend.feature_warp.s"]["value"] == 1.38
+    assert traced["change"]["metrics"]["frontend.feature_warp.s"]["value"] == 0.6
+    assert traced["change"]["stages"] == {"vad": 0.1, "features": 1.0, "transforms": 2.0}
+    # two untraced runs per pair, then one traced run per side at the first seed
+    traced_cmds = [(side, args) for side, args in commands if "--trace" in args]
+    assert sorted(side for side, _ in traced_cmds) == ["change", "parent"]
+    assert all(args[args.index("--seed") + 1] == "7" and args[-2:] == ["--trace", "1"]
+               for _, args in traced_cmds)
+    assert len(commands) == 6 and commands[-2:] == traced_cmds
+    assert workload["summary"]["pairs"] == 2
+    assert "frontend.feature_warp.s" not in workload["summary"]["metrics"]

@@ -1,4 +1,5 @@
-"""Property tests of the AFF1 feature and AFT1 transform archives and the HLDA objective."""
+"""Property tests of the AFF1 feature and AFT1 transform archives, feature warping,
+and the HLDA objective."""
 
 import math
 import re
@@ -13,10 +14,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import Phase, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from accent_forge import frontend  # noqa: E402
 from accent_forge.errors import FormatError  # noqa: E402
 from accent_forge.frontend import (  # noqa: E402
     FEATURE_MAGIC,
     FeatureMatrix,
+    feature_warp,
     read_feature_archive,
     write_feature_archive,
 )
@@ -27,6 +30,8 @@ from accent_forge.transforms import (  # noqa: E402
     read_transform_chain,
     write_transform_chain,
 )
+from test_frontend import _feature_warp_oracle  # noqa: E402
+from test_transforms import fit_hlda_oracle  # noqa: E402
 
 SEEDS = st.integers(0, 2**32 - 1)
 # a non-finite value and where to write it, as an index into the file's float values
@@ -144,6 +149,52 @@ def test_aft1_roundtrip_and_every_malformed_length_rejected(chain, trailing, non
             read_transform_chain(path)
 
 
+@st.composite
+def warp_inputs(draw):
+    """An odd window from 3 to 301 and a few columns of N frames: N below the
+    window (odd or even), N = L or L + 1, or N with about a centre block's worth
+    of centred windows, or more. Columns are Gaussian, heavily tied, +-0, or
+    small signed integers."""
+    window = 2 * draw(st.integers(1, 150)) + 1
+    block = frontend._WARP_BLOCK
+    num_frames = draw(st.one_of(
+        st.integers(1, window - 1),
+        st.integers(1, window // 2).map(lambda k: 2 * k),
+        st.sampled_from([window, window + 1]),
+        # window + centres - 1 frames have that many centred windows
+        st.sampled_from([block - 1, block, block + 1, 2 * block, 2 * block + 1]).map(
+            lambda centres: window + centres - 1),
+        st.integers(window, window + 2 * block + 2),
+    ))
+    rng = np.random.default_rng(draw(SEEDS))
+    kinds = draw(st.lists(st.sampled_from(["gauss", "tied", "zeros", "ints"]),
+                          min_size=1, max_size=4))
+    signs = np.where(rng.random((num_frames, len(kinds))) < 0.5, -1.0, 1.0)
+    columns = {"gauss": rng.standard_normal((num_frames, len(kinds))),
+               "tied": np.round(rng.standard_normal((num_frames, len(kinds))), 1),
+               "zeros": signs * 0.0,
+               "ints": signs * rng.integers(0, 3, (num_frames, len(kinds)))}
+    data = np.column_stack([columns[kind][:, d] for d, kind in enumerate(kinds)])
+    return data, window, rng
+
+
+def _increasing_map(column, rng):
+    """column under a random strictly increasing map; equal values (+0 and -0
+    among them) stay equal."""
+    values, where = np.unique(column, return_inverse=True)
+    return np.cumsum(rng.uniform(0.5, 2.0, len(values)))[where] - 100.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(warp_inputs())
+def test_feature_warp_matches_gather_oracle_and_ignores_increasing_maps(case):
+    data, window, rng = case
+    got = feature_warp(data, window).data
+    assert got.tobytes() == _feature_warp_oracle(data, window).tobytes()
+    mapped = np.column_stack([_increasing_map(col, rng) for col in data.T])
+    assert feature_warp(mapped, window).data.tobytes() == got.tobytes()
+
+
 @pytest.mark.parametrize("claim", [(0xFFFFFFFF, 0xFFFFFFFF), (2**28, 2**20)])
 def test_absurd_size_claims_fail_the_length_check(tmp_path, claim):
     """A header claiming more bytes than the file holds is rejected before any allocation."""
@@ -183,3 +234,15 @@ def test_hlda_objective_non_decreasing(case):
     obj = np.array(hlda.meta["objective"])
     assert np.all(np.isfinite(obj))
     assert np.all(np.diff(obj) >= -1e-9 * np.maximum(1.0, np.abs(obj[:-1])))
+
+
+# Over 300 draws of this strategy the final objectives of the two sweeps
+# differed by -1.1e-8 to +1.0e-9 relative (median per-iteration difference
+# 2e-16); the ascent path can fork near a tie, so rows are not compared.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(labelled_sets())
+def test_hlda_rank_one_sweep_reaches_the_oracle_objective(case):
+    feats, labels, retained_dim, context = case
+    got = fit_hlda(feats, labels, retained_dim, context=context, max_iters=15)
+    want = fit_hlda_oracle(feats, labels, retained_dim, context=context, max_iters=15)
+    assert got.meta["objective"][-1] == pytest.approx(want.meta["objective"][-1], rel=1e-7)

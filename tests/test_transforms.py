@@ -1,9 +1,12 @@
 """Tests for PCA, scatter matrices, LDA, HLDA, and the transform format."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from accent_forge import transforms
 from accent_forge.errors import FormatError
 from accent_forge.frontend import FeatureMatrix
 from accent_forge.transforms import (
@@ -170,6 +173,64 @@ class TestLda:
             assert np.all(rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)] > 0)
 
 
+def _row_objective_oracle(row, cof, retained_row, stats):
+    """One row's objective terms, one class at a time (oracle)."""
+    inner = float(row @ cof)
+    if inner == 0.0:
+        return -np.inf
+    obj = stats.total * np.log(abs(inner))
+    if retained_row:
+        for cov, count in zip(stats.class_covs, stats.counts):
+            obj -= 0.5 * count * np.log(max(float(row @ cov @ row), transforms._VAR_FLOOR))
+    else:
+        obj -= 0.5 * stats.total * np.log(
+            max(float(row @ stats.total_cov @ row), transforms._VAR_FLOOR))
+    return obj
+
+
+def _hlda_sweep_oracle(mat, retained, stats):
+    """One sweep of row updates with a fresh inverse of mat for every row (oracle).
+
+    Each row's weighted covariance g is summed one class at a time and
+    solved directly, the rejected rows' too."""
+    dim, total = mat.shape[0], stats.total
+    for j in range(dim):
+        cof = np.linalg.inv(mat)[:, j]
+        row = mat[j]
+        retained_row = j < retained
+        best_row = row
+        best_q = _row_objective_oracle(row, cof, retained_row, stats)
+        current = row
+        for _ in range(3 if retained_row else 1):
+            if retained_row:
+                g = np.zeros((dim, dim))
+                for cov, count in zip(stats.class_covs, stats.counts):
+                    g += (count / max(float(current @ cov @ current), transforms._VAR_FLOOR)) * cov
+            else:
+                var = max(float(current @ stats.total_cov @ current), transforms._VAR_FLOOR)
+                g = (total / var) * stats.total_cov
+            try:
+                solved = np.linalg.solve(g, cof)
+            except np.linalg.LinAlgError:
+                break
+            denom = float(cof @ solved)
+            if denom <= 0:
+                break
+            candidate = solved * np.sqrt(total / denom)
+            q = _row_objective_oracle(candidate, cof, retained_row, stats)
+            if q > best_q:
+                best_q, best_row = q, candidate
+            current = candidate
+        mat[j] = best_row
+
+
+def fit_hlda_oracle(*args, **kwargs):
+    """fit_hlda with every sweep run by _hlda_sweep_oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "_hlda_sweep", _hlda_sweep_oracle)
+        return fit_hlda(*args, **kwargs)
+
+
 def _hlda_classes(rng, num_classes=3, dim=8, per_class=3000, shared_cov=True):
     mixing = rng.standard_normal((dim, dim))
     means = np.zeros((num_classes, dim))
@@ -219,6 +280,28 @@ class TestHlda:
         data, labels = _hlda_classes(rng, dim=4, per_class=400)
         with pytest.raises(ValueError, match="exceeds spliced dim"):
             fit_hlda(data, labels, retained_dim=5, context=0)
+
+    def test_singular_total_covariance_still_fits(self):
+        # a copied column makes the total covariance exactly singular
+        rng = np.random.default_rng(0)
+        gauss = rng.standard_normal((300, 3))
+        data = np.column_stack([gauss, gauss[:, 0]])
+        labels = np.repeat([0, 1, 2], 100)
+        for context in (0, 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                hlda = fit_hlda(data, labels, retained_dim=2, context=context, max_iters=20)
+            assert np.all(np.isfinite(hlda.matrix))
+            assert np.all(np.isfinite(hlda.meta["objective"]))
+
+    def test_rank_one_sweep_matches_oracle(self):
+        rng = np.random.default_rng(15)
+        data, labels = _hlda_classes(rng, dim=10, per_class=400, shared_cov=False)
+        got = fit_hlda(data, labels, retained_dim=4, context=1, max_iters=10)
+        want = fit_hlda_oracle(data, labels, retained_dim=4, context=1, max_iters=10)
+        np.testing.assert_allclose(got.meta["objective"], want.meta["objective"], rtol=1e-12)
+        np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-9 * np.abs(
+            want.matrix).max())
 
     def test_class_count_requirement(self):
         data = np.random.default_rng(18).standard_normal((8, 4))

@@ -15,13 +15,17 @@ acceptance arithmetic, with "better" and "bound" read from
 CHANGE_DIR/BENCHMARK.json. It also records each checkout's line counts of
 src/accent_forge/*.py, per file and in total, and the change's net delta.
 After each run it records the sha256 digest of the checkout's
-.perfbench-work/<workload>/ tree, and the summary counts the pairs whose two
-trees are byte-identical. A run that exits non-zero or whose last line is not
+.perfbench-work/<workload>/ tree, and of each of its subtrees features/feat,
+features/reduced, models and reports; the summary counts the pairs whose two
+trees are byte-identical, and per subtree the pairs whose two subtrees are,
+which shows which artifacts an announced change left alone. A run that exits non-zero or whose last line is not
 a JSON object is recorded as failed (None), with a message on standard error.
 Each run's "stage seconds: vad 0.123 features ..." line is kept under the
 result's "stages", and the summary gives each training stage its medians,
 quartiles and wins, which shows the stage a change moved. A run without
-that line records no stages; it is not a failed run.
+that line records no stages; it is not a failed run. After the pairs, each
+checkout makes one traced run (--trace 1) of the workload at the first seed,
+and its per-layer metrics are kept under the workload's "traced".
 
 Standard library only; it imports nothing from perfbench/.
 """
@@ -40,6 +44,7 @@ from importlib import metadata
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SUBTREES = ("features/feat", "features/reduced", "models", "reports")
 
 
 def parse_seeds(text):
@@ -81,10 +86,12 @@ def _quartiles(values):
 def summarize(runs, rules):
     """Per-metric medians, quartiles, wins and verdicts over the pairs where both runs succeeded.
 
-    runs: [{"seed": n, "parent": result, "change": result, "trees": digests}],
-    each result the parsed last line of a run or None for a failed run, and
-    the optional digests each side's tree_digest of its workspace;
-    identical_trees counts the runs whose two digests are equal. "stages"
+    runs: [{"seed": n, "parent": result, "change": result, "trees": digests,
+    "subtrees": subtree_digests}], each result the parsed last line of a run
+    or None for a failed run, the optional digests each side's tree_digest of
+    its workspace, and the optional subtree_digests each side's {subtree:
+    digest}; identical_trees counts the runs whose two digests are equal, and
+    identical_subtrees the same per subtree. "stages"
     holds the same medians, quartiles and wins (lower is better, no bound)
     for each training stage, over the pairs whose two runs both timed it. rules:
     metric name -> its BENCHMARK.json entry, with "better" ("lower" or
@@ -116,15 +123,22 @@ def summarize(runs, rules):
             stages[name] = _row(values, "s", {"better": "lower"})
     return {
         "pairs": len(complete),
-        "identical_trees": sum(None not in r["trees"].values()
-                               and r["trees"]["parent"] == r["trees"]["change"]
-                               for r in runs if "trees" in r),
+        "identical_trees": sum(_same_digest(r["trees"]) for r in runs if "trees" in r),
+        "identical_subtrees": {
+            name: sum(_same_digest({side: r["subtrees"][side][name] for side in SIDES})
+                      for r in runs if "subtrees" in r)
+            for name in SUBTREES},
         "failed_runs": sum(r[side] is None for r in runs for side in SIDES),
         "all_correct": all(r[side]["correct"] and not r[side]["failed"]
                            for r in complete for side in SIDES),
         "metrics": summary,
         "stages": stages,
     }
+
+
+def _same_digest(digests):
+    """Whether both sides have a digest and the two are equal."""
+    return None not in digests.values() and digests["parent"] == digests["change"]
 
 
 def _row(values, unit, rule):
@@ -192,9 +206,12 @@ def environment():
     }
 
 
-def run_once(checkout, workload, seed):
-    """One benchmark run in checkout; the parsed result, or None if it failed."""
+def run_once(checkout, workload, seed, trace=False):
+    """One benchmark run in checkout, traced if trace is true; the parsed result,
+    or None if it failed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    if trace:
+        cmd += ["--trace", "1"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=False)
     if proc.returncode != 0:
         print("bench_pairs: %s seed %d failed in %s (exit %d)"
@@ -263,13 +280,19 @@ def main(argv=None):
         runs = []
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            run = {"seed": seed, "order": list(order), "trees": {}}
+            run = {"seed": seed, "order": list(order), "trees": {}, "subtrees": {}}
             for side in order:
                 run[side] = run_once(dirs[side], workload, seed)
-                run["trees"][side] = tree_digest(Path(dirs[side], ".perfbench-work", workload))
+                root = Path(dirs[side], ".perfbench-work", workload)
+                run["trees"][side] = tree_digest(root)
+                run["subtrees"][side] = {name: tree_digest(root / name) for name in SUBTREES}
             runs.append(run)
             print("bench_pairs: %s seed %d done" % (workload, seed), file=sys.stderr)
-        doc["workloads"][workload] = {"summary": summarize(runs, rules), "runs": runs}
+        traced = {"seed": args.seeds[0]}
+        traced.update({side: run_once(dirs[side], workload, args.seeds[0], trace=True)
+                       for side in SIDES})
+        doc["workloads"][workload] = {"summary": summarize(runs, rules), "runs": runs,
+                                      "traced": traced}
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                               encoding="utf-8")
 
