@@ -177,14 +177,11 @@ def fit_lda(sp, out_dim):
 class _HldaStats:
     """The second-order statistics an HLDA fit reads, fixed for the whole fit."""
 
+    total: int  # frames
     counts: np.ndarray  # (S,) frames per class
     class_covs: np.ndarray  # (S, d, d) class covariances
     total_cov: np.ndarray  # (d, d) total covariance
     total_inv: np.ndarray | None  # its inverse, or None if it is singular
-
-    @property
-    def total(self):
-        return self.counts.sum()
 
 
 def _hlda_objective(mat, retained, stats):
@@ -309,7 +306,8 @@ def fit_hlda(feats, labels, retained_dim, context=1, max_iters=100, tol=1e-6):
         total_inv = np.linalg.inv(total_cov)
     except np.linalg.LinAlgError:  # exactly singular: the rejected rows stay put
         total_inv = None
-    stats = _HldaStats(counts, np.stack(scatters) / counts[:, None, None], total_cov, total_inv)
+    stats = _HldaStats(total, counts, np.stack(scatters) / counts[:, None, None],
+                       total_cov, total_inv)
 
     # init: whiten the global covariance, then rotate so leading rows align
     # with the between-class spectrum of the whitened data

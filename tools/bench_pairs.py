@@ -18,8 +18,9 @@ After each run it records the sha256 digest of the checkout's
 .perfbench-work/<workload>/ tree, and of each of its subtrees features/feat,
 features/reduced, models and reports; the summary counts the pairs whose two
 trees are byte-identical, and per subtree the pairs whose two subtrees are,
-which shows which artifacts an announced change left alone. A run that exits non-zero or whose last line is not
-a JSON object is recorded as failed (None), with a message on standard error.
+which shows which artifacts an announced change left alone. A run that exits
+non-zero or whose last line is not a JSON object is recorded as failed
+(None), with a message on standard error.
 Each run's "stage seconds: vad 0.123 features ..." line is kept under the
 result's "stages", and the summary gives each training stage its medians,
 quartiles and wins, which shows the stage a change moved. A run without
