@@ -259,6 +259,14 @@ def test_subtree_digests_count_the_byte_identical_pairs_per_subtree(monkeypatch,
     assert doc["runs"][1]["subtrees"]["change"]["reports"] is None
     assert doc["runs"][1]["subtrees"]["parent"]["reports"] is not None
 
+    # a subtree that no run's workspace holds gets no count
+    runs = [{side: run[side] for side in ("seed", "parent", "change", "trees", "subtrees")}
+            for run in doc["runs"]]
+    for run in runs:
+        for side in ("parent", "change"):
+            run["subtrees"][side]["features/reduced"] = None
+    assert "features/reduced" not in bench_pairs.summarize(runs, {})["identical_subtrees"]
+
 
 TRACED_STDOUT = ("stage seconds: vad 0.100 features 1.000 transforms 2.000\n"
                  "traced wall_s 9.0 s (train 7.0 s + median passes)\n"

@@ -92,7 +92,7 @@ def summarize(runs, rules):
     or None for a failed run, the optional digests each side's tree_digest of
     its workspace, and the optional subtree_digests each side's {subtree:
     digest}; identical_trees counts the runs whose two digests are equal, and
-    identical_subtrees the same per subtree. "stages"
+    identical_subtrees the same per subtree that some run's workspace holds. "stages"
     holds the same medians, quartiles and wins (lower is better, no bound)
     for each training stage, over the pairs whose two runs both timed it. rules:
     metric name -> its BENCHMARK.json entry, with "better" ("lower" or
@@ -122,13 +122,15 @@ def summarize(runs, rules):
         if timed:
             values = {side: [r[side]["stages"][name] for r in timed] for side in SIDES}
             stages[name] = _row(values, "s", {"better": "lower"})
+    digested = [r for r in runs if "subtrees" in r]
     return {
         "pairs": len(complete),
         "identical_trees": sum(_same_digest(r["trees"]) for r in runs if "trees" in r),
         "identical_subtrees": {
             name: sum(_same_digest({side: r["subtrees"][side][name] for side in SIDES})
-                      for r in runs if "subtrees" in r)
-            for name in SUBTREES},
+                      for r in digested)
+            for name in SUBTREES
+            if any(r["subtrees"][side][name] is not None for r in digested for side in SIDES)},
         "failed_runs": sum(r[side] is None for r in runs for side in SIDES),
         "all_correct": all(r[side]["correct"] and not r[side]["failed"]
                            for r in complete for side in SIDES),
