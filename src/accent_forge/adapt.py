@@ -16,6 +16,7 @@ from .frontend import feature_array
 from .gmm import DiagGmm, accumulate_stats
 
 DEFAULT_RELEVANCE = 16.0
+_VARIANCE_FLOOR = 1e-6
 
 
 @dataclass
@@ -38,7 +39,7 @@ def _alpha(n, relevance):
     return np.divide(n, denom, out=np.zeros_like(n), where=denom > 0)
 
 
-def map_adapt(ubm, feats, cfg=None, variance_floor=1e-6):
+def map_adapt(ubm, feats, cfg=None):
     """MAP-adapt one model from the UBM on the given frames.
 
     Disabled parameter families copy the UBM values; components that
@@ -76,13 +77,13 @@ def map_adapt(ubm, feats, cfg=None, variance_floor=1e-6):
     if cfg.adapt_vars:
         a_v = _alpha(n, cfg.relevance_var)[:, None]
         variances = a_v * e_x2 + (1.0 - a_v) * (ubm.variances + ubm.means ** 2) - means ** 2
-        low = variances < variance_floor
+        low = variances < _VARIANCE_FLOOR
         if np.any(low):
             warnings.warn(
-                "%d adapted variances floored at %g" % (int(low.sum()), variance_floor),
+                "%d adapted variances floored at %g" % (int(low.sum()), _VARIANCE_FLOOR),
                 stacklevel=2,
             )
-            variances = np.maximum(variances, variance_floor)
+            variances = np.maximum(variances, _VARIANCE_FLOOR)
     else:
         variances = ubm.variances.copy()
 

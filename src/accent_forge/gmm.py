@@ -20,6 +20,8 @@ from .frontend import feature_array
 MODEL_MAGIC = b"AGM1"
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# EM floors each variance at this fraction of its dimension's data variance
+_FLOOR_SCALE = 1e-6
 
 
 @dataclass
@@ -243,7 +245,6 @@ def em_train(
     target_components,
     em_iters_per_stage=5,
     final_em_iters=10,
-    floor_scale=1e-6,
     return_history=False,
     label="",
 ):
@@ -270,7 +271,7 @@ def em_train(
             % (data.shape[0], target_components),
             stacklevel=2,
         )
-    floor = floor_scale * np.maximum(data.var(axis=0), 1e-12)
+    floor = _FLOOR_SCALE * np.maximum(data.var(axis=0), 1e-12)
 
     weights = np.ones(1)
     means = data.mean(axis=0)[None, :]

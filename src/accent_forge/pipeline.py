@@ -62,6 +62,7 @@ from .vowels import (
     calibrate_threshold,
     parse_label_file,
     pool_vowel_features,
+    segment_frames,
     vowel_popularity,
     write_label_file,
 )
@@ -167,9 +168,9 @@ def split_corpus(manifest, seed):
 class SignalConfig:
     frame_ms: float = 25.0
     hop_ms: float = 10.0
-    energy_weight: float = 5.0
-    centroid_weight: float = 2.0
-    min_segment_frames: int = 5
+    energy_weight: float = sig.DEFAULT_ENERGY_WEIGHT
+    centroid_weight: float = sig.DEFAULT_CENTROID_WEIGHT
+    min_segment_frames: int = sig.DEFAULT_MIN_SEGMENT_FRAMES
 
 
 @dataclass
@@ -312,9 +313,6 @@ class PipelineConfig:
         if self.synth.vowel_popularity:
             self.synth.popularity()
         return self
-
-    def hop_sec(self):
-        return self.signal.hop_ms / 1000.0
 
     def feature_tag(self, direct_dim=None):
         if self.transforms.enabled:
@@ -646,9 +644,9 @@ def _require(path, stage):
 class StageRun:
     """One stage's access to the workspace, recorded for its provenance.
 
-    Files read through input, require, manifest, features and labels are
-    the stage's provenance inputs; paths passed through output are its
-    outputs.
+    Files read through input, require, manifest, utterances, features and
+    labels are the stage's provenance inputs; paths passed through output
+    are its outputs.
     """
 
     def __init__(self, cfg, ws, mode):
@@ -677,16 +675,25 @@ class StageRun:
             )
         return manifest
 
-    def features(self, index, entry, reduced=True):
+    def utterances(self, split=None):
+        """(utt id, entry) of every manifest entry, or of a split, which must not be empty."""
+        manifest = self.manifest(need_split=split is not None)
+        utts = [(self.ws.utt_id(index, entry), entry)
+                for index, entry in enumerate(manifest.entries)
+                if split is None or entry.split == split]
+        if split is not None and not utts:
+            raise MissingPrerequisiteError("no %s utterances; run 'split' first" % split)
+        return utts
+
+    def features(self, utt, reduced=True):
         """The utterance's archive, after the transforms when they are enabled."""
         reduced = reduced and self.cfg.transforms.enabled
-        path = self.ws.dir("features/reduced" if reduced else "features/feat") / (
-            self.ws.utt_id(index, entry) + ".aff")
+        path = self.ws.dir("features/reduced" if reduced else "features/feat") / (utt + ".aff")
         return read_feature_archive(self.require(path, "transforms" if reduced else "features"))
 
-    def labels(self, index, entry):
+    def labels(self, utt):
         """The utterance's labels on the feature timeline; None without a label file."""
-        path = self.ws.dir("features/feat") / (self.ws.utt_id(index, entry) + ".lab")
+        path = self.ws.dir("features/feat") / (utt + ".lab")
         return parse_label_file(self.input(path)) if path.exists() else None
 
     def write_provenance(self, stage):
@@ -713,8 +720,7 @@ def stage_vad(run):
     cfg, ws = run.cfg, run.ws
     manifest = run.manifest(need_split=False)
     vad_dir = ws.dir("features/vad")
-    for index, entry in enumerate(manifest.entries):
-        utt = ws.utt_id(index, entry)
+    for utt, entry in run.utterances():
         src = run.require(manifest.resolve(entry.audio), "synth (corpus file missing)")
         if src.suffix == ".aff":
             feats = read_feature_archive(src)
@@ -763,15 +769,12 @@ def _tag_frames(segments, times_sec, hop_sec):
     Frame k belongs to the segment with start <= times_sec[k] < end. Its tag
     is that segment's vowel index + 1, or 0 outside vowels. Each run of
     frames in one segment becomes a segment of the remapped timeline, with
-    frame k spanning [k * hop_sec, (k + 1) * hop_sec). Label segments never
-    overlap, so the only segment that can hold a time is the last one, in
-    start order, that starts at or before it.
+    frame k spanning [k * hop_sec, (k + 1) * hop_sec). times_sec ascends, and
+    label segments never overlap, so each frame has at most one owner.
     """
-    order = np.argsort([s.start_sec for s in segments], kind="stable")
-    starts = np.array([segments[i].start_sec for i in order])
-    ends = np.append([segments[i].end_sec for i in order], -np.inf)
-    pos = np.searchsorted(starts, times_sec, side="right") - 1
-    owner = np.where(times_sec < ends[pos], np.append(order, -1)[pos], -1)
+    owner = np.full(len(times_sec), -1)
+    for index, (lo, hi) in enumerate(segment_frames(segments, times_sec).tolist()):
+        owner[lo:hi] = index
     codes = [VOWEL_INDEX[s.label] + 1 if s.is_vowel else 0 for s in segments]
     tags = np.append(codes, 0).astype(np.uint8)[owner]
     bounds = (np.flatnonzero(np.diff(owner)) + 1).tolist()
@@ -796,8 +799,7 @@ def stage_features(run):
     manifest = run.manifest(need_split=False)
     vad_dir = ws.dir("features/vad")
     feat_dir = ws.dir("features/feat")
-    for index, entry in enumerate(manifest.entries):
-        utt = ws.utt_id(index, entry)
+    for utt, entry in run.utterances():
         src = run.input(manifest.resolve(entry.audio))
         meta_path = run.require(vad_dir / (utt + ".json"), "vad")
         lab_src = run.input(manifest.resolve(entry.label)) if entry.label else None
@@ -855,15 +857,12 @@ def stage_transforms(run):
     cfg, ws = run.cfg, run.ws
     if not cfg.transforms.enabled:
         return
-    manifest = run.manifest()
-    accents = manifest.accents()
+    accents = run.manifest().accents()
     train_feats = []
     train_labels = []
-    for index, entry in manifest.with_split("train"):
-        train_feats.append(run.features(index, entry, reduced=False))
+    for utt, entry in run.utterances("train"):
+        train_feats.append(run.features(utt, reduced=False))
         train_labels.append(accents.index(entry.accent))
-    if not train_feats:
-        raise MissingPrerequisiteError("no train utterances; run 'split' first")
 
     stacked = np.vstack([f.data for f in train_feats])
     pca = fit_pca(stacked, cfg.transforms.pca_dim)
@@ -879,19 +878,15 @@ def stage_transforms(run):
     write_transform_chain(run.output(ws.dir("models") / "transforms.aft"), [pca, hlda])
 
     reduced_dir = ws.dir("features/reduced")
-    for index, entry in enumerate(manifest.entries):
-        reduced = apply_chain([pca, hlda], run.features(index, entry, reduced=False))
-        write_feature_archive(run.output(reduced_dir / (ws.utt_id(index, entry) + ".aff")),
-                              reduced)
+    for utt, _ in run.utterances():
+        reduced = apply_chain([pca, hlda], run.features(utt, reduced=False))
+        write_feature_archive(run.output(reduced_dir / (utt + ".aff")), reduced)
 
 
 def stage_ubm(run):
     """EM-train the universal background model on the pooled train split."""
     cfg, ws = run.cfg, run.ws
-    manifest = run.manifest()
-    blocks = [run.features(index, entry).data for index, entry in manifest.with_split("train")]
-    if not blocks:
-        raise MissingPrerequisiteError("no train utterances; run 'split' first")
+    blocks = [run.features(utt).data for utt, _ in run.utterances("train")]
     frames = np.vstack(blocks)
     del blocks  # EM holds one copy of the training frames, not two
     model = em_train(
@@ -907,12 +902,11 @@ def stage_ubm(run):
 def stage_adapt(run):
     """MAP-adapt one model per accent from the UBM."""
     cfg, ws = run.cfg, run.ws
-    manifest = run.manifest()
     ubm = read_model(run.require(ws.dir("models") / "ubm.agm", "ubm"))
-    accents = manifest.accents()
+    accents = run.manifest().accents()
     per_accent = {}
-    for index, entry in manifest.with_split("train"):
-        per_accent.setdefault(entry.accent, []).append(run.features(index, entry).data)
+    for utt, entry in run.utterances("train"):
+        per_accent.setdefault(entry.accent, []).append(run.features(utt).data)
     # pop each accent's blocks as it is stacked, so they are never all held twice
     pooled = {a: np.vstack(per_accent.pop(a)) for a in accents if a in per_accent}
     models = adapt_all_accents(ubm, pooled, cfg.adapt)
@@ -926,13 +920,12 @@ def stage_adapt(run):
 def stage_vowel_models(run):
     """Per-vowel UBMs (pooled accents) adapted into the vowel/accent grid."""
     cfg, ws = run.cfg, run.ws
-    manifest = run.manifest()
-    accents = manifest.accents()
+    accents = run.manifest().accents()
     pooled = {v: {} for v in ARPABET_VOWELS}  # vowel -> accent -> train frame blocks
     counts = {v: 0 for v in ARPABET_VOWELS}
-    for index, entry in manifest.with_split("train"):
-        feats = run.features(index, entry)
-        segments = run.labels(index, entry)
+    for utt, entry in run.utterances("train"):
+        feats = run.features(utt)
+        segments = run.labels(utt)
         if segments is None:
             continue
         for vowel, mat in pool_vowel_features(feats, segments).items():
@@ -1055,17 +1048,15 @@ def stage_classify(run):
     to the earliest accent label (the documented tie rule).
     """
     cfg, ws, mode = run.cfg, run.ws, run.mode
-    manifest = run.manifest()
     model_set = load_model_set(ws, mode, run)
     threshold = _test_threshold(run) if mode == "vowel" else None
     rows = []
-    for index, entry in manifest.with_split("test"):
-        utt = ws.utt_id(index, entry)
-        feats = run.features(index, entry)
+    for utt, entry in run.utterances("test"):
+        feats = run.features(utt)
         if mode == "baseline":
             result = classify_baseline(model_set, feats.head(cfg.corpus.max_test_frames))
         else:
-            segments = run.labels(index, entry)
+            segments = run.labels(utt)
             if segments is None:
                 raise MissingPrerequisiteError(
                     "utterance %s has no label file; vowel mode needs labels" % utt
@@ -1076,8 +1067,6 @@ def stage_classify(run):
                 rows.append((utt, entry.accent, model_set.accents[0], 0))
                 continue
         rows.append((utt, entry.accent, result.chosen_accent, result.frames_used))
-    if not rows:
-        raise MissingPrerequisiteError("no test utterances; run 'split' first")
     run.output(ws.dir("reports") / ("predictions_%s.tsv" % mode)).write_text(
         "".join("%s\t%s\t%s\t%d\n" % row for row in rows), encoding="utf-8"
     )
@@ -1114,16 +1103,13 @@ def stage_calibrate(run):
     value, in the config's grid order.
     """
     cfg, ws = run.cfg, run.ws
-    manifest = run.manifest()
     model_set = load_model_set(ws, "vowel", run)
     dev_items = []
-    for index, entry in manifest.with_split("dev"):
-        feats = run.features(index, entry)
-        segments = run.labels(index, entry)
+    for utt, entry in run.utterances("dev"):
+        feats = run.features(utt)
+        segments = run.labels(utt)
         if segments is not None:
             dev_items.append((*_cap_test_utterance(cfg, feats, segments), entry.accent))
-    if not dev_items:
-        raise MissingPrerequisiteError("no dev utterances with labels; run 'split' first")
 
     grid = sorted(cfg.calibrate.grid)
 

@@ -248,7 +248,6 @@ def remove_silence(
     energy_weight=DEFAULT_ENERGY_WEIGHT,
     centroid_weight=DEFAULT_CENTROID_WEIGHT,
     min_segment_frames=DEFAULT_MIN_SEGMENT_FRAMES,
-    bins=50,
 ):
     """Dual-threshold VAD over framed audio.
 
@@ -277,11 +276,11 @@ def remove_silence(
     mask = nonzero.copy()
     t_energy = None
     t_centroid = None
-    e_modes = _histogram_modes(energy, bins=bins)
+    e_modes = _histogram_modes(energy)
     if len(e_modes) == 2:
         t_energy = (energy_weight * e_modes[0] + e_modes[1]) / (energy_weight + 1.0)
         mask &= energy > t_energy
-    c_modes = _histogram_modes(centroid[nonzero], bins=bins) if np.any(nonzero) else []
+    c_modes = _histogram_modes(centroid[nonzero]) if np.any(nonzero) else []
     if len(c_modes) == 2:
         t_centroid = (centroid_weight * c_modes[0] + c_modes[1]) / (centroid_weight + 1.0)
         mask &= centroid > t_centroid

@@ -154,6 +154,15 @@ def calibrate_threshold(dev_corpus, grid, classify):
     return grid[int(np.argmax(accuracies))], accuracies.tolist()
 
 
+def segment_frames(segments, times_sec):
+    """The segments' half-open [lo, hi) frame ranges over ascending times_sec, (n, 2).
+
+    Frame k belongs to a segment when start <= times_sec[k] < end.
+    """
+    bounds = np.searchsorted(times_sec, [(s.start_sec, s.end_sec) for s in segments])
+    return bounds.reshape(len(segments), 2)
+
+
 def vowel_frame_masks(feats, segments):
     """Per-vowel boolean frame masks by frame-center membership.
 
@@ -173,9 +182,7 @@ def vowel_frame_masks(feats, segments):
                 "segment [%g, %g) extends beyond the utterance end %g"
                 % (seg.start_sec, seg.end_sec, duration)
             )
-    # the centers ascend, so [first center >= start, first center >= end) are its frames
-    bounds = np.searchsorted(centers, [(s.start_sec, s.end_sec) for s in vowel_segments])
-    for seg, (lo, hi) in zip(vowel_segments, bounds.tolist()):
+    for seg, (lo, hi) in zip(vowel_segments, segment_frames(vowel_segments, centers).tolist()):
         masks[seg.label][lo:hi] = True
     return masks
 

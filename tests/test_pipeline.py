@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ import accent_forge
 from accent_forge.adapt import map_adapt
 from accent_forge.cli import main as cli_main
 from accent_forge.errors import ConfigError, FormatError, MissingPrerequisiteError
-from accent_forge.frontend import read_feature_archive
+from accent_forge.frontend import FeatureMatrix, read_feature_archive
 from accent_forge.gmm import DiagGmm, read_model, write_model
 from accent_forge.pipeline import (
     CorpusManifest,
@@ -34,7 +35,12 @@ from accent_forge.pipeline import (
     synthesize_tone_silence,
 )
 from accent_forge.signal import write_wav
-from accent_forge.vowels import ARPABET_VOWELS, PhoneSegment, write_label_file
+from accent_forge.vowels import (
+    ARPABET_VOWELS,
+    PhoneSegment,
+    vowel_frame_masks,
+    write_label_file,
+)
 
 
 def _small_cfg():
@@ -330,7 +336,44 @@ def _workspace_digest(root):
     return digest
 
 
+@pytest.fixture(scope="module")
+def trained_workspace(tmp_path_factory):
+    """A synthetic workspace trained through the weights stage."""
+    root = tmp_path_factory.mktemp("trained") / "ws"
+    generate_synthetic_corpus(_small_cfg().synth, root)
+    for stage in ("vad", "features", "ubm", "adapt", "vowel-models", "weights"):
+        run_stage(stage, _small_cfg(), Workspace(root))
+    return root
+
+
 class TestStages:
+    @pytest.mark.parametrize("stage, split", [
+        ("transforms", "train"),
+        ("ubm", "train"),
+        ("adapt", "train"),
+        ("vowel-models", "train"),
+        ("classify", "test"),
+        ("calibrate", "dev"),
+    ])
+    def test_empty_split_is_a_missing_prerequisite(self, trained_workspace, tmp_path,
+                                                   stage, split):
+        root = tmp_path / "ws"
+        shutil.copytree(trained_workspace, root)
+        manifest = CorpusManifest.load(root / "manifest.tsv")
+        for entry in manifest.entries:
+            if entry.split == split:
+                entry.split = "dev" if split == "train" else "train"
+        manifest.save(root / "manifest.tsv")
+        vowel_set = root / "models" / "vowel_set.json"
+        if stage == "vowel-models":
+            vowel_set.unlink()
+        cfg = _small_cfg()
+        cfg.transforms.enabled = stage == "transforms"
+        with pytest.raises(MissingPrerequisiteError, match="no %s utterances" % split):
+            run_stage(stage, cfg, Workspace(root))
+        if stage == "vowel-models":
+            assert not vowel_set.exists()
+
     def test_missing_prerequisite(self, tmp_path):
         cfg = _small_cfg()
         ws = Workspace(tmp_path / "ws")
@@ -568,19 +611,30 @@ class TestFrameTagging:
     def test_random_label_files(self):
         rng = np.random.default_rng(21)
         labels = list(ARPABET_VOWELS) + ["sil", "t", "s"]
+        hop = 0.01
+        uniform = (np.arange(300) + 0.5) * hop  # the centres vowel_frame_masks uses
         for _ in range(20):
-            # segment edges in 100 ns units, as label files store them
-            edges = np.unique(rng.integers(0, 30_000_000, size=40))
+            # segment edges in 100 ns units, as label files store them, and some
+            # exactly on a uniform frame centre
+            edges = np.unique(np.concatenate([
+                rng.integers(0, 30_000_000, size=40) / 1e7,
+                rng.choice(uniform, size=10, replace=False),
+            ]))
             segments = [
-                PhoneSegment(a / 1e7, b / 1e7, labels[rng.integers(len(labels))],
+                PhoneSegment(a, b, labels[rng.integers(len(labels))],
                              float(rng.normal()) if rng.random() < 0.5 else None)
                 for a, b in zip(edges[:-1], edges[1:])
                 if rng.random() < 0.8
             ]
             segments = [segments[i] for i in rng.permutation(len(segments))]
             centres = (np.arange(300) * 160 + 200) / 16000.0
-            times = np.sort(np.concatenate([centres, edges / 1e7]))
+            times = np.sort(np.concatenate([centres, edges]))
             self._check(segments, times.tolist())
+
+            masks = vowel_frame_masks(FeatureMatrix(np.zeros((300, 1)), hop), segments)
+            want_tags, _ = _tag_frames_scalar(segments, uniform.tolist(), hop)
+            for index, vowel in enumerate(ARPABET_VOWELS):
+                np.testing.assert_array_equal(masks[vowel], want_tags == index + 1)
 
 
 class TestVowelEvidence:
