@@ -64,12 +64,9 @@ from .signal import (
 )
 from .transforms import (
     LinearTransform,
-    ScatterPair,
     apply_transform,
     fit_hlda,
-    fit_lda,
     fit_pca,
-    scatter_matrices,
 )
 from .vowels import (
     ARPABET_VOWELS,

@@ -853,23 +853,25 @@ def stage_features(run):
 
 
 def stage_transforms(run):
-    """Fit PCA then HLDA on the train split; write reduced archives for all."""
+    """Fit PCA then HLDA on the train split; write reduced archives for all.
+
+    The fits read only accumulated statistics, so the stage holds one
+    utterance at a time and reads each train archive three times: for the
+    PCA statistics, for the HLDA statistics and to apply the chain.
+    """
     cfg, ws = run.cfg, run.ws
     if not cfg.transforms.enabled:
         return
     accents = run.manifest().accents()
-    train_feats = []
-    train_labels = []
-    for utt, entry in run.utterances("train"):
-        train_feats.append(run.features(utt, reduced=False))
-        train_labels.append(accents.index(entry.accent))
+    train = run.utterances("train")
 
-    stacked = np.vstack([f.data for f in train_feats])
-    pca = fit_pca(stacked, cfg.transforms.pca_dim)
-    projected = [apply_transform(pca, f) for f in train_feats]
+    def train_feats():
+        for utt, entry in train:
+            yield run.features(utt, reduced=False), accents.index(entry.accent)
+
+    pca = fit_pca((feats for feats, _ in train_feats()), cfg.transforms.pca_dim)
     hlda = fit_hlda(
-        projected,
-        [np.full(p.num_frames, lab) for p, lab in zip(projected, train_labels)],
+        ((apply_transform(pca, feats), accent) for feats, accent in train_feats()),
         retained_dim=cfg.transforms.hlda_dim,
         context=cfg.transforms.context,
         max_iters=cfg.transforms.max_iters,

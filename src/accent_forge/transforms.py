@@ -1,8 +1,10 @@
-"""Dimension reduction: PCA, class-weighted scatter, LDA, and ML-trained HLDA.
+"""Dimension reduction: PCA and ML-trained HLDA.
 
-HLDA finds a square transform whose leading rows carry class-dependent
-diagonal variances while the remaining rows model class-independent
-nuisance directions; it is fit by cyclic cofactor-based row updates.
+Both fits read only per-class frame counts, means and centred scatters,
+accumulated one utterance at a time. HLDA finds a square transform whose
+leading rows carry class-dependent diagonal variances while the remaining
+rows model class-independent nuisance directions; it is fit by cyclic
+cofactor-based row updates.
 """
 
 from __future__ import annotations
@@ -47,16 +49,6 @@ class LinearTransform:
         return self.matrix.shape[0]
 
 
-@dataclass
-class ScatterPair:
-    s_b: np.ndarray
-    s_w: np.ndarray
-    global_mean: np.ndarray
-    class_means: np.ndarray
-    class_counts: np.ndarray
-    class_ids: np.ndarray
-
-
 def splice_frames(data, context):
     """Stack +-context neighbor frames onto each frame (edge replication)."""
     if context == 0:
@@ -78,98 +70,69 @@ def _canonical_signs(rows):
     return rows
 
 
-def fit_pca(feats, out_dim):
-    """Leading principal directions, orthonormal rows, centered output."""
-    data = feature_array(feats)
-    num_frames, in_dim = data.shape
+@dataclass
+class Moments:
+    """A frame set's count, mean and centred scatter sum_x (x - mean)(x - mean)^T."""
+
+    count: int
+    mean: np.ndarray
+    scatter: np.ndarray
+
+    @classmethod
+    def of(cls, data):
+        mean = data.mean(axis=0)
+        centered = data - mean
+        # one operand array, so BLAS takes its symmetric path
+        return cls(data.shape[0], mean, centered.T @ centered)
+
+    def merge(self, other):
+        """The moments of both frame sets, by Chan, Golub & LeVeque's pairwise
+        update, which never forms sum x x^T - n mean mean^T."""
+        count = self.count + other.count
+        delta = other.mean - self.mean
+        return Moments(count, self.mean + delta * (other.count / count),
+                       self.scatter + other.scatter
+                       + np.outer(delta, delta) * (self.count * other.count / count))
+
+
+def class_moments(utterances):
+    """{class: Moments} of labelled frames, read one utterance at a time.
+
+    utterances: (frames, labels) items, labels one class for the whole
+    utterance or one per frame. Each utterance's per-class moments are
+    merged into the running ones, so no two utterances are held at once.
+    """
+    moments = {}
+    for frames, labels in utterances:
+        data = feature_array(frames)
+        labels = np.asarray(labels)
+        if labels.ndim and labels.shape != (data.shape[0],):
+            raise ValueError("labels must be one class or one per frame")
+        if not data.shape[0]:
+            continue
+        for cid in np.unique(labels):
+            part = Moments.of(data if labels.ndim == 0 else data[labels == cid])
+            moments[cid] = moments[cid].merge(part) if cid in moments else part
+    return moments
+
+
+def fit_pca(blocks, out_dim):
+    """Leading principal directions of frame blocks read one at a time;
+    orthonormal rows, centered output."""
+    moments = class_moments((block, 0) for block in blocks)
+    if not moments:
+        raise ValueError("need more frames than dimensions to fit PCA")
+    (pooled,) = moments.values()
+    in_dim = len(pooled.mean)
     if out_dim > in_dim:
         raise ValueError("PCA out_dim %d exceeds input dim %d" % (out_dim, in_dim))
-    if num_frames <= in_dim:
+    if pooled.count <= in_dim:
         raise ValueError("need more frames than dimensions to fit PCA")
-    mean = data.mean(axis=0)
-    cov = np.cov(data, rowvar=False)
-    vals, vecs = scipy.linalg.eigh(cov)
+    vals, vecs = scipy.linalg.eigh(pooled.scatter / (pooled.count - 1))
     order = np.argsort(vals)[::-1][:out_dim]
     rows = _canonical_signs(vecs[:, order].T.copy())
     return LinearTransform(
-        rows, -rows @ mean, context=0, meta={"eigenvalues": vals[order].copy()}
-    )
-
-
-def _class_scatter(data, labels):
-    """One pass over the classes of labelled frames.
-
-    Returns the global mean, the class ids with their means and frame
-    counts, each class's scatter sum_{x in s} (x - mu_s)(x - mu_s)^T, and
-    S_B = (1/K) sum_s K_s (mu_s - mu)(mu_s - mu)^T.
-    """
-    class_ids = np.unique(labels)
-    dim = data.shape[1]
-    global_mean = data.mean(axis=0)
-    class_means = np.zeros((len(class_ids), dim))
-    counts = np.zeros(len(class_ids), dtype=np.int64)
-    scatters = []
-    s_b = np.zeros((dim, dim))
-    for i, cid in enumerate(class_ids):
-        chunk = data[labels == cid]
-        mu = chunk.mean(axis=0)
-        cen = chunk - mu
-        scatters.append(cen.T @ cen)  # one operand array, so BLAS takes its symmetric path
-        diff = mu - global_mean
-        s_b += chunk.shape[0] * np.outer(diff, diff)
-        class_means[i] = mu
-        counts[i] = chunk.shape[0]
-    return global_mean, class_ids, class_means, counts, scatters, s_b / data.shape[0]
-
-
-def scatter_matrices(feats, labels):
-    """Class-weighted between/within scatter.
-
-    S_W = (1/K) sum_s sum_{x in s} (x - mu_s)(x - mu_s)^T and
-    S_B = (1/K) sum_s K_s (mu_s - mu)(mu_s - mu)^T, so S_B + S_W equals the
-    total scatter.
-    """
-    data = feature_array(feats)
-    labels = np.asarray(labels)
-    if labels.shape != (data.shape[0],):
-        raise ValueError("labels must have one entry per frame")
-    global_mean, class_ids, class_means, counts, scatters, s_b = _class_scatter(data, labels)
-    if len(class_ids) < 2:
-        raise ValueError("need at least 2 classes")
-    small = class_ids[counts < 2]
-    if len(small):
-        raise ValueError("class %r has fewer than 2 frames" % (small[0],))
-    s_w = sum(scatters) / data.shape[0]
-    s_w = 0.5 * (s_w + s_w.T)
-    return ScatterPair(s_b, s_w, global_mean, class_means, counts, class_ids)
-
-
-def fit_lda(sp, out_dim):
-    """Fisher directions from eigen-decomposition of S_W^-1 S_B.
-
-    Rows are normalized so w^T S_W w = 1 (solved via Cholesky symmetric
-    reduction for stability).
-    """
-    num_classes = len(sp.class_counts)
-    if out_dim > num_classes - 1:
-        raise ValueError(
-            "LDA out_dim %d exceeds class count - 1 (%d)" % (out_dim, num_classes - 1)
-        )
-    try:
-        chol = scipy.linalg.cholesky(sp.s_w, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise ValueError(
-            "within-class scatter is singular; reduce dimensionality with PCA first"
-        ) from exc
-    half = scipy.linalg.solve_triangular(chol, sp.s_b, lower=True)
-    reduced = scipy.linalg.solve_triangular(chol, half.T, lower=True)
-    reduced = 0.5 * (reduced + reduced.T)
-    vals, vecs = scipy.linalg.eigh(reduced)
-    order = np.argsort(vals)[::-1][:out_dim]
-    basis = scipy.linalg.solve_triangular(chol, vecs[:, order], lower=True, trans="T")
-    rows = _canonical_signs(basis.T.copy())
-    return LinearTransform(
-        rows, -rows @ sp.global_mean, context=0, meta={"eigenvalues": vals[order].copy()}
+        rows, -rows @ pooled.mean, context=0, meta={"eigenvalues": vals[order].copy()}
     )
 
 
@@ -182,6 +145,29 @@ class _HldaStats:
     class_covs: np.ndarray  # (S, d, d) class covariances
     total_cov: np.ndarray  # (d, d) total covariance
     total_inv: np.ndarray | None  # its inverse, or None if it is singular
+
+
+def _hlda_statistics(moments):
+    """The global mean, S_B and _HldaStats of {class: Moments}, classes in sorted order.
+
+    S_B = (1/K) sum_s K_s (mu_s - mu)(mu_s - mu)^T and
+    Sigma_total = (1/K) sum_s scatter_s + S_B.
+    """
+    classes = [moments[cid] for cid in sorted(moments)]
+    counts = np.array([m.count for m in classes], dtype=np.int64)
+    total = int(counts.sum())
+    means = np.stack([m.mean for m in classes])
+    mean = counts @ means / total
+    s_b = sum(n * np.outer(d, d) for n, d in zip(counts, means - mean)) / total
+    scatters = np.stack([m.scatter for m in classes])
+    total_cov = scatters.sum(axis=0) / total + s_b
+    total_cov = 0.5 * (total_cov + total_cov.T)
+    try:
+        total_inv = np.linalg.inv(total_cov)
+    except np.linalg.LinAlgError:  # exactly singular: the rejected rows stay put
+        total_inv = None
+    return mean, s_b, _HldaStats(total, counts, scatters / counts[:, None, None],
+                                 total_cov, total_inv)
 
 
 def _hlda_objective(mat, retained, stats):
@@ -269,49 +255,28 @@ def _hlda_sweep(mat, retained, stats):
             mat[j] = best
 
 
-def fit_hlda(feats, labels, retained_dim, context=1, max_iters=100, tol=1e-6):
-    """Maximum-likelihood HLDA on (optionally spliced) features.
+def fit_hlda(utterances, retained_dim, context=1, max_iters=100, tol=1e-6):
+    """Maximum-likelihood HLDA on spliced features, read one utterance at a time.
 
-    feats may be one FeatureMatrix/array or a list of per-utterance
-    matrices; labels correspondingly one per-frame label array or a list of
-    them (splicing never crosses utterance boundaries). Returns the first
-    retained_dim rows; meta records the objective sequence, convergence,
-    and the full square transform.
+    utterances: (frames, labels) items as class_moments takes them; each
+    utterance is spliced on its own, so splicing never crosses utterance
+    boundaries. Returns the first retained_dim rows; meta records the
+    objective sequence, convergence, and the full square transform.
     """
-    if isinstance(feats, (list, tuple)):
-        if not isinstance(labels, (list, tuple)) or len(labels) != len(feats):
-            raise ValueError("need one label array per utterance")
-        spliced = [splice_frames(feature_array(f), context) for f in feats]
-        data = np.vstack(spliced)
-        labs = np.concatenate([np.broadcast_to(np.asarray(l), (s.shape[0],))
-                               for l, s in zip(labels, spliced)])
-    else:
-        data = splice_frames(feature_array(feats), context)
-        labs = np.asarray(labels)
-    if labs.shape != (data.shape[0],):
-        raise ValueError("labels must have one entry per frame")
-    dim = data.shape[1]
+    moments = class_moments((splice_frames(feature_array(frames), context), labels)
+                            for frames, labels in utterances)
+    if not moments:
+        raise ValueError("need labelled frames to fit HLDA")
+    mean, s_b, stats = _hlda_statistics(moments)
+    dim = len(mean)
     if retained_dim > dim:
         raise ValueError("retained_dim %d exceeds spliced dim %d" % (retained_dim, dim))
-
-    mean, _, _, counts, scatters, s_b = _class_scatter(data, labs)
-    if np.any(counts <= dim):
+    if np.any(stats.counts <= dim):
         raise ValueError("every class needs more frames than the spliced dim %d" % dim)
-    total = data.shape[0]
-    centered = data - mean
-    total_cov = centered.T @ centered / total
-    total_cov = 0.5 * (total_cov + total_cov.T)
-    del centered
-    try:
-        total_inv = np.linalg.inv(total_cov)
-    except np.linalg.LinAlgError:  # exactly singular: the rejected rows stay put
-        total_inv = None
-    stats = _HldaStats(total, counts, np.stack(scatters) / counts[:, None, None],
-                       total_cov, total_inv)
 
     # init: whiten the global covariance, then rotate so leading rows align
     # with the between-class spectrum of the whitened data
-    vals, vecs = scipy.linalg.eigh(total_cov)
+    vals, vecs = scipy.linalg.eigh(stats.total_cov)
     vals = np.maximum(vals, 1e-10)
     white = (vecs / np.sqrt(vals)).T[::-1]
     between_white = white @ s_b @ white.T

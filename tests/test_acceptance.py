@@ -29,13 +29,8 @@ from accent_forge.pipeline import (
     synthesize_tone_silence,
 )
 from accent_forge.signal import FramePlan, remove_silence
-from accent_forge.transforms import (
-    apply_transform,
-    fit_hlda,
-    fit_lda,
-    fit_pca,
-    scatter_matrices,
-)
+from accent_forge.transforms import apply_transform, fit_hlda, fit_pca
+from test_transforms import fit_lda, scatter_matrices
 
 
 def _report(num, name, checks):
@@ -152,11 +147,11 @@ def test_c04_transform_suite():
     rng = np.random.default_rng(104)
 
     data = rng.standard_normal((800, 6)) @ rng.standard_normal((6, 6))
-    pca = fit_pca(data, 6)
+    pca = fit_pca([data], 6)
     ortho = np.abs(pca.matrix @ pca.matrix.T - np.eye(6)).max() < 1e-8
 
     known = rng.standard_normal((10000, 3)) * np.sqrt([4.0, 1.0, 0.25])
-    projected = apply_transform(fit_pca(known, 3), FeatureMatrix(known))
+    projected = apply_transform(fit_pca([known], 3), FeatureMatrix(known))
     eig_ok = np.allclose(
         projected.data.var(axis=0, ddof=1), [4.0, 1.0, 0.25], rtol=0.05
     )
@@ -179,7 +174,7 @@ def test_c04_transform_suite():
         labs.append(np.full(3000, s))
     hdata, hlabels = np.vstack(blocks), np.concatenate(labs)
     lda = fit_lda(scatter_matrices(hdata, hlabels), 2)
-    hlda = fit_hlda(hdata, hlabels, retained_dim=2, context=0, max_iters=60)
+    hlda = fit_hlda([(hdata, hlabels)], retained_dim=2, context=0, max_iters=60)
     objective = np.array(hlda.meta["objective"])
     monotone = bool(
         np.all(np.diff(objective) >= -1e-9 * np.maximum(1.0, np.abs(objective[:-1])))

@@ -1,5 +1,5 @@
 """Property tests of the AFF1 feature and AFT1 transform archives, feature warping,
-and the HLDA objective."""
+the streamed PCA/HLDA statistics and the HLDA objective."""
 
 import math
 import re
@@ -26,12 +26,15 @@ from accent_forge.frontend import (  # noqa: E402
 from accent_forge.transforms import (  # noqa: E402
     TRANSFORM_MAGIC,
     LinearTransform,
+    _hlda_statistics,
+    class_moments,
     fit_hlda,
     read_transform_chain,
+    splice_frames,
     write_transform_chain,
 )
 from test_frontend import _feature_warp_oracle  # noqa: E402
-from test_transforms import fit_hlda_oracle  # noqa: E402
+from test_transforms import fit_hlda_oracle, stacked_class_scatter  # noqa: E402
 
 SEEDS = st.integers(0, 2**32 - 1)
 # a non-finite value and where to write it, as an index into the file's float values
@@ -209,6 +212,78 @@ def test_absurd_size_claims_fail_the_length_check(tmp_path, claim):
 
 
 @st.composite
+def split_utterances(draw):
+    """Labelled frames of 1-4 dims cut into utterances of 1 to max_len frames,
+    each labelled as one class or frame by frame; with a shuffled order of
+    the utterances and a splicing context."""
+    rng = np.random.default_rng(draw(SEEDS))
+    dim = draw(st.integers(1, 4))
+    num_classes = draw(st.integers(1, 3))
+    num_frames = draw(st.integers(1, 120))
+    max_len = draw(st.integers(1, 30))
+    offset = draw(st.sampled_from([0.0, 1e3]))  # a far-off mean shows uncentred sums
+    data = rng.normal(offset, 1.0, (num_frames, dim)) * rng.uniform(0.1, 10.0, dim)
+    bounds = np.cumsum(rng.integers(1, max_len + 1, num_frames))
+    bounds = np.concatenate([[0], bounds[bounds < num_frames], [num_frames]])
+    utterances = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if rng.random() < 0.5:
+            utterances.append((data[lo:hi], int(rng.integers(num_classes))))
+        else:
+            utterances.append((data[lo:hi], rng.integers(0, num_classes, hi - lo)))
+    return utterances, rng.permutation(len(utterances)), draw(st.integers(0, 1))
+
+
+def _assert_close(got, want, scale):
+    """Equal to 1e-10 relative, or to 1e-10 of the quantity's scale near 0."""
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(split_utterances())
+def test_streamed_statistics_match_the_stacked_ones(case):
+    """Statistics accumulated one utterance at a time, in any order, equal
+    those of the stacked frames; a class with no more frames than the
+    spliced dim is rejected as before."""
+    utterances, order, context = case
+    shuffled = [utterances[i] for i in order]
+    frames = np.vstack([f for f, _ in utterances])
+    pooled = class_moments((f, 0) for f, _ in shuffled)[0]
+    assert pooled.count == len(frames)
+    if len(frames) > 1:
+        want = np.cov(frames, rowvar=False).reshape(pooled.scatter.shape)
+        _assert_close(pooled.scatter / (pooled.count - 1), want, np.abs(want).max())
+
+    # splicing stays inside each utterance, as in fit_hlda
+    data = np.vstack([splice_frames(f, context) for f, _ in utterances])
+    labels = np.concatenate([np.broadcast_to(lab, len(f)) for f, lab in utterances])
+    class_ids, counts, means, scatters, global_mean, s_b = stacked_class_scatter(data, labels)
+    centered = data - data.mean(axis=0)
+    total_cov = centered.T @ centered / len(data)
+    spread = np.abs(total_cov).max()
+    moments = class_moments((splice_frames(f, context), lab) for f, lab in shuffled)
+    assert sorted(moments) == list(class_ids)
+    assert [moments[c].count for c in class_ids] == list(counts)
+    _assert_close([moments[c].mean for c in class_ids], means, np.abs(data).max())
+    for cid, count, scatter in zip(class_ids, counts, scatters):
+        _assert_close(moments[cid].scatter, scatter, count * spread)
+    got_mean, got_s_b, stats = _hlda_statistics(moments)
+    _assert_close(got_mean, global_mean, np.abs(data).max())
+    _assert_close(got_s_b, s_b, spread)
+    _assert_close(stats.total_cov, total_cov, spread)
+    _assert_close(stats.class_covs, scatters / counts[:, None, None], spread)
+
+    dim = data.shape[1]
+    fit = lambda: fit_hlda(shuffled, 1, context=context, max_iters=0)  # noqa: E731
+    if counts.min() <= dim:
+        with pytest.raises(ValueError, match="every class needs more frames than the "
+                                             "spliced dim %d$" % dim):
+            fit()
+    else:
+        assert fit().matrix.shape == (1, dim)
+
+
+@st.composite
 def labelled_sets(draw):
     """Per-class utterances of 2-6 dims, 2-4 classes with their own means and
     covariances, each class with more frames than the spliced dim."""
@@ -230,7 +305,7 @@ def labelled_sets(draw):
 @given(labelled_sets())
 def test_hlda_objective_non_decreasing(case):
     feats, labels, retained_dim, context = case
-    hlda = fit_hlda(feats, labels, retained_dim, context=context, max_iters=15)
+    hlda = fit_hlda(zip(feats, labels), retained_dim, context=context, max_iters=15)
     obj = np.array(hlda.meta["objective"])
     assert np.all(np.isfinite(obj))
     assert np.all(np.diff(obj) >= -1e-9 * np.maximum(1.0, np.abs(obj[:-1])))
@@ -243,6 +318,6 @@ def test_hlda_objective_non_decreasing(case):
 @given(labelled_sets())
 def test_hlda_rank_one_sweep_reaches_the_oracle_objective(case):
     feats, labels, retained_dim, context = case
-    got = fit_hlda(feats, labels, retained_dim, context=context, max_iters=15)
-    want = fit_hlda_oracle(feats, labels, retained_dim, context=context, max_iters=15)
+    got = fit_hlda(zip(feats, labels), retained_dim, context=context, max_iters=15)
+    want = fit_hlda_oracle(zip(feats, labels), retained_dim, context=context, max_iters=15)
     assert got.meta["objective"][-1] == pytest.approx(want.meta["objective"][-1], rel=1e-7)

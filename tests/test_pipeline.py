@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -771,6 +772,38 @@ class TestTransformsStage:
         assert [t.out_dim for t in chain] == [8, 5]
         assert chain[1].context == 1
         assert chain[1].in_dim == 24
+
+    def test_fit_holds_one_utterance_at_a_time(self, tmp_path):
+        """The stage's traced peak stays below one stacked copy of the spliced
+        train frames, which a fit on stacked frames would hold. Utterances are
+        long enough that this copy is well above the 1 MB read buffer of
+        provenance hashing."""
+        cfg = _small_cfg()
+        cfg.synth.feature_dim = 10
+        cfg.synth.frames_per_utterance = 400
+        cfg.transforms.enabled = True
+        cfg.transforms.pca_dim = 8
+        cfg.transforms.hlda_dim = 5
+        cfg.transforms.context = 2
+        cfg.transforms.max_iters = 3
+        ws = Workspace(tmp_path / "ws")
+        generate_synthetic_corpus(cfg.synth, ws.root)
+        run_stage("vad", cfg, ws)
+        run_stage("features", cfg, ws)
+        manifest = CorpusManifest.load(ws.manifest_path)
+        train_frames = sum(
+            read_feature_archive(ws.root / "features" / "feat" / (ws.utt_id(i, e) + ".aff"))
+            .num_frames for i, e in manifest.with_split("train"))
+        spliced_dim = cfg.transforms.pca_dim * (2 * cfg.transforms.context + 1)
+        spliced_bytes = train_frames * spliced_dim * 8
+        tracemalloc.start()
+        try:
+            run_stage("transforms", cfg, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (ws.root / "models" / "transforms.aft").exists()
+        assert peak < spliced_bytes, (peak, spliced_bytes)
 
 
 class TestCli:

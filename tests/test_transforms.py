@@ -1,6 +1,12 @@
-"""Tests for PCA, scatter matrices, LDA, HLDA, and the transform format."""
+"""Tests for PCA, scatter matrices, LDA, HLDA, and the transform format.
+
+Class scatter on stacked frames, and LDA on it, live here as oracles: the
+pipeline's fits read streamed statistics, and HLDA under equal class
+covariances must agree with LDA.
+"""
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,19 +14,92 @@ import scipy.linalg
 
 from accent_forge import transforms
 from accent_forge.errors import FormatError
-from accent_forge.frontend import FeatureMatrix
+from accent_forge.frontend import FeatureMatrix, feature_array
 from accent_forge.transforms import (
     LinearTransform,
+    _canonical_signs,
     apply_chain,
     apply_transform,
     fit_hlda,
-    fit_lda,
     fit_pca,
     read_transform_chain,
-    scatter_matrices,
     splice_frames,
     write_transform_chain,
 )
+
+
+def stacked_class_scatter(data, labels):
+    """Class ids, frame counts, means and centred scatters of stacked labelled
+    frames, with the global mean and S_B = (1/K) sum_s K_s (mu_s - mu)(mu_s - mu)^T."""
+    class_ids, counts = np.unique(labels, return_counts=True)
+    global_mean = data.mean(axis=0)
+    chunks = [data[labels == cid] for cid in class_ids]
+    class_means = np.stack([chunk.mean(axis=0) for chunk in chunks])
+    scatters = np.stack([(chunk - mu).T @ (chunk - mu) for chunk, mu in zip(chunks, class_means)])
+    s_b = sum(n * np.outer(d, d) for n, d in zip(counts, class_means - global_mean)) / len(data)
+    return class_ids, counts, class_means, scatters, global_mean, s_b
+
+
+@dataclass
+class ScatterPair:
+    s_b: np.ndarray
+    s_w: np.ndarray
+    global_mean: np.ndarray
+    class_means: np.ndarray
+    class_counts: np.ndarray
+    class_ids: np.ndarray
+
+
+def scatter_matrices(feats, labels):
+    """Class-weighted between/within scatter.
+
+    S_W = (1/K) sum_s sum_{x in s} (x - mu_s)(x - mu_s)^T and
+    S_B = (1/K) sum_s K_s (mu_s - mu)(mu_s - mu)^T, so S_B + S_W equals the
+    total scatter.
+    """
+    data = feature_array(feats)
+    labels = np.asarray(labels)
+    if labels.shape != (data.shape[0],):
+        raise ValueError("labels must have one entry per frame")
+    class_ids, counts, class_means, scatters, global_mean, s_b = stacked_class_scatter(
+        data, labels)
+    if len(class_ids) < 2:
+        raise ValueError("need at least 2 classes")
+    small = class_ids[counts < 2]
+    if len(small):
+        raise ValueError("class %r has fewer than 2 frames" % (small[0],))
+    s_w = scatters.sum(axis=0) / data.shape[0]
+    s_w = 0.5 * (s_w + s_w.T)
+    return ScatterPair(s_b, s_w, global_mean, class_means, counts, class_ids)
+
+
+def fit_lda(sp, out_dim):
+    """Fisher directions from eigen-decomposition of S_W^-1 S_B.
+
+    Rows are normalized so w^T S_W w = 1 (solved via Cholesky symmetric
+    reduction for stability).
+    """
+    num_classes = len(sp.class_counts)
+    if out_dim > num_classes - 1:
+        raise ValueError(
+            "LDA out_dim %d exceeds class count - 1 (%d)" % (out_dim, num_classes - 1)
+        )
+    try:
+        chol = scipy.linalg.cholesky(sp.s_w, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise ValueError(
+            "within-class scatter is singular; reduce dimensionality with PCA first"
+        ) from exc
+    half = scipy.linalg.solve_triangular(chol, sp.s_b, lower=True)
+    reduced = scipy.linalg.solve_triangular(chol, half.T, lower=True)
+    reduced = 0.5 * (reduced + reduced.T)
+    vals, vecs = scipy.linalg.eigh(reduced)
+    order = np.argsort(vals)[::-1][:out_dim]
+    basis = scipy.linalg.solve_triangular(chol, vecs[:, order], lower=True, trans="T")
+    rows = _canonical_signs(basis.T.copy())
+    return LinearTransform(
+        rows, -rows @ sp.global_mean, context=0, meta={"eigenvalues": vals[order].copy()}
+    )
 
 
 class TestPca:
@@ -28,21 +107,21 @@ class TestPca:
         rng = np.random.default_rng(0)
         t = rng.standard_normal(500)
         data = np.column_stack([t, t]) + 1e-9 * rng.standard_normal((500, 2))
-        pca = fit_pca(data, 1)
+        pca = fit_pca([data], 1)
         direction = pca.matrix[0]
         np.testing.assert_allclose(np.abs(direction), [np.sqrt(0.5)] * 2, atol=1e-6)
 
     def test_orthonormal_rows(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((800, 6))
-        pca = fit_pca(data, 4)
+        pca = fit_pca([data], 4)
         gram = pca.matrix @ pca.matrix.T
         assert np.abs(gram - np.eye(4)).max() < 1e-8
 
     def test_eigenvalue_recovery(self):
         rng = np.random.default_rng(2)
         data = rng.standard_normal((10000, 3)) * np.sqrt([4.0, 1.0, 0.25])
-        pca = fit_pca(data, 3)
+        pca = fit_pca([data], 3)
         projected = apply_transform(pca, FeatureMatrix(data))
         variances = projected.data.var(axis=0, ddof=1)
         np.testing.assert_allclose(variances, [4.0, 1.0, 0.25], rtol=0.05)
@@ -50,19 +129,19 @@ class TestPca:
     def test_projected_variances_non_increasing(self):
         rng = np.random.default_rng(3)
         data = rng.standard_normal((600, 5)) @ rng.standard_normal((5, 5))
-        pca = fit_pca(data, 5)
+        pca = fit_pca([data], 5)
         variances = apply_transform(pca, FeatureMatrix(data)).data.var(axis=0)
         assert np.all(np.diff(variances) <= 1e-9)
 
     def test_output_centered(self):
         rng = np.random.default_rng(4)
         data = rng.standard_normal((300, 4)) + [5, -2, 3, 0]
-        projected = apply_transform(fit_pca(data, 2), FeatureMatrix(data))
+        projected = apply_transform(fit_pca([data], 2), FeatureMatrix(data))
         np.testing.assert_allclose(projected.data.mean(axis=0), 0.0, atol=1e-10)
 
     def test_out_dim_too_large(self):
         with pytest.raises(ValueError, match="exceeds input dim"):
-            fit_pca(np.random.default_rng(5).standard_normal((50, 3)), 4)
+            fit_pca([np.random.default_rng(5).standard_normal((50, 3))], 4)
 
 
 class TestScatter:
@@ -168,7 +247,7 @@ class TestLda:
         # of each row is made positive, so the transform is deterministic
         rng = np.random.default_rng(19)
         data, labels = _hlda_classes(rng, num_classes=5, dim=6, per_class=200)
-        for fitted in (fit_pca(data, 6), fit_lda(scatter_matrices(data, labels), 4)):
+        for fitted in (fit_pca([data], 6), fit_lda(scatter_matrices(data, labels), 4)):
             rows = fitted.matrix
             assert np.all(rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)] > 0)
 
@@ -250,14 +329,14 @@ class TestHlda:
         rng = np.random.default_rng(14)
         data, labels = _hlda_classes(rng)
         lda = fit_lda(scatter_matrices(data, labels), 2)
-        hlda = fit_hlda(data, labels, retained_dim=2, context=0, max_iters=60)
+        hlda = fit_hlda([(data, labels)], retained_dim=2, context=0, max_iters=60)
         angles = scipy.linalg.subspace_angles(lda.matrix.T, hlda.matrix.T)
         assert np.max(angles) < 1e-2
 
     def test_objective_non_decreasing(self):
         rng = np.random.default_rng(15)
         data, labels = _hlda_classes(rng, shared_cov=False)
-        hlda = fit_hlda(data, labels, retained_dim=3, context=0, max_iters=40)
+        hlda = fit_hlda([(data, labels)], retained_dim=3, context=0, max_iters=40)
         obj = np.array(hlda.meta["objective"])
         assert np.all(np.diff(obj) >= -1e-9 * np.maximum(1.0, np.abs(obj[:-1])))
         assert obj[-1] >= obj[0]
@@ -265,7 +344,7 @@ class TestHlda:
     def test_full_rank_objective_is_diagonal_ml(self):
         rng = np.random.default_rng(16)
         data, labels = _hlda_classes(rng, dim=4, per_class=500)
-        hlda = fit_hlda(data, labels, retained_dim=4, context=0, max_iters=30)
+        hlda = fit_hlda([(data, labels)], retained_dim=4, context=0, max_iters=30)
         mat = hlda.meta["full_matrix"]
         # objective recomputed from scratch: K log|det A| - 0.5 sum_s K_s sum_j log var_sj
         total = len(data)
@@ -279,7 +358,7 @@ class TestHlda:
         rng = np.random.default_rng(17)
         data, labels = _hlda_classes(rng, dim=4, per_class=400)
         with pytest.raises(ValueError, match="exceeds spliced dim"):
-            fit_hlda(data, labels, retained_dim=5, context=0)
+            fit_hlda([(data, labels)], retained_dim=5, context=0)
 
     def test_singular_total_covariance_still_fits(self):
         # a copied column makes the total covariance exactly singular
@@ -290,15 +369,15 @@ class TestHlda:
         for context in (0, 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                hlda = fit_hlda(data, labels, retained_dim=2, context=context, max_iters=20)
+                hlda = fit_hlda([(data, labels)], retained_dim=2, context=context, max_iters=20)
             assert np.all(np.isfinite(hlda.matrix))
             assert np.all(np.isfinite(hlda.meta["objective"]))
 
     def test_rank_one_sweep_matches_oracle(self):
         rng = np.random.default_rng(15)
         data, labels = _hlda_classes(rng, dim=10, per_class=400, shared_cov=False)
-        got = fit_hlda(data, labels, retained_dim=4, context=1, max_iters=10)
-        want = fit_hlda_oracle(data, labels, retained_dim=4, context=1, max_iters=10)
+        got = fit_hlda([(data, labels)], retained_dim=4, context=1, max_iters=10)
+        want = fit_hlda_oracle([(data, labels)], retained_dim=4, context=1, max_iters=10)
         np.testing.assert_allclose(got.meta["objective"], want.meta["objective"], rtol=1e-12)
         np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-9 * np.abs(
             want.matrix).max())
@@ -307,7 +386,7 @@ class TestHlda:
         data = np.random.default_rng(18).standard_normal((8, 4))
         labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
         with pytest.raises(ValueError, match="more frames than"):
-            fit_hlda(data, labels, retained_dim=2, context=0)
+            fit_hlda([(data, labels)], retained_dim=2, context=0)
 
 
 class TestApply:
@@ -334,9 +413,9 @@ class TestApply:
         frames = rng.standard_normal((700, 39))
         frames[:350, :3] += 2.0  # two loose classes
         labels = np.repeat([0, 1], 350)
-        pca = fit_pca(frames, 30)
+        pca = fit_pca([frames], 30)
         projected = apply_transform(pca, FeatureMatrix(frames))
-        hlda = fit_hlda(projected, labels, retained_dim=20, context=1, max_iters=3)
+        hlda = fit_hlda([(projected, labels)], retained_dim=20, context=1, max_iters=3)
         assert hlda.in_dim == 90
         out = apply_chain([pca, hlda], FeatureMatrix(frames))
         assert out.data.shape == (700, 20)
