@@ -19,6 +19,7 @@ from .errors import FormatError
 FEATURE_MAGIC = b"AFF1"
 
 _SPECTRUM_FLOOR = 1e-30
+_MVN_FLOOR = 1e-10
 
 
 @dataclass
@@ -237,19 +238,19 @@ def append_deltas(feat, window=2):
     return FeatureMatrix(out)
 
 
-def mvn(feat, floor=1e-10):
+def mvn(feat):
     """Per-utterance, per-dimension zero mean / unit variance.
 
     Returns the normalized features plus the statistics used, so they can be
-    persisted. Zero-variance dimensions are floored and reported.
+    persisted. Variances below _MVN_FLOOR are floored and reported.
     """
     data = feature_array(feat)
     if data.shape[0] < 2:
         raise ValueError("MVN needs at least 2 frames")
     mean = data.mean(axis=0)
     var = data.var(axis=0)
-    floored = tuple(int(i) for i in np.nonzero(var < floor)[0])
-    var = np.maximum(var, floor)
+    floored = tuple(int(i) for i in np.nonzero(var < _MVN_FLOOR)[0])
+    var = np.maximum(var, _MVN_FLOOR)
     std = np.sqrt(var)
     out = (data - mean) / std
     stats = MvnStats(mean=mean, std=std, floored_dims=floored)

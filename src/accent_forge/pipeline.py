@@ -550,49 +550,6 @@ def generate_synthetic_corpus(spec, out_dir):
     return manifest
 
 
-def synthesize_tone_silence(
-    duration_sec=8.0,
-    speech_fraction=0.85,
-    sample_rate_hz=16000,
-    num_bursts=5,
-    tone_hz=None,
-    burst_amp=0.3,
-    noise_amp=1e-4,
-    seed=0,
-):
-    """Tone bursts over a tiny noise floor, with known burst boundaries.
-
-    The tone sits at 0.35 * fs, well above the white-noise spectral
-    centroid, so both VAD criteria agree on the bursts. Returns the
-    AudioBuffer and the ground-truth (start_sample, end_sample) list.
-    """
-    rng = np.random.default_rng(seed)
-    total = int(round(duration_sec * sample_rate_hz))
-    if tone_hz is None:
-        tone_hz = 0.35 * sample_rate_hz
-    samples = noise_amp * rng.standard_normal(total)
-    speech_total = int(round(total * speech_fraction))
-    silence_total = total - speech_total
-    gap_weights = rng.uniform(0.6, 1.4, size=num_bursts + 1)
-    gaps = np.floor(silence_total * gap_weights / gap_weights.sum()).astype(int)
-    burst_weights = rng.uniform(0.6, 1.4, size=num_bursts)
-    bursts = np.floor(speech_total * burst_weights / burst_weights.sum()).astype(int)
-    bursts[-1] += speech_total - bursts.sum()
-
-    truth = []
-    cursor = 0
-    t_index = np.arange(total)
-    for i in range(num_bursts):
-        cursor += gaps[i]
-        start = cursor
-        end = min(start + bursts[i], total)
-        phase = 2.0 * np.pi * tone_hz / sample_rate_hz
-        samples[start:end] += burst_amp * np.sin(phase * t_index[start:end])
-        truth.append((int(start), int(end)))
-        cursor = end
-    return sig.AudioBuffer(samples, sample_rate_hz), truth
-
-
 # ---------------------------------------------------------------------------
 # workspace and provenance
 
@@ -676,13 +633,20 @@ class StageRun:
         return manifest
 
     def utterances(self, split=None):
-        """(utt id, entry) of every manifest entry, or of a split, which must not be empty."""
+        """(utt id, entry) of every manifest entry, or of a split, which must not be empty.
+
+        The train split must also hold at least one utterance of every accent.
+        """
         manifest = self.manifest(need_split=split is not None)
         utts = [(self.ws.utt_id(index, entry), entry)
                 for index, entry in enumerate(manifest.entries)
                 if split is None or entry.split == split]
         if split is not None and not utts:
             raise MissingPrerequisiteError("no %s utterances; run 'split' first" % split)
+        untrained = set(manifest.accents()) - {entry.accent for _, entry in utts}
+        if split == "train" and untrained:
+            raise MissingPrerequisiteError("no train utterances of accent %s; every accent "
+                                           "needs one" % ", ".join(sorted(untrained)))
         return utts
 
     def features(self, utt, reduced=True):
@@ -910,7 +874,7 @@ def stage_adapt(run):
     for utt, entry in run.utterances("train"):
         per_accent.setdefault(entry.accent, []).append(run.features(utt).data)
     # pop each accent's blocks as it is stacked, so they are never all held twice
-    pooled = {a: np.vstack(per_accent.pop(a)) for a in accents if a in per_accent}
+    pooled = {a: np.vstack(per_accent.pop(a)) for a in accents}
     models = adapt_all_accents(ubm, pooled, cfg.adapt)
     accents_dir = ws.dir("models/accents")
     for accent in accents:
@@ -1035,6 +999,17 @@ def _cap_test_utterance(cfg, feats, segments):
     return capped, clipped
 
 
+def _capped_labelled(run, split):
+    """(utt id, entry, capped features, clipped segments) of a split; each needs labels."""
+    for utt, entry in run.utterances(split):
+        segments = run.labels(utt)
+        if segments is None:
+            raise MissingPrerequisiteError(
+                "utterance %s has no label file; vowel mode needs labels" % utt
+            )
+        yield (utt, entry, *_cap_test_utterance(run.cfg, run.features(utt), segments))
+
+
 def _test_threshold(run):
     if run.cfg.vowels.use_calibrated_threshold:
         path = run.require(run.ws.dir("models") / "confidence_threshold.json", "calibrate")
@@ -1053,22 +1028,16 @@ def stage_classify(run):
     model_set = load_model_set(ws, mode, run)
     threshold = _test_threshold(run) if mode == "vowel" else None
     rows = []
-    for utt, entry in run.utterances("test"):
-        feats = run.features(utt)
-        if mode == "baseline":
-            result = classify_baseline(model_set, feats.head(cfg.corpus.max_test_frames))
-        else:
-            segments = run.labels(utt)
-            if segments is None:
-                raise MissingPrerequisiteError(
-                    "utterance %s has no label file; vowel mode needs labels" % utt
-                )
-            result = classify_vowel_thresholds(
-                model_set, *_cap_test_utterance(cfg, feats, segments), [threshold])[0]
-            if result is None:
-                rows.append((utt, entry.accent, model_set.accents[0], 0))
-                continue
-        rows.append((utt, entry.accent, result.chosen_accent, result.frames_used))
+    if mode == "baseline":
+        for utt, entry in run.utterances("test"):
+            feats = run.features(utt).head(cfg.corpus.max_test_frames)
+            result = classify_baseline(model_set, feats)
+            rows.append((utt, entry.accent, result.chosen_accent, result.frames_used))
+    else:
+        for utt, entry, feats, segments in _capped_labelled(run, "test"):
+            result = classify_vowel_thresholds(model_set, feats, segments, [threshold])[0]
+            rows.append((utt, entry.accent, model_set.accents[0], 0) if result is None
+                        else (utt, entry.accent, result.chosen_accent, result.frames_used))
     run.output(ws.dir("reports") / ("predictions_%s.tsv" % mode)).write_text(
         "".join("%s\t%s\t%s\t%d\n" % row for row in rows), encoding="utf-8"
     )
@@ -1106,12 +1075,8 @@ def stage_calibrate(run):
     """
     cfg, ws = run.cfg, run.ws
     model_set = load_model_set(ws, "vowel", run)
-    dev_items = []
-    for utt, entry in run.utterances("dev"):
-        feats = run.features(utt)
-        segments = run.labels(utt)
-        if segments is not None:
-            dev_items.append((*_cap_test_utterance(cfg, feats, segments), entry.accent))
+    dev_items = [(feats, segments, entry.accent)
+                 for _, entry, feats, segments in _capped_labelled(run, "dev")]
 
     grid = sorted(cfg.calibrate.grid)
 

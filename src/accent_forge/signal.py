@@ -169,21 +169,30 @@ def _next_pow2(n):
     return p
 
 
-def _histogram_modes(values, bins=50, smooth=3, height_ratio=0.1, valley_ratio=0.3,
-                     min_separation=5, mass_fraction=0.1):
+# _histogram_modes' bin count, smoothing width in bins and second-mode tests
+_HIST_BINS = 50
+_HIST_SMOOTH = 3
+_HIST_HEIGHT_RATIO = 0.1
+_HIST_VALLEY_RATIO = 0.3
+_HIST_MIN_SEPARATION = 5
+_HIST_MASS_FRACTION = 0.1
+
+
+def _histogram_modes(values):
     """Positions of two genuinely separated smoothed-histogram modes.
 
     The tallest local maximum is always a mode. A second mode must be at
-    least height_ratio of the first, at least min_separation bins away,
-    hold at least mass_fraction of the samples near its peak, and be
-    separated from the first by a valley dipping below valley_ratio of the
-    smaller peak; sampling bumps on a unimodal histogram fail those
-    requirements. Returns the (up to two) positions sorted ascending.
+    least _HIST_HEIGHT_RATIO of the first and _HIST_MIN_SEPARATION bins away
+    from it, hold at least _HIST_MASS_FRACTION of the samples near its peak,
+    and be separated from the first by a valley dipping below
+    _HIST_VALLEY_RATIO of the smaller peak; sampling bumps on a unimodal
+    histogram fail those requirements. Returns the (up to two) positions
+    sorted ascending.
     """
     values = np.asarray(values, dtype=np.float64)
-    counts, edges = np.histogram(values, bins=bins)
+    counts, edges = np.histogram(values, bins=_HIST_BINS)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    kernel = np.ones(smooth) / float(smooth)
+    kernel = np.ones(_HIST_SMOOTH) / float(_HIST_SMOOTH)
     sm = np.convolve(counts.astype(np.float64), kernel, mode="same")
     peaks = []
     for i in range(len(sm)):
@@ -196,16 +205,16 @@ def _histogram_modes(values, bins=50, smooth=3, height_ratio=0.1, valley_ratio=0
     peaks.sort(key=lambda p: (-p[0], p[1]))
     main_height, main_idx = peaks[0]
     for height, idx in peaks[1:]:
-        if height < height_ratio * main_height:
+        if height < _HIST_HEIGHT_RATIO * main_height:
             continue
-        if abs(idx - main_idx) < min_separation:
+        if abs(idx - main_idx) < _HIST_MIN_SEPARATION:
             continue
-        mass = counts[max(0, idx - smooth):idx + smooth + 1].sum()
-        if mass < mass_fraction * values.size:
+        mass = counts[max(0, idx - _HIST_SMOOTH):idx + _HIST_SMOOTH + 1].sum()
+        if mass < _HIST_MASS_FRACTION * values.size:
             continue
         lo, hi = sorted((main_idx, idx))
         valley = sm[lo + 1:hi].min()
-        if valley < valley_ratio * min(height, main_height):
+        if valley < _HIST_VALLEY_RATIO * min(height, main_height):
             return sorted((centers[main_idx], centers[idx]))
     return [centers[main_idx]]
 

@@ -26,10 +26,10 @@ from accent_forge.pipeline import (
     Workspace,
     generate_synthetic_corpus,
     run_stage,
-    synthesize_tone_silence,
 )
 from accent_forge.signal import FramePlan, remove_silence
 from accent_forge.transforms import apply_transform, fit_hlda, fit_pca
+from test_signal import synthesize_tone_silence
 from test_transforms import fit_lda, scatter_matrices
 
 

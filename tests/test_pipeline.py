@@ -33,7 +33,6 @@ from accent_forge.pipeline import (
     generate_synthetic_corpus,
     run_stage,
     split_corpus,
-    synthesize_tone_silence,
 )
 from accent_forge.signal import write_wav
 from accent_forge.vowels import (
@@ -42,6 +41,7 @@ from accent_forge.vowels import (
     vowel_frame_masks,
     write_label_file,
 )
+from test_signal import synthesize_tone_silence
 
 
 def _small_cfg():
@@ -347,33 +347,54 @@ def trained_workspace(tmp_path_factory):
     return root
 
 
+_TRAIN_STAGES = ("transforms", "ubm", "adapt", "vowel-models")
+# (stage, split, accent): the split loses every entry, or that accent's train
+# entries move to test
+_EMPTIED = ([(stage, "train", None) for stage in _TRAIN_STAGES]
+            + [("classify", "test", None), ("calibrate", "dev", None)]
+            + [(stage, "train", "accent3") for stage in _TRAIN_STAGES])
+
+
 class TestStages:
-    @pytest.mark.parametrize("stage, split", [
-        ("transforms", "train"),
-        ("ubm", "train"),
-        ("adapt", "train"),
-        ("vowel-models", "train"),
-        ("classify", "test"),
-        ("calibrate", "dev"),
-    ])
+    @pytest.mark.parametrize("stage, split, accent", _EMPTIED,
+                             ids=["-".join(filter(None, case)) for case in _EMPTIED])
     def test_empty_split_is_a_missing_prerequisite(self, trained_workspace, tmp_path,
-                                                   stage, split):
+                                                   stage, split, accent):
         root = tmp_path / "ws"
         shutil.copytree(trained_workspace, root)
         manifest = CorpusManifest.load(root / "manifest.tsv")
+        target = "dev" if split == "train" else "train"
         for entry in manifest.entries:
-            if entry.split == split:
-                entry.split = "dev" if split == "train" else "train"
+            if entry.split == split and accent in (None, entry.accent):
+                entry.split = target if accent is None else "test"
         manifest.save(root / "manifest.tsv")
         vowel_set = root / "models" / "vowel_set.json"
-        if stage == "vowel-models":
+        if stage == "vowel-models" and accent is None:
             vowel_set.unlink()
+        models = _workspace_digest(root / "models")
         cfg = _small_cfg()
         cfg.transforms.enabled = stage == "transforms"
-        with pytest.raises(MissingPrerequisiteError, match="no %s utterances" % split):
+        cfg.transforms.pca_dim, cfg.transforms.hlda_dim = 4, 3  # the corpus is 4-dim
+        message = ("no %s utterances" % split if accent is None
+                   else "no train utterances of accent %s;" % accent)
+        with pytest.raises(MissingPrerequisiteError, match=message):
             run_stage(stage, cfg, Workspace(root))
-        if stage == "vowel-models":
+        if stage == "vowel-models" and accent is None:
             assert not vowel_set.exists()
+        assert _workspace_digest(root / "models") == models
+
+    def test_unlabelled_dev_utterance_is_a_missing_prerequisite(self, trained_workspace,
+                                                                tmp_path):
+        root = tmp_path / "ws"
+        shutil.copytree(trained_workspace, root)
+        manifest = CorpusManifest.load(root / "manifest.tsv")
+        ws = Workspace(root)
+        index, entry = next((i, e) for i, e in enumerate(manifest.entries) if e.split == "dev")
+        utt = ws.utt_id(index, entry)
+        (root / "features" / "feat" / (utt + ".lab")).unlink()
+        with pytest.raises(MissingPrerequisiteError, match="utterance %s has no label" % utt):
+            run_stage("calibrate", _small_cfg(), ws)
+        assert not (root / "models" / "confidence_threshold.json").exists()
 
     def test_missing_prerequisite(self, tmp_path):
         cfg = _small_cfg()
@@ -850,3 +871,18 @@ class TestCli:
         assert cli_main(["all", "--mode", "vowel"] + args) == 0
         assert "stage calibrate" in capsys.readouterr().out
         assert (ws / "models" / "confidence_threshold.json").exists()
+
+
+def test_package_import_is_bare():
+    # names are imported from their modules; the package root loads none of them
+    script = (
+        "import sys\n"
+        "import accent_forge\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith(('accent_forge.', 'numpy')))\n"
+        "print(','.join(loaded))\n"
+    )
+    src_dir = Path(accent_forge.__file__).parents[1]
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=str(src_dir)),
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == ""

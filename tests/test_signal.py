@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from accent_forge.errors import ConfigError, UnsupportedAudioError
-from accent_forge.pipeline import PipelineConfig, synthesize_tone_silence
+from accent_forge.pipeline import PipelineConfig
 from accent_forge.signal import (
     AudioBuffer,
     _bridge_short_gaps,
@@ -20,6 +20,49 @@ from accent_forge.signal import (
     segments_to_text,
     write_wav,
 )
+
+
+def synthesize_tone_silence(
+    duration_sec=8.0,
+    speech_fraction=0.85,
+    sample_rate_hz=16000,
+    num_bursts=5,
+    tone_hz=None,
+    burst_amp=0.3,
+    noise_amp=1e-4,
+    seed=0,
+):
+    """Tone bursts over a tiny noise floor, with known burst boundaries.
+
+    The tone sits at 0.35 * fs, well above the white-noise spectral
+    centroid, so both VAD criteria agree on the bursts. Returns the
+    AudioBuffer and the ground-truth (start_sample, end_sample) list.
+    """
+    rng = np.random.default_rng(seed)
+    total = int(round(duration_sec * sample_rate_hz))
+    if tone_hz is None:
+        tone_hz = 0.35 * sample_rate_hz
+    samples = noise_amp * rng.standard_normal(total)
+    speech_total = int(round(total * speech_fraction))
+    silence_total = total - speech_total
+    gap_weights = rng.uniform(0.6, 1.4, size=num_bursts + 1)
+    gaps = np.floor(silence_total * gap_weights / gap_weights.sum()).astype(int)
+    burst_weights = rng.uniform(0.6, 1.4, size=num_bursts)
+    bursts = np.floor(speech_total * burst_weights / burst_weights.sum()).astype(int)
+    bursts[-1] += speech_total - bursts.sum()
+
+    truth = []
+    cursor = 0
+    t_index = np.arange(total)
+    for i in range(num_bursts):
+        cursor += gaps[i]
+        start = cursor
+        end = min(start + bursts[i], total)
+        phase = 2.0 * np.pi * tone_hz / sample_rate_hz
+        samples[start:end] += burst_amp * np.sin(phase * t_index[start:end])
+        truth.append((int(start), int(end)))
+        cursor = end
+    return AudioBuffer(samples, sample_rate_hz), truth
 
 
 # scalar oracles of the per-frame statistics remove_silence computes in one batch
