@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontend import feature_array
 from .gmm import DiagGmm, accumulate_stats
 
 DEFAULT_RELEVANCE = 16.0
@@ -39,7 +38,7 @@ def _alpha(n, relevance):
     return np.divide(n, denom, out=np.zeros_like(n), where=denom > 0)
 
 
-def map_adapt(ubm, feats, cfg=None):
+def map_adapt(ubm, data, cfg=None):
     """MAP-adapt one model from the UBM on the given frames.
 
     Disabled parameter families copy the UBM values; components that
@@ -48,7 +47,6 @@ def map_adapt(ubm, feats, cfg=None):
     """
     if cfg is None:
         cfg = AdaptConfig()
-    data = feature_array(feats)
     if data.shape[0] < 1:
         raise ValueError("adaptation needs at least one frame")
     stats = accumulate_stats(ubm, data)
@@ -95,8 +93,7 @@ def adapt_all_accents(ubm, per_accent_feats, cfg=None):
     if len(per_accent_feats) < 2:
         raise ValueError("need at least 2 accents to adapt")
     models = {}
-    for accent, feats in per_accent_feats.items():
-        data = feature_array(feats)
+    for accent, data in per_accent_feats.items():
         if data.shape[0] == 0:
             raise ValueError("accent %r has no adaptation frames" % accent)
         adapted = map_adapt(ubm, data, cfg)

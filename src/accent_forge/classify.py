@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoEvidenceError
-from .frontend import feature_array
 from .gmm import GmmStack, _score_models, frame_logpdf
 from .vowels import ARPABET_VOWELS, NUM_VOWELS, filter_by_confidence, vowel_frame_masks
 
@@ -68,11 +67,10 @@ class ClassificationResult:
     frames_used: int = 0
 
 
-def classify_baseline(model_set, feats):
+def classify_baseline(model_set, data):
     """Argmax of total log-likelihood over accents (earliest label on ties)."""
     if model_set.baseline is None:
         raise ValueError("model set has no baseline models")
-    data = feature_array(feats)
     if data.shape[0] < 1:
         raise ValueError("cannot classify an empty feature matrix")
     scores = _score_models(model_set.stack(), data).sum(axis=1)
@@ -272,7 +270,7 @@ def _require_vowel_models(model_set):
 def classify_vowel_weighted(model_set, pooled):
     """Weighted combination of per-vowel GMM scores, the reference scorer.
 
-    pooled maps vowel -> FeatureMatrix; vowels with no frames (or excluded
+    pooled maps vowel -> frame array; vowels with no frames (or excluded
     from the grid) contribute nothing. The pipeline scores through
     classify_vowel_thresholds; this direct form is what the property tests
     and the benchmark's independent dev-accuracy check compare it against.
@@ -280,13 +278,10 @@ def classify_vowel_weighted(model_set, pooled):
     _require_vowel_models(model_set)
     evidence = []
     for t, vowel in enumerate(ARPABET_VOWELS):
-        feats = pooled.get(vowel)
-        if feats is None or vowel not in model_set.vowel_grid:
-            continue
-        data = feature_array(feats)
-        if data.shape[0]:
+        data = pooled.get(vowel)
+        if data is not None and len(data) and vowel in model_set.vowel_grid:
             ll = _score_models(model_set.stack(vowel), data).sum(axis=1)
-            evidence.append((t, data.shape[0], ll))
+            evidence.append((t, len(data), ll))
     return _vowel_vote(model_set, evidence)
 
 

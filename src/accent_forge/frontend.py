@@ -68,21 +68,9 @@ class FeatureMatrix:
         return self.data.shape[1]
 
     def head(self, max_frames):
-        """First max_frames frames (used for the test-time duration cap)."""
-        if max_frames is None or self.num_frames <= max_frames:
-            return self
+        """The first max_frames frames, or all if fewer (the test-time duration cap)."""
         tags = None if self.tags is None else self.tags[:max_frames]
         return FeatureMatrix(self.data[:max_frames], self.frame_hop_sec, tags)
-
-
-def feature_array(feats):
-    """Accept a FeatureMatrix or a plain 2-D array and return the array."""
-    if isinstance(feats, FeatureMatrix):
-        return feats.data
-    arr = np.asarray(feats, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D feature array")
-    return arr
 
 
 @dataclass
@@ -166,7 +154,7 @@ def _lp_to_cepstrum_rows(a, gains, num_ceps):
     return c
 
 
-def plp_static(frames, sample_rate_hz, cfg=None, frame_hop_sec=0.01):
+def plp_static(frames, sample_rate_hz, cfg=None):
     """Static cepstra (K x num_ceps) from speech frames.
 
     Frames must be a rectangular (K x N) array of post-VAD speech samples.
@@ -208,8 +196,7 @@ def plp_static(frames, sample_rate_hz, cfg=None, frame_hop_sec=0.01):
     autocorr = np.fft.ifft(even, axis=1).real[:, : cfg.num_filters]
 
     coeffs, gains = _levinson_rows(autocorr, cfg.lp_order)
-    ceps = _lp_to_cepstrum_rows(coeffs, gains, cfg.num_ceps)
-    return FeatureMatrix(ceps, frame_hop_sec=frame_hop_sec)
+    return _lp_to_cepstrum_rows(coeffs, gains, cfg.num_ceps)
 
 
 def _regression_deltas(data, window):
@@ -222,9 +209,8 @@ def _regression_deltas(data, window):
     return num / denom
 
 
-def append_deltas(feat, window=2):
+def append_deltas(data, window=2):
     """Append regression deltas and delta-deltas (dim -> 3x dim)."""
-    data = feature_array(feat)
     if data.shape[0] < 2 * window + 1:
         raise ValueError(
             "need at least %d frames for delta window %d, got %d"
@@ -232,19 +218,15 @@ def append_deltas(feat, window=2):
         )
     d1 = _regression_deltas(data, window)
     d2 = _regression_deltas(d1, window)
-    out = np.hstack([data, d1, d2])
-    if isinstance(feat, FeatureMatrix):
-        return FeatureMatrix(out, feat.frame_hop_sec, feat.tags)
-    return FeatureMatrix(out)
+    return np.hstack([data, d1, d2])
 
 
-def mvn(feat):
+def mvn(data):
     """Per-utterance, per-dimension zero mean / unit variance.
 
-    Returns the normalized features plus the statistics used, so they can be
-    persisted. Variances below _MVN_FLOOR are floored and reported.
+    Returns the normalized features plus the statistics used. Variances
+    below _MVN_FLOOR are floored, and MvnStats.floored_dims names them.
     """
-    data = feature_array(feat)
     if data.shape[0] < 2:
         raise ValueError("MVN needs at least 2 frames")
     mean = data.mean(axis=0)
@@ -252,11 +234,7 @@ def mvn(feat):
     floored = tuple(int(i) for i in np.nonzero(var < _MVN_FLOOR)[0])
     var = np.maximum(var, _MVN_FLOOR)
     std = np.sqrt(var)
-    out = (data - mean) / std
-    stats = MvnStats(mean=mean, std=std, floored_dims=floored)
-    if isinstance(feat, FeatureMatrix):
-        return FeatureMatrix(out, feat.frame_hop_sec, feat.tags), stats
-    return FeatureMatrix(out), stats
+    return (data - mean) / std, MvnStats(mean=mean, std=std, floored_dims=floored)
 
 
 # window centres per block of feature_warp's comparisons, which bounds the
@@ -274,16 +252,15 @@ def _count_below(windows, centres):
     return less.view(np.uint8).sum(axis=-1, dtype=np.min_scalar_type(windows.shape[-1]))
 
 
-def feature_warp(feat, window=301):
+def feature_warp(data, window=301):
     """Short-term Gaussianization (feature warping).
 
     Each value is replaced by the standard-normal quantile of its rank
     within a sliding window of length L: Phi^-1((r - 0.5) / L). Windows are
     shifted (not shrunk) at the utterance edges; ties rank earlier frames
     lower. If the utterance is shorter than the window, L shrinks to the
-    largest odd length available.
+    largest odd length available. The result is C-contiguous.
     """
-    data = feature_array(feat)
     num_frames, dim = data.shape
     length = min(window, num_frames)
     if length % 2 == 0:
@@ -313,10 +290,7 @@ def feature_warp(feat, window=301):
         stop = min(start + _WARP_BLOCK, num_inner)
         below[:, half + start:half + stop] = _count_below(
             windows[:, start:stop], pos[:, half + start:half + stop])
-    out = ndtri((below + 0.5) / length).T  # rank r = below + 1
-    if isinstance(feat, FeatureMatrix):
-        return FeatureMatrix(out, feat.frame_hop_sec, feat.tags)
-    return FeatureMatrix(out)
+    return np.ascontiguousarray(ndtri((below + 0.5) / length).T)  # rank r = below + 1
 
 
 def write_feature_archive(path, feat):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .frontend import feature_array
 
 MODEL_MAGIC = b"AGM1"
 
@@ -125,9 +124,9 @@ def _logsumexp_rows(x):
         return np.log1p(rest / count) + np.log(count) + top
 
 
-def frame_logpdf(g, feats):
+def frame_logpdf(g, data):
     """Per-frame mixture log density, log sum_i w_i p_i(x), scored by _score_models."""
-    return _score_models([g], feats)[0]
+    return _score_models([g], data)[0]
 
 
 class GmmStack:
@@ -176,17 +175,16 @@ def _score_block(stack, block, posteriors=False):
     return frame_ll, joint if posteriors else None
 
 
-def _score_models(models, feats, chunk=256):
+def _score_models(models, data, chunk=256):
     """(S x N) per-frame log-likelihoods of S same-shaped GMMs (a GmmStack or a list).
 
     _score_block runs once per chunk of `chunk` rows, which keeps the block
     in cache and bounds its memory. The same inputs give the same bytes, and
-    the result is C-contiguous, so its row sums equal loglik(models[s], feats).
+    the result is C-contiguous, so its row sums equal loglik(models[s], data).
     Row s agrees with models[s] scored alone, or in other chunks, to within a
     few ulps: BLAS may take another product path for another block shape.
     """
     stack = models if isinstance(models, GmmStack) else GmmStack(models)
-    data = feature_array(feats)
     _check_dim(stack.joint, data)
     frame_ll = np.empty((len(stack.models), data.shape[0]))
     for start in range(0, data.shape[0], chunk):
@@ -194,21 +192,19 @@ def _score_models(models, feats, chunk=256):
     return frame_ll
 
 
-def loglik(g, feats):
+def loglik(g, data):
     """Total log-likelihood of a frame sequence (frames independent)."""
-    data = feature_array(feats)
     if data.shape[0] < 1:
         raise ValueError("log-likelihood of an empty feature matrix is undefined")
     return float(np.sum(frame_logpdf(g, data)))
 
 
-def accumulate_stats(g, feats, chunk=8192):
+def accumulate_stats(g, data, chunk=8192):
     """Posterior-weighted sufficient statistics, Kahan-compensated per chunk.
 
     The same pass yields the model's log-likelihood of the frames, as
     GmmStats.loglik.
     """
-    data = feature_array(feats)
     _check_dim(g, data)
     stack = GmmStack([g])
     totals = [np.zeros(g.num_components), np.zeros(g.means.shape), np.zeros(g.means.shape)]
@@ -241,7 +237,7 @@ def _maximize(stats, floor, old_means, old_variances):
 
 
 def em_train(
-    feats,
+    data,
     target_components,
     em_iters_per_stage=5,
     final_em_iters=10,
@@ -258,7 +254,6 @@ def em_train(
     pass that scores the stage's final model; the model is the same either
     way.
     """
-    data = feature_array(feats)
     if target_components < 1 or target_components & (target_components - 1):
         raise ValueError("target component count must be a power of 2")
     if data.shape[0] < target_components:

@@ -60,6 +60,7 @@ from .vowels import (
     VOWEL_INDEX,
     PhoneSegment,
     calibrate_threshold,
+    check_segment_ends,
     parse_label_file,
     pool_vowel_features,
     segment_frames,
@@ -800,7 +801,7 @@ def stage_features(run):
                 % (utt, frames.shape[0], min_frames)
             )
 
-        feats = plp_static(frames, audio.sample_rate_hz, cfg.frontend, hop_sec)
+        feats = plp_static(frames, audio.sample_rate_hz, cfg.frontend)
         feats = append_deltas(feats, cfg.frontend.delta_window)
         if cfg.frontend.mvn_before_warp:
             feats, _ = mvn(feats)
@@ -809,11 +810,11 @@ def stage_features(run):
             feats = feature_warp(feats, cfg.frontend.warp_window_frames)
             feats, _ = mvn(feats)
 
+        tags = None
         if label_segments is not None:
             tags, remapped = _tag_frames(label_segments, np.concatenate(centers_sec), hop_sec)
-            feats = FeatureMatrix(feats.data, feats.frame_hop_sec, tags)
             write_label_file(run.output(out_lab), remapped)
-        write_feature_archive(out_aff, feats)
+        write_feature_archive(out_aff, FeatureMatrix(feats, hop_sec, tags))
 
 
 def stage_transforms(run):
@@ -821,7 +822,8 @@ def stage_transforms(run):
 
     The fits read only accumulated statistics, so the stage holds one
     utterance at a time and reads each train archive three times: for the
-    PCA statistics, for the HLDA statistics and to apply the chain.
+    PCA statistics, for the HLDA statistics and to apply the chain. A
+    reduced archive keeps its source archive's frame hop and tags.
     """
     cfg, ws = run.cfg, run.ws
     if not cfg.transforms.enabled:
@@ -831,7 +833,7 @@ def stage_transforms(run):
 
     def train_feats():
         for utt, entry in train:
-            yield run.features(utt, reduced=False), accents.index(entry.accent)
+            yield run.features(utt, reduced=False).data, accents.index(entry.accent)
 
     pca = fit_pca((feats for feats, _ in train_feats()), cfg.transforms.pca_dim)
     hlda = fit_hlda(
@@ -845,7 +847,8 @@ def stage_transforms(run):
 
     reduced_dir = ws.dir("features/reduced")
     for utt, _ in run.utterances():
-        reduced = apply_chain([pca, hlda], run.features(utt, reduced=False))
+        feats = run.features(utt, reduced=False)
+        reduced = replace(feats, data=apply_chain([pca, hlda], feats.data))
         write_feature_archive(run.output(reduced_dir / (utt + ".aff")), reduced)
 
 
@@ -894,10 +897,10 @@ def stage_vowel_models(run):
         segments = run.labels(utt)
         if segments is None:
             continue
-        for vowel, mat in pool_vowel_features(feats, segments).items():
-            if mat.num_frames:
-                pooled[vowel].setdefault(entry.accent, []).append(mat.data)
-                counts[vowel] += mat.num_frames
+        for vowel, frames in pool_vowel_features(feats, segments).items():
+            if len(frames):
+                pooled[vowel].setdefault(entry.accent, []).append(frames)
+                counts[vowel] += len(frames)
     vowel_dir = ws.dir("models/vowels")
     included = []
     for vowel in ARPABET_VOWELS:
@@ -986,7 +989,12 @@ def load_model_set(ws, mode, run=None):
 
 
 def _cap_test_utterance(cfg, feats, segments):
-    """The test-time duration cap, applied to the frames and to their labels."""
+    """The test-time duration cap, applied to the frames and to their labels.
+
+    The labels must first fit the whole utterance, as they must for pooling
+    (check_segment_ends); only then are they clipped to the cap.
+    """
+    check_segment_ends(feats, segments)
     capped = feats.head(cfg.corpus.max_test_frames)
     duration = capped.num_frames * capped.frame_hop_sec
     clipped = []
@@ -1007,7 +1015,12 @@ def _capped_labelled(run, split):
             raise MissingPrerequisiteError(
                 "utterance %s has no label file; vowel mode needs labels" % utt
             )
-        yield (utt, entry, *_cap_test_utterance(run.cfg, run.features(utt), segments))
+        feats = run.features(utt)
+        try:
+            capped = _cap_test_utterance(run.cfg, feats, segments)
+        except ValueError as exc:
+            raise ValueError("utterance %s: %s" % (utt, exc)) from None
+        yield (utt, entry, *capped)
 
 
 def _test_threshold(run):
@@ -1030,8 +1043,8 @@ def stage_classify(run):
     rows = []
     if mode == "baseline":
         for utt, entry in run.utterances("test"):
-            feats = run.features(utt).head(cfg.corpus.max_test_frames)
-            result = classify_baseline(model_set, feats)
+            result = classify_baseline(model_set,
+                                       run.features(utt).data[:cfg.corpus.max_test_frames])
             rows.append((utt, entry.accent, result.chosen_accent, result.frames_used))
     else:
         for utt, entry, feats, segments in _capped_labelled(run, "test"):

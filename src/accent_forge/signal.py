@@ -143,23 +143,18 @@ def write_wav(path, audio):
         handle.writeframes(pcm.tobytes())
 
 
-def frame_signal(audio, plan):
-    """Slice a signal into overlapping frames (trailing partial dropped).
+def frame_signal(samples, plan):
+    """Slice a 1-D sample array into overlapping frames (trailing partial dropped).
 
     Frame i starts at i * hop_samples. Returns a (num_frames, frame_len)
     array.
     """
-    if isinstance(audio, AudioBuffer):
-        x = audio.samples
-    else:
-        x = np.asarray(audio, dtype=np.float64)
     n = plan.frame_len_samples
-    hop = plan.hop_samples
-    if len(x) < n:
+    if len(samples) < n:
         raise ValueError(
-            "signal of %d samples is shorter than one frame (%d samples)" % (len(x), n)
+            "signal of %d samples is shorter than one frame (%d samples)" % (len(samples), n)
         )
-    return np.lib.stride_tricks.sliding_window_view(x, n)[::hop].copy()
+    return np.lib.stride_tricks.sliding_window_view(samples, n)[::plan.hop_samples].copy()
 
 
 def _next_pow2(n):
@@ -269,7 +264,7 @@ def remove_silence(
     min_segment_frames are bridged, then speech runs shorter than
     min_segment_frames are dropped.
     """
-    frames = frame_signal(audio, plan)
+    frames = frame_signal(audio.samples, plan)
     if len(frames) < 10:
         raise ValueError("silence removal needs at least 10 frames, got %d" % len(frames))
     energy = np.mean(frames * frames, axis=1)

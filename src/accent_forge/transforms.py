@@ -16,7 +16,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import FormatError
-from .frontend import FeatureMatrix, feature_array
 
 TRANSFORM_MAGIC = b"AFT1"
 
@@ -103,8 +102,7 @@ def class_moments(utterances):
     merged into the running ones, so no two utterances are held at once.
     """
     moments = {}
-    for frames, labels in utterances:
-        data = feature_array(frames)
+    for data, labels in utterances:
         labels = np.asarray(labels)
         if labels.ndim and labels.shape != (data.shape[0],):
             raise ValueError("labels must be one class or one per frame")
@@ -263,7 +261,7 @@ def fit_hlda(utterances, retained_dim, context=1, max_iters=100, tol=1e-6):
     boundaries. Returns the first retained_dim rows; meta records the
     objective sequence, convergence, and the full square transform.
     """
-    moments = class_moments((splice_frames(feature_array(frames), context), labels)
+    moments = class_moments((splice_frames(frames, context), labels)
                             for frames, labels in utterances)
     if not moments:
         raise ValueError("need labelled frames to fit HLDA")
@@ -306,30 +304,21 @@ def fit_hlda(utterances, retained_dim, context=1, max_iters=100, tol=1e-6):
     )
 
 
-def apply_transform(transform, feats):
+def apply_transform(transform, data):
     """Apply an affine transform, splicing context frames first if needed."""
-    if isinstance(feats, FeatureMatrix):
-        data = feats.data
-        hop = feats.frame_hop_sec
-        tags = feats.tags
-    else:
-        data = feature_array(feats)
-        hop = 0.01
-        tags = None
     spliced = splice_frames(data, transform.context)
     if spliced.shape[1] != transform.in_dim:
         raise ValueError(
             "transform expects input dim %d, got %d (after context %d splicing)"
             % (transform.in_dim, spliced.shape[1], transform.context)
         )
-    out = spliced @ transform.matrix.T + transform.offset
-    return FeatureMatrix(out, hop, tags)
+    return spliced @ transform.matrix.T + transform.offset
 
 
-def apply_chain(transforms, feats):
+def apply_chain(transforms, data):
     for transform in transforms:
-        feats = apply_transform(transform, feats)
-    return feats
+        data = apply_transform(transform, data)
+    return data
 
 
 def write_transform_chain(path, transforms):

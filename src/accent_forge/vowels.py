@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabelParseError
-from .frontend import FeatureMatrix
 
 ARPABET_VOWELS = (
     "aa", "ae", "ah", "ao", "aw", "ay", "eh", "er",
@@ -163,37 +162,39 @@ def segment_frames(segments, times_sec):
     return bounds.reshape(len(segments), 2)
 
 
+def check_segment_ends(feats, segments):
+    """ValueError if a vowel segment ends after the last frame of feats."""
+    duration = feats.num_frames * feats.frame_hop_sec
+    for seg in segments:
+        if seg.is_vowel and seg.end_sec > duration + 1e-9:
+            raise ValueError(
+                "segment [%g, %g) extends beyond the utterance end %g"
+                % (seg.start_sec, seg.end_sec, duration)
+            )
+
+
 def vowel_frame_masks(feats, segments):
     """Per-vowel boolean frame masks by frame-center membership.
 
     Frame k belongs to a segment when its center time (k + 0.5) * hop lies
     in [start, end). Every Arpabet vowel maps to a mask (possibly empty);
-    non-vowel segments are ignored.
+    non-vowel segments are ignored, and a vowel segment past the last frame
+    is a ValueError (check_segment_ends).
     """
-    hop = feats.frame_hop_sec
+    check_segment_ends(feats, segments)
     num_frames = feats.num_frames
-    centers = (np.arange(num_frames) + 0.5) * hop
-    duration = num_frames * hop
+    centers = (np.arange(num_frames) + 0.5) * feats.frame_hop_sec
     masks = {v: np.zeros(num_frames, dtype=bool) for v in ARPABET_VOWELS}
     vowel_segments = [seg for seg in segments if seg.is_vowel]
-    for seg in vowel_segments:
-        if seg.end_sec > duration + 1e-9:
-            raise ValueError(
-                "segment [%g, %g) extends beyond the utterance end %g"
-                % (seg.start_sec, seg.end_sec, duration)
-            )
     for seg, (lo, hi) in zip(vowel_segments, segment_frames(vowel_segments, centers).tolist()):
         masks[seg.label][lo:hi] = True
     return masks
 
 
 def pool_vowel_features(feats, segments):
-    """Per-vowel feature matrices of the frames vowel_frame_masks assigns."""
-    pooled = {}
-    for vowel, mask in vowel_frame_masks(feats, segments).items():
-        tags = None if feats.tags is None else feats.tags[mask]
-        pooled[vowel] = FeatureMatrix(feats.data[mask], feats.frame_hop_sec, tags)
-    return pooled
+    """Per-vowel frame arrays of the frames vowel_frame_masks assigns."""
+    return {vowel: feats.data[mask]
+            for vowel, mask in vowel_frame_masks(feats, segments).items()}
 
 
 def vowel_popularity(frame_counts):

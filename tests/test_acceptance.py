@@ -18,7 +18,7 @@ from scipy.stats import kstest
 
 from accent_forge.adapt import AdaptConfig, map_adapt
 from accent_forge.classify import hellinger_gmm
-from accent_forge.frontend import FeatureMatrix, feature_warp
+from accent_forge.frontend import feature_warp
 from accent_forge.gmm import DiagGmm, accumulate_stats, em_train
 from accent_forge.pipeline import (
     PipelineConfig,
@@ -151,9 +151,9 @@ def test_c04_transform_suite():
     ortho = np.abs(pca.matrix @ pca.matrix.T - np.eye(6)).max() < 1e-8
 
     known = rng.standard_normal((10000, 3)) * np.sqrt([4.0, 1.0, 0.25])
-    projected = apply_transform(fit_pca([known], 3), FeatureMatrix(known))
+    projected = apply_transform(fit_pca([known], 3), known)
     eig_ok = np.allclose(
-        projected.data.var(axis=0, ddof=1), [4.0, 1.0, 0.25], rtol=0.05
+        projected.var(axis=0, ddof=1), [4.0, 1.0, 0.25], rtol=0.05
     )
 
     labels = np.repeat([0, 1, 2], 400)
@@ -196,10 +196,10 @@ def test_c04_transform_suite():
 def test_c05_feature_warping():
     rng = np.random.default_rng(105)
     data = rng.gamma(2.0, 1.5, size=(3000, 4))
-    warped = feature_warp(FeatureMatrix(data), 301)
-    ks = max(kstest(warped.data[:, d], "norm").statistic for d in range(4))
-    transformed = feature_warp(FeatureMatrix(np.expm1(data) * 3.0 + 2.0), 301)
-    bitwise = np.array_equal(warped.data, transformed.data)
+    warped = feature_warp(data, 301)
+    ks = max(kstest(warped[:, d], "norm").statistic for d in range(4))
+    transformed = feature_warp(np.expm1(data) * 3.0 + 2.0, 301)
+    bitwise = np.array_equal(warped, transformed)
     _report(5, "Feature warping", [
         ("per-dim KS vs normal < 0.05 (max %.4f)" % ks, ks < 0.05),
         ("monotone-transform invariance bitwise", bitwise),

@@ -26,16 +26,12 @@ def _gauss(mean, var=1.0, dim=2, label=""):
     return DiagGmm([1.0], [[mean] * dim], [[var] * dim], label=label)
 
 
-def _fm(data, hop=0.01):
-    return FeatureMatrix(np.asarray(data, dtype=float), hop)
-
-
 class TestBaseline:
     def test_dominant_model_wins(self):
         ms = AccentModelSet(accents=["a", "b"], baseline=[_gauss(0.0), _gauss(10.0)])
         rng = np.random.default_rng(0)
         frames = rng.normal(0.0, 1.0, (30, 2))
-        result = classify_baseline(ms, _fm(frames))
+        result = classify_baseline(ms, frames)
         assert result.chosen_accent == "a"
         assert result.scores[0] > result.scores[1]
         assert result.frames_used == 30
@@ -51,27 +47,27 @@ class TestBaseline:
         for _ in range(200):
             pick = rng.integers(4)
             frames = rng.normal(means[pick], 1.0, (40, 2))
-            if classify_baseline(ms, _fm(frames)).chosen_accent == "m%d" % pick:
+            if classify_baseline(ms, frames).chosen_accent == "m%d" % pick:
                 correct += 1
         assert correct >= 198  # >= 99%
 
     def test_tie_goes_to_earliest(self):
         model = _gauss(0.0)
         ms = AccentModelSet(accents=["z_first", "a_second"], baseline=[model, model])
-        result = classify_baseline(ms, _fm(np.zeros((5, 2))))
+        result = classify_baseline(ms, np.zeros((5, 2)))
         assert result.chosen_accent == "z_first"
 
     def test_max_frames_cap(self):
         ms = AccentModelSet(accents=["a", "b"], baseline=[_gauss(0.0), _gauss(4.0)])
         frames = np.vstack([np.zeros((10, 2)), np.full((100, 2), 4.0)])
-        capped = classify_baseline(ms, _fm(frames).head(10))
+        capped = classify_baseline(ms, FeatureMatrix(frames).head(10).data)
         assert capped.chosen_accent == "a"
         assert capped.frames_used == 10
 
     def test_empty_rejected(self):
         ms = AccentModelSet(accents=["a", "b"], baseline=[_gauss(0.0), _gauss(1.0)])
         with pytest.raises(ValueError, match="empty"):
-            classify_baseline(ms, _fm(np.zeros((0, 2))))
+            classify_baseline(ms, np.zeros((0, 2)))
 
 
 class TestHellinger:
@@ -302,10 +298,10 @@ class TestVowelWeightedClassifier:
         ms = self._model_set()
         rng = np.random.default_rng(10)
         frames = rng.normal(4.0, 1.0, (25, 2))
-        pooled = {"aa": _fm(frames)}
+        pooled = {"aa": frames}
         vw = classify_vowel_weighted(ms, pooled)
         baseline = AccentModelSet(accents=ms.accents, baseline=ms.vowel_grid["aa"])
-        bl = classify_baseline(baseline, _fm(frames))
+        bl = classify_baseline(baseline, frames)
         assert vw.chosen_accent == bl.chosen_accent
         assert vw.frames_used == 25
 
@@ -315,8 +311,8 @@ class TestVowelWeightedClassifier:
         ms = self._model_set(weights=weights)
         rng = np.random.default_rng(11)
         pooled = {
-            "aa": _fm(rng.normal(4.0, 1.0, (30, 2))),   # votes for accent b
-            "iy": _fm(rng.normal(50.0, 1.0, (300, 2))),  # absurd, but weight 0
+            "aa": rng.normal(4.0, 1.0, (30, 2)),   # votes for accent b
+            "iy": rng.normal(50.0, 1.0, (300, 2)),  # absurd, but weight 0
         }
         assert classify_vowel_weighted(ms, pooled).chosen_accent == "b"
 
@@ -324,7 +320,7 @@ class TestVowelWeightedClassifier:
         ms = self._model_set()
         rng = np.random.default_rng(12)
         pooled = {
-            v: _fm(rng.normal(float(t), 1.0, (10, 2)))
+            v: rng.normal(float(t), 1.0, (10, 2))
             for t, v in enumerate(ARPABET_VOWELS[:5])
         }
         first = classify_vowel_weighted(ms, pooled).chosen_accent
@@ -337,14 +333,14 @@ class TestVowelWeightedClassifier:
 
     def test_no_vowel_evidence(self):
         ms = self._model_set()
-        pooled = {v: _fm(np.zeros((0, 2))) for v in ARPABET_VOWELS}
+        pooled = {v: np.zeros((0, 2)) for v in ARPABET_VOWELS}
         with pytest.raises(ValueError, match="no vowel evidence"):
             classify_vowel_weighted(ms, pooled)
 
     def test_per_vowel_scores_populated(self):
         ms = self._model_set()
         rng = np.random.default_rng(13)
-        pooled = {"aa": _fm(rng.normal(0, 1, (10, 2)))}
+        pooled = {"aa": rng.normal(0, 1, (10, 2))}
         result = classify_vowel_weighted(ms, pooled)
         assert result.per_vowel_scores.shape == (3, NUM_VOWELS)
         assert result.per_vowel_scores[:, ARPABET_VOWELS.index("aa")].any()
@@ -367,7 +363,7 @@ class TestEvaluate:
         corpus = []
         for i, accent in enumerate(accents):
             for _ in range(10):
-                corpus.append((_fm(rng.normal(8.0 * i, 1.0, (20, 2))), accent))
+                corpus.append((rng.normal(8.0 * i, 1.0, (20, 2)), accent))
         report = _baseline_report(ms, corpus)
         assert report.accuracy == 1.0
         assert np.all(np.diag(report.confusion) == 10)
@@ -381,7 +377,7 @@ class TestEvaluate:
         corpus = []
         for accent in accents:
             for _ in range(20):
-                corpus.append((_fm(rng.normal(0, 1, (5, 2))), accent))
+                corpus.append((rng.normal(0, 1, (5, 2)), accent))
         report = _baseline_report(ms, corpus)
         # bitwise score ties always resolve to the first accent
         assert report.accuracy == pytest.approx(1 / 7, abs=1e-12)
@@ -391,7 +387,7 @@ class TestEvaluate:
         ms = AccentModelSet(accents=accents, baseline=[_gauss(0.0), _gauss(2.0)])
         rng = np.random.default_rng(16)
         corpus = [
-            (_fm(rng.normal(rng.choice([0.0, 2.0]), 1.5, (5, 2))), rng.choice(accents))
+            (rng.normal(rng.choice([0.0, 2.0]), 1.5, (5, 2)), rng.choice(accents))
             for _ in range(60)
         ]
         report = _baseline_report(ms, corpus)
@@ -401,14 +397,14 @@ class TestEvaluate:
     def test_unknown_accent_rejected(self):
         ms = AccentModelSet(accents=["a", "b"], baseline=[_gauss(0.0), _gauss(1.0)])
         with pytest.raises(ValueError, match="unknown accent"):
-            _baseline_report(ms, [(_fm(np.zeros((2, 2))), "mystery")])
+            _baseline_report(ms, [(np.zeros((2, 2)), "mystery")])
 
     def test_json_report_fields(self):
         import json
 
         ms = AccentModelSet(accents=["a", "b"], baseline=[_gauss(0.0), _gauss(9.0)])
         rng = np.random.default_rng(17)
-        corpus = [(_fm(rng.normal(0, 1, (5, 2))), "a"), (_fm(rng.normal(9, 1, (5, 2))), "b")]
+        corpus = [(rng.normal(0, 1, (5, 2)), "a"), (rng.normal(9, 1, (5, 2)), "b")]
         report = _baseline_report(ms, corpus, feature_tag="DIRECT_2", seed=5)
         doc = json.loads(report.to_json())
         assert set(doc) >= {"accuracy", "per_accent", "confusion", "mode",

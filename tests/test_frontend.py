@@ -77,7 +77,7 @@ def _plp_static_oracle(frames, sample_rate_hz, cfg=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frontend, "_levinson_rows", _batch_levinson)
         mp.setattr(frontend, "_lp_to_cepstrum_rows", _cepstra_per_frame)
-        return plp_static(frames, sample_rate_hz, cfg).data
+        return plp_static(frames, sample_rate_hz, cfg)
 
 
 def _feature_warp_oracle(data, window):
@@ -172,20 +172,20 @@ class TestPlpStatic:
         rng = np.random.default_rng(0)
         frames = 0.1 * rng.standard_normal((400, 400))
         feats = plp_static(frames, 16000)
-        assert feats.data.shape == (400, 13)
-        assert np.all(np.isfinite(feats.data))
+        assert feats.shape == (400, 13)
+        assert np.all(np.isfinite(feats))
         # white noise is flat before the perceptual weighting; the
         # equal-loudness tilt lands in the first few cepstra, everything
         # beyond them averages out to ~0
-        mean = feats.data.mean(axis=0)
+        mean = feats.mean(axis=0)
         assert np.abs(mean[0]) > 0.05
         assert np.abs(mean[6:]).max() < 0.05
 
     def test_scaling_shifts_only_c0(self):
         rng = np.random.default_rng(1)
         frames = 0.1 * rng.standard_normal((10, 400))
-        base = plp_static(frames, 16000).data
-        scaled = plp_static(2.0 * frames, 16000).data
+        base = plp_static(frames, 16000)
+        scaled = plp_static(2.0 * frames, 16000)
         diff = scaled - base
         np.testing.assert_allclose(diff[:, 0], 0.33 * np.log(4.0), atol=1e-8)
         assert np.abs(diff[:, 1:]).max() < 1e-8
@@ -194,7 +194,7 @@ class TestPlpStatic:
     def test_bitwise_equal_per_frame_oracle(self, num_frames):
         rng = np.random.default_rng(num_frames)
         frames = 0.1 * rng.standard_normal((num_frames, 400))
-        assert np.array_equal(plp_static(frames, 16000).data, _plp_static_oracle(frames, 16000))
+        assert np.array_equal(plp_static(frames, 16000), _plp_static_oracle(frames, 16000))
 
     def test_bitwise_equal_on_tones_silence_and_8k(self):
         t = np.arange(200) / 8000.0
@@ -206,7 +206,7 @@ class TestPlpStatic:
         ])
         cfg = FrontendConfig(lp_order=20, num_ceps=13)
         for c in (None, cfg):
-            assert np.array_equal(plp_static(frames, 8000, c).data,
+            assert np.array_equal(plp_static(frames, 8000, c),
                                   _plp_static_oracle(frames, 8000, c))
 
     def test_lp_order_beyond_filters_rejected(self):
@@ -228,13 +228,13 @@ class TestPlpStatic:
 class TestDeltas:
     def test_constant_sequence_zero(self):
         feats = append_deltas(np.ones((10, 3)), window=2)
-        assert feats.data.shape == (10, 9)
-        np.testing.assert_array_equal(feats.data[:, 3:], 0.0)
+        assert feats.shape == (10, 9)
+        np.testing.assert_array_equal(feats[:, 3:], 0.0)
 
     def test_linear_ramp_unit_slope(self):
         data = np.arange(12.0)[:, None]
         feats = append_deltas(data, window=2)
-        np.testing.assert_allclose(feats.data[2:-2, 1], 1.0, atol=1e-12)
+        np.testing.assert_allclose(feats[2:-2, 1], 1.0, atol=1e-12)
 
     def test_matches_direct_regression_oracle(self):
         rng = np.random.default_rng(3)
@@ -257,14 +257,14 @@ class TestDeltas:
 
         d1 = oracle_delta(data)
         d2 = oracle_delta(d1)
-        np.testing.assert_allclose(feats.data[:, 13:26], d1, atol=1e-12)
-        np.testing.assert_allclose(feats.data[:, 26:], d2, atol=1e-12)
+        np.testing.assert_allclose(feats[:, 13:26], d1, atol=1e-12)
+        np.testing.assert_allclose(feats[:, 26:], d2, atol=1e-12)
 
     def test_offset_moves_only_statics(self):
         rng = np.random.default_rng(4)
         data = rng.standard_normal((20, 4))
-        a = append_deltas(data, 2).data
-        b = append_deltas(data + 3.5, 2).data
+        a = append_deltas(data, 2)
+        b = append_deltas(data + 3.5, 2)
         np.testing.assert_allclose(b[:, :4] - a[:, :4], 3.5, atol=1e-12)
         np.testing.assert_allclose(b[:, 4:], a[:, 4:], atol=1e-12)
 
@@ -277,21 +277,21 @@ class TestMvn:
     def test_zero_mean_unit_variance(self):
         rng = np.random.default_rng(5)
         feats, _ = mvn(rng.normal(3.0, 2.5, (400, 6)))
-        np.testing.assert_allclose(feats.data.mean(axis=0), 0.0, atol=1e-10)
-        np.testing.assert_allclose(feats.data.var(axis=0), 1.0, atol=1e-8)
+        np.testing.assert_allclose(feats.mean(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(feats.var(axis=0), 1.0, atol=1e-8)
 
     def test_idempotent(self):
         rng = np.random.default_rng(6)
         once, _ = mvn(rng.standard_normal((100, 3)))
         twice, _ = mvn(once)
-        np.testing.assert_allclose(twice.data, once.data, atol=1e-10)
+        np.testing.assert_allclose(twice, once, atol=1e-10)
 
     def test_constant_column_floored(self):
         data = np.ones((50, 2))
         data[:, 1] = np.arange(50.0)
         feats, stats = mvn(data)
         assert stats.floored_dims == (0,)
-        np.testing.assert_array_equal(feats.data[:, 0], 0.0)
+        np.testing.assert_array_equal(feats[:, 0], 0.0)
 
     def test_needs_two_frames(self):
         with pytest.raises(ValueError):
@@ -301,40 +301,40 @@ class TestMvn:
 class TestFeatureWarp:
     def test_window_max_quantile(self):
         data = np.arange(301.0)[:, None]
-        warped = feature_warp(FeatureMatrix(data), 301)
-        assert warped.data[300, 0] == pytest.approx(ndtri(300.5 / 301), abs=1e-12)
+        warped = feature_warp(data, 301)
+        assert warped[300, 0] == pytest.approx(ndtri(300.5 / 301), abs=1e-12)
 
     def test_window_median_is_zero(self):
         data = np.arange(301.0)[:, None]
-        warped = feature_warp(FeatureMatrix(data), 301)
-        assert warped.data[150, 0] == pytest.approx(0.0, abs=1e-12)
+        warped = feature_warp(data, 301)
+        assert warped[150, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_ks_statistic_small(self):
         rng = np.random.default_rng(11)
         data = rng.gamma(2.0, 1.5, size=(3000, 3))  # decidedly non-normal input
-        warped = feature_warp(FeatureMatrix(data), 301)
+        warped = feature_warp(data, 301)
         for d in range(3):
-            assert kstest(warped.data[:, d], "norm").statistic < 0.05
+            assert kstest(warped[:, d], "norm").statistic < 0.05
 
     def test_monotone_invariance_bitwise(self):
         rng = np.random.default_rng(12)
         data = rng.standard_normal((500, 3))
-        a = feature_warp(FeatureMatrix(data), 101)
-        b = feature_warp(FeatureMatrix(np.expm1(data) * 2.0), 101)
-        assert np.array_equal(a.data, b.data)
+        a = feature_warp(data, 101)
+        b = feature_warp(np.expm1(data) * 2.0, 101)
+        assert np.array_equal(a, b)
 
     def test_short_utterance_window_shrinks(self):
         data = np.arange(9.0)[:, None]
-        warped = feature_warp(FeatureMatrix(data), 301)
-        assert warped.data.shape == (9, 1)
-        assert warped.data[4, 0] == pytest.approx(0.0, abs=1e-12)
+        warped = feature_warp(data, 301)
+        assert warped.shape == (9, 1)
+        assert warped[4, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_ties_rank_earlier_frame_lower(self):
         data = np.zeros((5, 1))
-        warped = feature_warp(FeatureMatrix(data), 5)
+        warped = feature_warp(data, 5)
         ranks = [1, 2, 3, 4, 5]
         want = [ndtri((r - 0.5) / 5) for r in ranks]
-        np.testing.assert_allclose(warped.data[:, 0], want, atol=1e-12)
+        np.testing.assert_allclose(warped[:, 0], want, atol=1e-12)
 
 
     @pytest.mark.parametrize("window", [3, 5, 101, 301])
@@ -347,14 +347,16 @@ class TestFeatureWarp:
         data[:, 1] = np.round(data[:, 1], 1)  # heavy ties
         data[:, 2] = np.where(rng.random(num_frames) < 0.5, -0.0, 0.0)
         data[:, 3] = np.round(data[:, 3]) * np.where(rng.random(num_frames) < 0.5, -1.0, 1.0)
-        got = feature_warp(FeatureMatrix(data), window).data
+        got = feature_warp(data, window)
         assert got.tobytes() == _feature_warp_oracle(data, window).tobytes()
+        # mvn after the warp sums over this layout, so it must stay C order
+        assert got.flags.c_contiguous
 
     @pytest.mark.parametrize("num_frames", [1, 2, 3, 4])
     def test_tiny_utterances_match_oracle(self, num_frames):
         data = np.array([[0.5, 0.0], [0.5, -0.0], [-1.0, 0.0], [2.0, -0.0]])[:num_frames]
         for window in (3, 301):
-            got = feature_warp(data, window).data
+            got = feature_warp(data, window)
             assert np.array_equal(got, _feature_warp_oracle(data, window))
 
     def test_nan_rejected(self):
@@ -428,6 +430,6 @@ def test_frontend_deterministic():
         feats = plp_static(frames, 16000, cfg)
         feats = append_deltas(feats, cfg.delta_window)
         feats, _ = mvn(feats)
-        return feature_warp(feats, 31).data
+        return feature_warp(feats, 31)
 
     assert np.array_equal(chain(), chain())

@@ -26,6 +26,7 @@ from accent_forge.pipeline import (
     PipelineConfig,
     SyntheticSpec,
     Workspace,
+    _cap_test_utterance,
     _tag_frames,
     config_from_text,
     config_to_text,
@@ -38,6 +39,7 @@ from accent_forge.signal import write_wav
 from accent_forge.vowels import (
     ARPABET_VOWELS,
     PhoneSegment,
+    parse_label_file,
     vowel_frame_masks,
     write_label_file,
 )
@@ -324,7 +326,7 @@ class TestSyntheticCorpus:
         segs = parse_label_file(manifest.resolve(entry.label))
         by_seg = pool_vowel_features(feats, segs)
         for i, vowel in enumerate(ARPABET_VOWELS):  # tag = vowel index + 1
-            np.testing.assert_array_equal(by_seg[vowel].data, feats.data[feats.tags == i + 1])
+            np.testing.assert_array_equal(by_seg[vowel], feats.data[feats.tags == i + 1])
 
 
 def _workspace_digest(root):
@@ -395,6 +397,43 @@ class TestStages:
         with pytest.raises(MissingPrerequisiteError, match="utterance %s has no label" % utt):
             run_stage("calibrate", _small_cfg(), ws)
         assert not (root / "models" / "confidence_threshold.json").exists()
+
+    @pytest.mark.parametrize("stage, split, output", [
+        ("calibrate", "dev", "models/confidence_threshold.json"),
+        ("classify", "test", "reports/predictions_vowel.tsv"),
+    ])
+    def test_label_past_the_end_raises_despite_the_cap(self, trained_workspace, tmp_path,
+                                                       stage, split, output):
+        """A vowel label past the utterance end is an error on the dev and test
+        splits too, as in training, even where the duration cap would clip it away."""
+        root = tmp_path / "ws"
+        shutil.copytree(trained_workspace, root)
+        manifest = CorpusManifest.load(root / "manifest.tsv")
+        ws = Workspace(root)
+        index, entry = next((i, e) for i, e in enumerate(manifest.entries) if e.split == split)
+        utt = ws.utt_id(index, entry)
+        label_path = root / "features" / "feat" / (utt + ".lab")
+        duration = read_feature_archive(label_path.with_suffix(".aff")).num_frames * 0.01
+        write_label_file(label_path, parse_label_file(label_path)
+                         + [PhoneSegment(duration, duration + 0.3, "aa")])
+        cfg = _small_cfg()
+        cfg.corpus.max_test_frames = 60  # half of every utterance
+        with pytest.raises(ValueError, match=r"utterance %s: segment \[1\.2, 1\.5\) extends "
+                                             r"beyond the utterance end 1\.2" % utt):
+            run_stage(stage, cfg, ws, mode="vowel")
+        assert not (root / output).exists()
+
+    def test_cap_checks_labels_against_the_whole_utterance(self):
+        cfg = _small_cfg()
+        cfg.corpus.max_test_frames = 50
+        feats = FeatureMatrix(np.zeros((100, 2)))
+        inside = [PhoneSegment(0.0, 0.5, "aa"), PhoneSegment(0.5, 1.0, "iy")]
+        capped, clipped = _cap_test_utterance(cfg, feats, inside)
+        assert capped.num_frames == 50
+        assert [(s.start_sec, s.end_sec, s.label) for s in clipped] == [(0.0, 0.5, "aa")]
+        with pytest.raises(ValueError, match=r"segment \[0\.5, 3\) extends beyond the "
+                                             r"utterance end 1"):
+            _cap_test_utterance(cfg, feats, [inside[0], PhoneSegment(0.5, 3.0, "iy")])
 
     def test_missing_prerequisite(self, tmp_path):
         cfg = _small_cfg()
@@ -541,7 +580,7 @@ class TestAudioPipeline:
         # tag channel and remapped segments pool identically
         by_seg = pool_vowel_features(feats, segs)
         for i, vowel in enumerate(ARPABET_VOWELS):  # tag = vowel index + 1
-            np.testing.assert_array_equal(by_seg[vowel].data, feats.data[feats.tags == i + 1])
+            np.testing.assert_array_equal(by_seg[vowel], feats.data[feats.tags == i + 1])
 
     def test_features_identical_across_blas_thread_counts(self, tmp_path):
         # vad + features in fresh processes with one and two BLAS threads
@@ -723,7 +762,7 @@ class TestScoringProvenance:
         retrained = ws.root / "models" / "accents" / (accents[0] + ".agm")
         ubm = read_model(ws.root / "models" / "ubm.agm")
         feats = read_feature_archive(next((ws.root / "features" / "feat").glob("*.aff")))
-        write_model(retrained, dataclasses.replace(map_adapt(ubm, feats),
+        write_model(retrained, dataclasses.replace(map_adapt(ubm, feats.data),
                                                    label=read_model(retrained).label))
         run_stage("classify", cfg, ws, mode="baseline")
         after = inputs("classify")
@@ -793,6 +832,29 @@ class TestTransformsStage:
         assert [t.out_dim for t in chain] == [8, 5]
         assert chain[1].context == 1
         assert chain[1].in_dim == 24
+
+    def test_reduced_archives_keep_hop_and_tags(self, tmp_path):
+        """Every features/reduced archive carries the frame hop and the tags of
+        its features/feat archive; the transforms map only the frames."""
+        cfg = _small_cfg()
+        cfg.synth.frame_hop_sec = 0.02  # not FeatureMatrix's default hop
+        cfg.transforms.enabled = True
+        cfg.transforms.pca_dim, cfg.transforms.hlda_dim = 4, 3
+        cfg.transforms.max_iters = 3
+        ws = Workspace(tmp_path / "ws")
+        generate_synthetic_corpus(cfg.synth, ws.root)
+        for stage in ("vad", "features", "transforms"):
+            run_stage(stage, cfg, ws)
+        sources = sorted((ws.root / "features" / "feat").glob("*.aff"))
+        reduced_dir = ws.root / "features" / "reduced"
+        assert sorted(p.name for p in reduced_dir.glob("*.aff")) == [p.name for p in sources]
+        for source in sources:
+            feats = read_feature_archive(source)
+            reduced = read_feature_archive(reduced_dir / source.name)
+            assert reduced.data.shape == (feats.num_frames, 3)
+            assert reduced.frame_hop_sec == feats.frame_hop_sec == 0.02
+            assert feats.tags is not None
+            np.testing.assert_array_equal(reduced.tags, feats.tags)
 
     def test_fit_holds_one_utterance_at_a_time(self, tmp_path):
         """The stage's traced peak stays below one stacked copy of the spliced
@@ -873,6 +935,14 @@ class TestCli:
         assert (ws / "models" / "confidence_threshold.json").exists()
 
 
+def _fresh_interpreter(script):
+    """What script prints in a new interpreter that imports accent_forge from src/."""
+    src_dir = Path(accent_forge.__file__).parents[1]
+    return subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(src_dir)),
+                          check=True, capture_output=True, text=True, timeout=60).stdout
+
+
 def test_package_import_is_bare():
     # names are imported from their modules; the package root loads none of them
     script = (
@@ -881,8 +951,14 @@ def test_package_import_is_bare():
         "loaded = sorted(m for m in sys.modules if m.startswith(('accent_forge.', 'numpy')))\n"
         "print(','.join(loaded))\n"
     )
-    src_dir = Path(accent_forge.__file__).parents[1]
-    out = subprocess.run([sys.executable, "-c", script],
-                         env=dict(os.environ, PYTHONPATH=str(src_dir)),
-                         check=True, capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == ""
+    assert _fresh_interpreter(script).strip() == ""
+
+
+def test_frame_modules_do_not_load_the_frontend():
+    # they take plain frame arrays; FeatureMatrix and the archives stay in frontend
+    script = (
+        "import sys\n"
+        "from accent_forge import adapt, classify, gmm, transforms, vowels\n"
+        "print('accent_forge.frontend' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(script).strip() == "False"

@@ -259,7 +259,7 @@ class TestVadStatistics:
             for audio in (tone, noisy_tone, AudioBuffer(noise, rate)):
                 plan = FramePlan.from_ms(rate)
                 vad = remove_silence(audio, plan)
-                frames = frame_signal(audio, plan)
+                frames = frame_signal(audio.samples, plan)
                 zero_frames += int(np.sum(~np.any(frames, axis=1)))
                 np.testing.assert_allclose(
                     vad.frame_energy, [energy_rate(f) for f in frames], rtol=1e-12, atol=0)
@@ -469,7 +469,7 @@ class TestSampleRange:
         assert all(type(v) is int for r in ranges for v in r)
         assert all(a[1] <= b[0] for a, b in zip(ranges[:-1], ranges[1:]))
         # each range frames back to exactly its segment's frames
-        frames = frame_signal(audio, plan)
+        frames = frame_signal(audio.samples, plan)
         for (s, e), (s0, s1) in zip(vad.segments, ranges):
             np.testing.assert_array_equal(frame_signal(audio.samples[s0:s1], plan),
                                           frames[s:e])

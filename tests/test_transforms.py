@@ -14,7 +14,6 @@ import scipy.linalg
 
 from accent_forge import transforms
 from accent_forge.errors import FormatError
-from accent_forge.frontend import FeatureMatrix, feature_array
 from accent_forge.transforms import (
     LinearTransform,
     _canonical_signs,
@@ -50,14 +49,13 @@ class ScatterPair:
     class_ids: np.ndarray
 
 
-def scatter_matrices(feats, labels):
+def scatter_matrices(data, labels):
     """Class-weighted between/within scatter.
 
     S_W = (1/K) sum_s sum_{x in s} (x - mu_s)(x - mu_s)^T and
     S_B = (1/K) sum_s K_s (mu_s - mu)(mu_s - mu)^T, so S_B + S_W equals the
     total scatter.
     """
-    data = feature_array(feats)
     labels = np.asarray(labels)
     if labels.shape != (data.shape[0],):
         raise ValueError("labels must have one entry per frame")
@@ -122,22 +120,22 @@ class TestPca:
         rng = np.random.default_rng(2)
         data = rng.standard_normal((10000, 3)) * np.sqrt([4.0, 1.0, 0.25])
         pca = fit_pca([data], 3)
-        projected = apply_transform(pca, FeatureMatrix(data))
-        variances = projected.data.var(axis=0, ddof=1)
+        projected = apply_transform(pca, data)
+        variances = projected.var(axis=0, ddof=1)
         np.testing.assert_allclose(variances, [4.0, 1.0, 0.25], rtol=0.05)
 
     def test_projected_variances_non_increasing(self):
         rng = np.random.default_rng(3)
         data = rng.standard_normal((600, 5)) @ rng.standard_normal((5, 5))
         pca = fit_pca([data], 5)
-        variances = apply_transform(pca, FeatureMatrix(data)).data.var(axis=0)
+        variances = apply_transform(pca, data).var(axis=0)
         assert np.all(np.diff(variances) <= 1e-9)
 
     def test_output_centered(self):
         rng = np.random.default_rng(4)
         data = rng.standard_normal((300, 4)) + [5, -2, 3, 0]
-        projected = apply_transform(fit_pca([data], 2), FeatureMatrix(data))
-        np.testing.assert_allclose(projected.data.mean(axis=0), 0.0, atol=1e-10)
+        projected = apply_transform(fit_pca([data], 2), data)
+        np.testing.assert_allclose(projected.mean(axis=0), 0.0, atol=1e-10)
 
     def test_out_dim_too_large(self):
         with pytest.raises(ValueError, match="exceeds input dim"):
@@ -393,7 +391,7 @@ class TestApply:
     def test_identity(self):
         data = np.random.default_rng(19).standard_normal((10, 3))
         t = LinearTransform(np.eye(3), np.zeros(3), context=0)
-        np.testing.assert_array_equal(apply_transform(t, FeatureMatrix(data)).data, data)
+        np.testing.assert_array_equal(apply_transform(t, data), data)
 
     def test_splice_edge_replication(self):
         data = np.array([[0.0], [1.0], [2.0]])
@@ -405,7 +403,7 @@ class TestApply:
     def test_dim_mismatch(self):
         t = LinearTransform(np.eye(3), np.zeros(3), context=0)
         with pytest.raises(ValueError, match="dim"):
-            apply_transform(t, FeatureMatrix(np.zeros((4, 2))))
+            apply_transform(t, np.zeros((4, 2)))
 
     def test_full_reduction_chain(self):
         # 39 -> 30 (PCA), then splice context 1 -> 90 -> 20 (HLDA)
@@ -414,18 +412,11 @@ class TestApply:
         frames[:350, :3] += 2.0  # two loose classes
         labels = np.repeat([0, 1], 350)
         pca = fit_pca([frames], 30)
-        projected = apply_transform(pca, FeatureMatrix(frames))
+        projected = apply_transform(pca, frames)
         hlda = fit_hlda([(projected, labels)], retained_dim=20, context=1, max_iters=3)
         assert hlda.in_dim == 90
-        out = apply_chain([pca, hlda], FeatureMatrix(frames))
-        assert out.data.shape == (700, 20)
-
-    def test_tags_preserved(self):
-        data = np.random.default_rng(21).standard_normal((5, 2))
-        tags = np.arange(5, dtype=np.uint8)
-        t = LinearTransform(np.eye(2), np.zeros(2))
-        out = apply_transform(t, FeatureMatrix(data, 0.01, tags))
-        np.testing.assert_array_equal(out.tags, tags)
+        out = apply_chain([pca, hlda], frames)
+        assert out.shape == (700, 20)
 
 
 class TestTransformFile:
