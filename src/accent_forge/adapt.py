@@ -87,16 +87,3 @@ def map_adapt(ubm, data, cfg=None):
 
     return DiagGmm(weights, means, variances, label=ubm.label)
 
-
-def adapt_all_accents(ubm, per_accent_feats, cfg=None):
-    """One adapted, labeled model per accent (insertion order preserved)."""
-    if len(per_accent_feats) < 2:
-        raise ValueError("need at least 2 accents to adapt")
-    models = {}
-    for accent, data in per_accent_feats.items():
-        if data.shape[0] == 0:
-            raise ValueError("accent %r has no adaptation frames" % accent)
-        adapted = map_adapt(ubm, data, cfg)
-        adapted.label = str(accent)
-        models[accent] = adapted
-    return models

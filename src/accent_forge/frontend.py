@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import FormatError
+from .signal import next_pow2
 
 FEATURE_MAGIC = b"AFF1"
 
@@ -171,9 +172,7 @@ def plp_static(frames, sample_rate_hz, cfg=None):
     if num_frames < 1:
         raise ValueError("need at least one frame")
 
-    nfft = 1
-    while nfft < frame_len:
-        nfft *= 2
+    nfft = next_pow2(frame_len)
     window = np.hamming(frame_len)
     spectrum = np.abs(np.fft.rfft(frames * window, nfft, axis=1)) ** 2
 

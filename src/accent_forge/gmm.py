@@ -126,7 +126,7 @@ def _logsumexp_rows(x):
 
 def frame_logpdf(g, data):
     """Per-frame mixture log density, log sum_i w_i p_i(x), scored by _score_models."""
-    return _score_models([g], data)[0]
+    return _score_models(GmmStack([g]), data)[0]
 
 
 class GmmStack:
@@ -175,16 +175,15 @@ def _score_block(stack, block, posteriors=False):
     return frame_ll, joint if posteriors else None
 
 
-def _score_models(models, data, chunk=256):
-    """(S x N) per-frame log-likelihoods of S same-shaped GMMs (a GmmStack or a list).
+def _score_models(stack, data, chunk=256):
+    """(S x N) per-frame log-likelihoods of a GmmStack's S models.
 
     _score_block runs once per chunk of `chunk` rows, which keeps the block
     in cache and bounds its memory. The same inputs give the same bytes, and
-    the result is C-contiguous, so its row sums equal loglik(models[s], data).
-    Row s agrees with models[s] scored alone, or in other chunks, to within a
+    the result is C-contiguous, so row s sums to loglik(stack.models[s], data).
+    Row s agrees with that model scored alone, or in other chunks, to within a
     few ulps: BLAS may take another product path for another block shape.
     """
-    stack = models if isinstance(models, GmmStack) else GmmStack(models)
     _check_dim(stack.joint, data)
     frame_ll = np.empty((len(stack.models), data.shape[0]))
     for start in range(0, data.shape[0], chunk):

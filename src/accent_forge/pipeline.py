@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import signal as sig
-from .adapt import AdaptConfig, adapt_all_accents, map_adapt
+from .adapt import AdaptConfig, map_adapt
 from .classify import (
     AccentModelSet,
     classify_baseline,
@@ -495,30 +495,23 @@ def generate_synthetic_corpus(spec, out_dir):
             is_noise = noisy_split and draw < spec.noise_segment_fraction
             is_filler = (not is_noise) and utt_rng.random() < spec.nonvowel_fraction
             if is_filler:
-                mean = consonant_mean
-                label = "sil"
-                tag = 0
-                confidence = None
-                if spec.with_confidence:
-                    confidence = float(utt_rng.normal(spec.clean_confidence_mean,
-                                                      spec.clean_confidence_std))
+                mean, label, tag = consonant_mean, "sil", 0
             else:
                 vowel_idx = int(utt_rng.choice(NUM_VOWELS, p=popularity))
-                label = ARPABET_VOWELS[vowel_idx]
-                tag = vowel_idx + 1
-                if is_noise:
-                    wrong = int(utt_rng.integers(spec.num_accents - 1))
-                    if wrong >= accent_idx:
-                        wrong += 1
-                    mean = base_means[vowel_idx] + offsets[wrong, vowel_idx]
-                    confidence = float(utt_rng.normal(spec.noise_confidence_mean,
-                                                      spec.noise_confidence_std))
-                else:
-                    mean = base_means[vowel_idx] + offsets[accent_idx, vowel_idx]
-                    confidence = None
-                    if spec.with_confidence:
-                        confidence = float(utt_rng.normal(spec.clean_confidence_mean,
-                                                          spec.clean_confidence_std))
+                label, tag = ARPABET_VOWELS[vowel_idx], vowel_idx + 1
+                source = accent_idx
+                if is_noise:  # its frames come from another accent
+                    source = int(utt_rng.integers(spec.num_accents - 1))
+                    if source >= accent_idx:
+                        source += 1
+                mean = base_means[vowel_idx] + offsets[source, vowel_idx]
+            confidence = None
+            if is_noise:
+                confidence = float(utt_rng.normal(spec.noise_confidence_mean,
+                                                  spec.noise_confidence_std))
+            elif spec.with_confidence:
+                confidence = float(utt_rng.normal(spec.clean_confidence_mean,
+                                                  spec.clean_confidence_std))
             chunk = mean + utt_rng.standard_normal((length, dim))
             if spec.noise_floor > 0:
                 chunk = chunk + spec.noise_floor * utt_rng.standard_normal((length, dim))
@@ -755,10 +748,10 @@ def _tag_frames(segments, times_sec, hop_sec):
 def stage_features(run):
     """Frontend features per utterance (audio), or verbatim copy (archives).
 
-    Audio entries are framed per VAD segment (windows never straddle a
-    removed gap); each retained frame is tagged with its vowel by
-    original-time membership, and a label file remapped onto the trimmed
-    timeline is written next to the archive.
+    Audio entries are framed once, and the frames of the VAD segments are
+    kept (so no window straddles a removed gap); each kept frame is tagged
+    with its vowel by original-time membership, and a label file remapped
+    onto the trimmed timeline is written next to the archive.
     """
     cfg, ws = run.cfg, run.ws
     manifest = run.manifest(need_split=False)
@@ -783,17 +776,15 @@ def stage_features(run):
         hop_sec = plan.hop_samples / audio.sample_rate_hz
         label_segments = None if lab_src is None else parse_label_file(lab_src)
 
-        frame_blocks = []
-        centers_sec = []
-        for start_f, end_f in meta["segments_frames"]:
-            s0, s1 = plan.sample_range(start_f, end_f)
-            block = sig.frame_signal(audio.samples[s0:min(s1, len(audio.samples))], plan)
-            frame_blocks.append(block)
-            starts = s0 + plan.hop_samples * np.arange(block.shape[0])
-            centers_sec.append((starts + plan.frame_len_samples / 2) / audio.sample_rate_hz)
-        if not frame_blocks:
+        frames = sig.frame_signal(audio.samples, plan)
+        if len(frames) != meta["frames"]:
+            raise ValueError("utterance %s: its VAD record has %d frames, its wav %d; "
+                             "re-run 'vad'" % (utt, meta["frames"], len(frames)))
+        if not meta["segments_frames"]:
             raise ValueError("utterance %s has no speech frames after VAD" % utt)
-        frames = np.vstack(frame_blocks)
+        kept = np.concatenate([np.arange(s, e) for s, e in meta["segments_frames"]])
+        frames = frames[kept]
+        centers_sec = (kept * plan.hop_samples + plan.frame_len_samples / 2) / audio.sample_rate_hz
         min_frames = max(2 * cfg.frontend.delta_window + 1, 2)
         if frames.shape[0] < min_frames:
             raise ValueError(
@@ -812,7 +803,7 @@ def stage_features(run):
 
         tags = None
         if label_segments is not None:
-            tags, remapped = _tag_frames(label_segments, np.concatenate(centers_sec), hop_sec)
+            tags, remapped = _tag_frames(label_segments, centers_sec, hop_sec)
             write_label_file(run.output(out_lab), remapped)
         write_feature_archive(out_aff, FeatureMatrix(feats, hop_sec, tags))
 
@@ -869,19 +860,25 @@ def stage_ubm(run):
 
 
 def stage_adapt(run):
-    """MAP-adapt one model per accent from the UBM."""
+    """MAP-adapt one model per accent from the UBM, stacking one accent's frames at a time.
+
+    Fewer than 2 accents, or an accent without frames, raises before any model is written.
+    """
     cfg, ws = run.cfg, run.ws
     ubm = read_model(run.require(ws.dir("models") / "ubm.agm", "ubm"))
     accents = run.manifest().accents()
-    per_accent = {}
+    if len(accents) < 2:
+        raise ValueError("need at least 2 accents to adapt, got %d" % len(accents))
+    per_accent = {accent: [] for accent in accents}
     for utt, entry in run.utterances("train"):
-        per_accent.setdefault(entry.accent, []).append(run.features(utt).data)
-    # pop each accent's blocks as it is stacked, so they are never all held twice
-    pooled = {a: np.vstack(per_accent.pop(a)) for a in accents}
-    models = adapt_all_accents(ubm, pooled, cfg.adapt)
+        per_accent[entry.accent].append(run.features(utt).data)
+    for accent, blocks in per_accent.items():
+        if not sum(len(block) for block in blocks):
+            raise ValueError("accent %r has no adaptation frames" % accent)
     accents_dir = ws.dir("models/accents")
     for accent in accents:
-        write_model(run.output(accents_dir / (accent + ".agm")), models[accent])
+        model = map_adapt(ubm, np.vstack(per_accent.pop(accent)), cfg.adapt)
+        write_model(run.output(accents_dir / (accent + ".agm")), replace(model, label=accent))
     _write_json(run.output(ws.dir("models") / "accent_set.json"),
                 {"accents": accents, "dim": ubm.dim, "components": ubm.num_components})
 
@@ -897,7 +894,11 @@ def stage_vowel_models(run):
         segments = run.labels(utt)
         if segments is None:
             continue
-        for vowel, frames in pool_vowel_features(feats, segments).items():
+        try:
+            by_vowel = pool_vowel_features(feats, segments)
+        except ValueError as exc:
+            raise ValueError("utterance %s: %s" % (utt, exc)) from None
+        for vowel, frames in by_vowel.items():
             if len(frames):
                 pooled[vowel].setdefault(entry.accent, []).append(frames)
                 counts[vowel] += len(frames)

@@ -146,22 +146,20 @@ def write_wav(path, audio):
 def frame_signal(samples, plan):
     """Slice a 1-D sample array into overlapping frames (trailing partial dropped).
 
-    Frame i starts at i * hop_samples. Returns a (num_frames, frame_len)
-    array.
+    Frame i starts at i * hop_samples. Returns a read-only (num_frames,
+    frame_len) strided view of the samples; no sample is copied.
     """
     n = plan.frame_len_samples
     if len(samples) < n:
         raise ValueError(
             "signal of %d samples is shorter than one frame (%d samples)" % (len(samples), n)
         )
-    return np.lib.stride_tricks.sliding_window_view(samples, n)[::plan.hop_samples].copy()
+    return np.lib.stride_tricks.sliding_window_view(samples, n)[::plan.hop_samples]
 
 
-def _next_pow2(n):
-    p = 1
-    while p < n:
-        p *= 2
-    return p
+def next_pow2(n):
+    """The smallest power of two >= n: the FFT length of an n-sample frame."""
+    return 1 << max(n - 1, 0).bit_length()
 
 
 # _histogram_modes' bin count, smoothing width in bins and second-mode tests
@@ -269,7 +267,7 @@ def remove_silence(
         raise ValueError("silence removal needs at least 10 frames, got %d" % len(frames))
     energy = np.mean(frames * frames, axis=1)
 
-    nfft = _next_pow2(plan.frame_len_samples)
+    nfft = next_pow2(plan.frame_len_samples)
     mags = np.abs(np.fft.rfft(frames, nfft, axis=1))[:, 1:]
     totals = mags.sum(axis=1)
     weights = np.arange(2, mags.shape[1] + 2, dtype=np.float64)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from accent_forge.adapt import AdaptConfig, adapt_all_accents, map_adapt
+from accent_forge.adapt import AdaptConfig, map_adapt
 from accent_forge.classify import hellinger_gmm
 from accent_forge.gmm import DiagGmm, accumulate_stats
 
@@ -103,50 +103,28 @@ class TestMapAdapt:
         with pytest.raises(ValueError, match="at least one frame"):
             map_adapt(_ubm(), np.zeros((0, 1)), AdaptConfig())
 
-
-class TestAdaptAllAccents:
-    def _ubm2d(self, rng):
+    @staticmethod
+    def _ubm2d(rng):
         return DiagGmm(
             np.full(4, 0.25), rng.normal(0, 3, (4, 2)), np.ones((4, 2)), label="ubm"
         )
-
-    def test_seven_accents_in_seven_models_out(self):
-        rng = np.random.default_rng(7)
-        ubm = self._ubm2d(rng)
-        feats = {"a%d" % i: rng.normal(i - 3, 1, (120, 2)) for i in range(7)}
-        models = adapt_all_accents(ubm, feats, AdaptConfig())
-        assert list(models) == list(feats)
-        for name, model in models.items():
-            assert model.label == name
 
     def test_identical_data_identical_models(self):
         rng = np.random.default_rng(8)
         ubm = self._ubm2d(rng)
         frames = rng.normal(1.0, 1.0, (150, 2))
-        models = adapt_all_accents(ubm, {"x": frames, "y": frames.copy()}, AdaptConfig())
-        np.testing.assert_array_equal(models["x"].means, models["y"].means)
-        np.testing.assert_array_equal(models["x"].weights, models["y"].weights)
-        np.testing.assert_array_equal(models["x"].variances, models["y"].variances)
+        x = map_adapt(ubm, frames, AdaptConfig())
+        y = map_adapt(ubm, frames.copy(), AdaptConfig())
+        np.testing.assert_array_equal(x.means, y.means)
+        np.testing.assert_array_equal(x.weights, y.weights)
+        np.testing.assert_array_equal(x.variances, y.variances)
 
-    def test_disjoint_accents_far_apart(self):
+    def test_disjoint_data_far_apart(self):
         rng = np.random.default_rng(9)
         ubm = self._ubm2d(rng)
-        feats = {
-            "left": rng.normal(-6.0, 0.6, (500, 2)),
-            "right": rng.normal(6.0, 0.6, (500, 2)),
-        }
-        models = adapt_all_accents(ubm, feats, AdaptConfig(relevance_mean=2.0))
-        h = hellinger_gmm(models["left"], models["right"], num_samples=20000, seed=0)
+        cfg = AdaptConfig(relevance_mean=2.0)
+        left = map_adapt(ubm, rng.normal(-6.0, 0.6, (500, 2)), cfg)
+        right = map_adapt(ubm, rng.normal(6.0, 0.6, (500, 2)), cfg)
+        h = hellinger_gmm(left, right, num_samples=20000, seed=0)
         assert h > 0.5
 
-    def test_zero_frame_accent_rejected(self):
-        rng = np.random.default_rng(10)
-        ubm = self._ubm2d(rng)
-        feats = {"ok": rng.normal(0, 1, (50, 2)), "empty": np.zeros((0, 2))}
-        with pytest.raises(ValueError, match="empty"):
-            adapt_all_accents(ubm, feats, AdaptConfig())
-
-    def test_needs_two_accents(self):
-        rng = np.random.default_rng(11)
-        with pytest.raises(ValueError, match="at least 2"):
-            adapt_all_accents(self._ubm2d(rng), {"only": np.zeros((5, 2))}, AdaptConfig())

@@ -560,7 +560,7 @@ class TestScoreModels:
         models[1] = DiagGmm([0.0, 0.5, 0.25, 0.25], models[1].means, models[1].variances)
         frames = rng.normal(0.0, 2.0, (41, 3))
         for chunk in (2, 3, 40):
-            scores = gmm._score_models(models, frames, chunk=chunk)
+            scores = gmm._score_models(gmm.GmmStack(models), frames, chunk=chunk)
             for i, model in enumerate(models):
                 assert_ulps_close(scores[i], frame_logpdf(model, frames))
 
@@ -574,7 +574,7 @@ class TestScoreModels:
         monkeypatch.setattr(gmm, "log_component_densities", counting)
         rng = np.random.default_rng(8)
         models = [_random_gmm(rng, 4, 2) for _ in range(7)]
-        gmm._score_models(models, rng.standard_normal((600, 2)))
+        gmm._score_models(gmm.GmmStack(models), rng.standard_normal((600, 2)))
         assert calls == [(256, 2), (256, 2), (88, 2)]
 
     def test_shapes_must_agree(self):
@@ -582,12 +582,12 @@ class TestScoreModels:
         with pytest.raises(ValueError, match="share component count and dim"):
             gmm.GmmStack([_random_gmm(rng, 2, 3), _random_gmm(rng, 4, 3)])
         with pytest.raises(ValueError, match="does not match model dim 3"):
-            gmm._score_models([_random_gmm(rng, 2, 3)] * 2, np.zeros((0, 4)))
+            gmm._score_models(gmm.GmmStack([_random_gmm(rng, 2, 3)] * 2), np.zeros((0, 4)))
 
     def test_empty_frames(self):
         rng = np.random.default_rng(10)
         models = [_random_gmm(rng, 2, 3)] * 3
-        assert gmm._score_models(models, np.zeros((0, 3))).shape == (3, 0)
+        assert gmm._score_models(gmm.GmmStack(models), np.zeros((0, 3))).shape == (3, 0)
 
 
 class TestChunkedScoring:
@@ -616,7 +616,7 @@ class TestChunkedScoring:
             got = frame_logpdf(g, frames)
             assert max(rows) <= 256 and sum(rows) == n
             assert_ulps_close(got, want)
-            assert got.tobytes() == gmm._score_models([g], frames)[0].tobytes()
+            assert got.tobytes() == gmm._score_models(gmm.GmmStack([g]), frames)[0].tobytes()
             rows.clear()
             total = loglik(g, frames)
             assert max(rows) <= 256 and sum(rows) == n

@@ -18,7 +18,15 @@ import accent_forge
 from accent_forge.adapt import map_adapt
 from accent_forge.cli import main as cli_main
 from accent_forge.errors import ConfigError, FormatError, MissingPrerequisiteError
-from accent_forge.frontend import FeatureMatrix, read_feature_archive
+from accent_forge.frontend import (
+    FeatureMatrix,
+    append_deltas,
+    feature_warp,
+    mvn,
+    plp_static,
+    read_feature_archive,
+    write_feature_archive,
+)
 from accent_forge.gmm import DiagGmm, read_model, write_model
 from accent_forge.pipeline import (
     CorpusManifest,
@@ -35,7 +43,7 @@ from accent_forge.pipeline import (
     run_stage,
     split_corpus,
 )
-from accent_forge.signal import write_wav
+from accent_forge.signal import FramePlan, frame_signal, read_wav, write_wav
 from accent_forge.vowels import (
     ARPABET_VOWELS,
     PhoneSegment,
@@ -423,6 +431,63 @@ class TestStages:
             run_stage(stage, cfg, ws, mode="vowel")
         assert not (root / output).exists()
 
+    def test_train_label_past_the_end_names_the_utterance(self, trained_workspace, tmp_path):
+        root = tmp_path / "ws"
+        shutil.copytree(trained_workspace, root)
+        manifest = CorpusManifest.load(root / "manifest.tsv")
+        ws = Workspace(root)
+        index, entry = next((i, e) for i, e in enumerate(manifest.entries) if e.split == "train")
+        utt = ws.utt_id(index, entry)
+        label_path = root / "features" / "feat" / (utt + ".lab")
+        write_label_file(label_path, parse_label_file(label_path)
+                         + [PhoneSegment(1.2, 1.5, "aa")])  # the utterance is 120 frames
+        shutil.rmtree(root / "models" / "vowels")
+        (root / "models" / "vowel_set.json").unlink()
+        with pytest.raises(ValueError, match=r"utterance %s: segment \[1\.2, 1\.5\) extends "
+                                             r"beyond the utterance end 1\.2" % utt):
+            run_stage("vowel-models", _small_cfg(), ws)
+        assert not (root / "models" / "vowel_set.json").exists()
+        assert not list((root / "models" / "vowels").glob("*.agm"))
+
+    def test_adapt_labels_each_model_with_its_accent(self, trained_workspace):
+        models = trained_workspace / "models"
+        accents = json.loads((models / "accent_set.json").read_text())["accents"]
+        assert accents == ["accent1", "accent2", "accent3"]
+        assert sorted(path.stem for path in (models / "accents").glob("*.agm")) == accents
+        for accent in accents:
+            assert read_model(models / "accents" / (accent + ".agm")).label == accent
+
+    def _adapt_error(self, trained_workspace, tmp_path, edit, match):
+        """Run adapt on an edited copy of the workspace; it raises before writing a model."""
+        root = tmp_path / "ws"
+        shutil.copytree(trained_workspace, root)
+        shutil.rmtree(root / "models" / "accents")
+        (root / "models" / "accent_set.json").unlink()
+        edit(root, CorpusManifest.load(root / "manifest.tsv"))
+        with pytest.raises(ValueError, match=match):
+            run_stage("adapt", _small_cfg(), Workspace(root))
+        assert not list((root / "models").glob("accents/*.agm"))
+        assert not (root / "models" / "accent_set.json").exists()
+
+    def test_adapt_needs_two_accents(self, trained_workspace, tmp_path):
+        def one_accent(root, manifest):
+            for entry in manifest.entries:
+                entry.accent = "accent1"
+            manifest.save(root / "manifest.tsv")
+
+        self._adapt_error(trained_workspace, tmp_path, one_accent, "at least 2 accents")
+
+    def test_adapt_rejects_an_accent_without_frames(self, trained_workspace, tmp_path):
+        def empty_accent2(root, manifest):  # the middle accent: accent1 comes before it
+            ws = Workspace(root)
+            for index, entry in enumerate(manifest.entries):
+                if entry.split == "train" and entry.accent == "accent2":
+                    path = root / "features" / "feat" / (ws.utt_id(index, entry) + ".aff")
+                    write_feature_archive(path, FeatureMatrix(np.zeros((0, 4))))
+
+        self._adapt_error(trained_workspace, tmp_path, empty_accent2,
+                          "accent 'accent2' has no adaptation frames")
+
     def test_cap_checks_labels_against_the_whole_utterance(self):
         cfg = _small_cfg()
         cfg.corpus.max_test_frames = 50
@@ -555,7 +620,64 @@ def _run_stages_with_blas_threads(threads, config, root, stages):
                    env=env, check=True, timeout=120, stdout=subprocess.DEVNULL)
 
 
+def _features_framed_per_segment(cfg, wav, lab, segments_frames):
+    """Reference features stage for one wav: frame each VAD segment's samples on
+    their own and stack the blocks. Returns the archive and label file bytes."""
+    audio = read_wav(wav)
+    plan = FramePlan.from_ms(audio.sample_rate_hz, cfg.signal.frame_ms, cfg.signal.hop_ms)
+    hop_sec = plan.hop_samples / audio.sample_rate_hz
+    blocks, centers_sec = [], []
+    for start_f, end_f in segments_frames:
+        s0, s1 = plan.sample_range(start_f, end_f)
+        block = frame_signal(audio.samples[s0:s1], plan).copy()
+        blocks.append(block)
+        starts = s0 + plan.hop_samples * np.arange(block.shape[0])
+        centers_sec.append((starts + plan.frame_len_samples / 2) / audio.sample_rate_hz)
+    feats = append_deltas(plp_static(np.vstack(blocks), audio.sample_rate_hz, cfg.frontend),
+                          cfg.frontend.delta_window)
+    feats, _ = mvn(feats)  # cfg.frontend.mvn_before_warp
+    feats = feature_warp(feats, cfg.frontend.warp_window_frames)
+    tags, remapped = _tag_frames(parse_label_file(lab), np.concatenate(centers_sec), hop_sec)
+    out = wav.with_name(wav.stem + "_oracle")
+    write_feature_archive(out.with_suffix(".aff"), FeatureMatrix(feats, hop_sec, tags))
+    write_label_file(out.with_suffix(".lab"), remapped)
+    return out.with_suffix(".aff").read_bytes(), out.with_suffix(".lab").read_bytes()
+
+
 class TestAudioPipeline:
+    def test_features_equal_the_per_segment_framing_oracle(self, tmp_path):
+        cfg = _small_cfg()
+        assert cfg.frontend.mvn_before_warp
+        ws = Workspace(tmp_path / "ws")
+        ws.root.mkdir()
+        manifest = _write_audio_corpus(ws.root)
+        run_stage("vad", cfg, ws)
+        run_stage("features", cfg, ws)
+        for index, entry in enumerate(manifest.entries):
+            utt = ws.utt_id(index, entry)
+            meta = json.loads((ws.root / "features" / "vad" / (utt + ".json")).read_text())
+            assert len(meta["segments_frames"]) >= 3
+            aff, lab = _features_framed_per_segment(
+                cfg, manifest.resolve(entry.audio), manifest.resolve(entry.label),
+                meta["segments_frames"])
+            assert (ws.root / "features" / "feat" / (utt + ".aff")).read_bytes() == aff
+            assert (ws.root / "features" / "feat" / (utt + ".lab")).read_bytes() == lab
+
+    def test_stale_vad_record_names_the_utterance(self, tmp_path):
+        cfg = _small_cfg()
+        ws = Workspace(tmp_path / "ws")
+        ws.root.mkdir()
+        manifest = _write_audio_corpus(ws.root, num_per_accent=1)
+        run_stage("vad", cfg, ws)
+        utt = ws.utt_id(1, manifest.entries[1])
+        path = ws.root / "features" / "vad" / (utt + ".json")
+        meta = json.loads(path.read_text())
+        meta["frames"] += 3  # as if framed with another plan
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="utterance %s: its VAD record has %d frames"
+                                             % (utt, meta["frames"])):
+            run_stage("features", cfg, ws)
+
     def test_vad_features_and_remapped_labels(self, tmp_path):
         from accent_forge.vowels import parse_label_file, pool_vowel_features
 

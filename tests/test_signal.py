@@ -163,6 +163,14 @@ class TestFraming:
         frames = frame_signal(np.arange(4.0), FramePlan(4, 2))
         assert frames.shape == (1, 4)
 
+    def test_frames_are_a_read_only_view_of_the_samples(self):
+        samples = np.arange(10.0)
+        frames = frame_signal(samples, FramePlan(4, 2))
+        assert np.shares_memory(frames, samples)
+        assert not frames.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            frames[0, 0] = 1.0
+
     def test_too_short(self):
         with pytest.raises(ValueError, match="shorter than one frame"):
             frame_signal(np.arange(3.0), FramePlan(4, 2))
