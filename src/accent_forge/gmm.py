@@ -81,47 +81,24 @@ def _check_dim(g, data):
 def log_component_densities(g, data):
     """(N x K) log densities of every frame under every component.
 
+    One matmul of each component's [-1/(2 var), mean/var, c] row with each
+    frame's [x^2, x, 1] column, c = -(D log 2pi + sum log var + sum mean^2/var)/2.
     The product is computed component-major, as (K x N), and returned as its
     transpose view; .T of the result is the C-contiguous (K x N) block.
     """
     _check_dim(g, data)
+    d = g.dim
     inv_var = 1.0 / g.variances
-    const = -0.5 * (g.dim * _LOG_2PI + np.sum(np.log(g.variances), axis=1))
-    quad = inv_var @ (data * data).T
-    quad -= (g.means * inv_var) @ (2.0 * data).T
-    quad += np.sum(g.means * g.means * inv_var, axis=1)[:, None]
-    quad *= 0.5
-    return np.subtract(const[:, None], quad, out=quad).T
-
-
-def _logsumexp_rows(x):
-    """Log-sum-exp over the component axis, the second to last, of a real array.
-
-    Of a (K x N) block it is scipy.special.logsumexp(x, axis=0) bit for bit,
-    by construction: numpy sums an outer axis in sequence, one component row
-    after the other, as scipy's axis-0 sum does. Every pass is elementwise
-    over contiguous frame rows. An (S x K x N) block gives (S x N).
-
-    As scipy does, the component maximum and its ties are taken out of the
-    sum: log1p(sum_rest exp(x - max) / ties) + log(ties) + max. Scipy
-    recomputes a non-finite result as log(sum exp(x)); for real input that
-    only happens when the maximum is +-inf or NaN, where both forms give the
-    same value. Scipy also keeps a zero sum out of the division by ties; for
-    real input a frame has no ties only when its maximum is NaN, and then
-    the sum is NaN too. When every frame has a single maximum, log(ties) is 0
-    and the division and the per-frame tie count are skipped; a NaN frame has
-    no maximum, so the tie total alone could not tell it from one with one.
-    """
-    top = x.max(axis=-2)
-    ties = x == top[..., None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rest = np.subtract(x, top[..., None, :])
-        np.copyto(rest, -np.inf, where=ties)
-        rest = np.exp(rest, out=rest).sum(axis=-2)
-        if np.count_nonzero(ties) == rest.size and not np.isnan(top).any():
-            return np.log1p(rest) + top
-        count = np.count_nonzero(ties, axis=-2).astype(np.float64)
-        return np.log1p(rest / count) + np.log(count) + top
+    coefs = np.empty((g.num_components, 2 * d + 1))
+    np.multiply(-0.5, inv_var, out=coefs[:, :d])
+    np.multiply(g.means, inv_var, out=coefs[:, d:2 * d])
+    coefs[:, -1] = -0.5 * (d * _LOG_2PI + np.sum(np.log(g.variances), axis=1)
+                           + np.sum(g.means * coefs[:, d:2 * d], axis=1))
+    cols = np.empty((data.shape[0], 2 * d + 1))
+    np.multiply(data, data, out=cols[:, :d])
+    cols[:, d:2 * d] = data
+    cols[:, -1] = 1.0
+    return (coefs @ cols.T).T
 
 
 def frame_logpdf(g, data):
@@ -159,19 +136,25 @@ def _score_block(stack, block, posteriors=False):
 
     The one density pass behind every mixture score: one matmul over all S*K
     components, laid out component-major as (S*K x rows), then each model's
-    own log weights and a log-sum-exp over its K component rows. With
-    posteriors, the (S*K x rows) posteriors come too, each model's K rows
-    summing to 1 per frame.
+    own log weights and a log-sum-exp over its K component rows, each pass
+    elementwise over contiguous frame rows: the finite maximum `top` is
+    taken out, exp, the sum `total` over the K rows, log(total) + top. With
+    posteriors, the (S*K x rows) posteriors come too, the exponentials
+    divided by their total, so each model's K rows sum to 1 per frame.
     """
     k = stack.models[0].num_components
     joint = log_component_densities(stack.joint, block).T
     joint += stack.log_weights[:, None]
     by_model = joint.reshape(len(stack.models), k, -1)
-    frame_ll = _logsumexp_rows(by_model)
-    if posteriors:
-        by_model -= frame_ll[:, None, :]
+    top = by_model.max(axis=1)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(all="ignore"):  # only frames whose result is +-inf or NaN warn
+        by_model -= top[:, None, :]
         np.exp(by_model, out=by_model)
-        by_model /= by_model.sum(axis=1, keepdims=True)
+        total = by_model.sum(axis=1)
+        frame_ll = np.log(total) + top
+        if posteriors:
+            by_model /= total[:, None, :]
     return frame_ll, joint if posteriors else None
 
 

@@ -268,6 +268,58 @@ def test_subtree_digests_count_the_byte_identical_pairs_per_subtree(monkeypatch,
     assert "features/reduced" not in bench_pairs.summarize(runs, {})["identical_subtrees"]
 
 
+def test_prediction_digests_count_the_pairs_with_identical_predictions(monkeypatch, tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "accent_forge").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+
+    def fake_run(checkout, workload, seed, trace=False):
+        change = checkout.endswith("change")
+        # the provenance records hash the models, so reports/ differs on every pair
+        tree = {"models/ubm.agm": b"ubm2" if change else b"ubm",
+                "reports/provenance/classify.json": b"ubm2" if change else b"ubm",
+                "reports/predictions_baseline.tsv": b"u1\ta\n",
+                "reports/predictions_vowel.tsv": b"u1\tb\n"}
+        vowel = 0.5
+        if change and seed == 2:
+            tree["reports/predictions_vowel.tsv"] = b"u1\ta\n"
+            vowel = 0.25
+        if change and seed == 3:
+            del tree["reports/predictions_baseline.tsv"]
+        root = Path(checkout, ".perfbench-work", workload)
+        shutil.rmtree(root, ignore_errors=True)
+        for rel, data in tree.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_bytes(data)
+        result = json.loads(_line(1.0, 1.0))
+        result["metrics"].update({"accuracy.baseline": {"unit": "fraction", "value": 0.75},
+                                  "accuracy.vowel": {"unit": "fraction", "value": vowel}})
+        return result
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "environment", lambda: {})
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                      "--workload", "aff_score", "--seeds", "1..4", "--out", str(out)])
+    doc = json.loads(out.read_text())["workloads"]["aff_score"]
+    summary = doc["summary"]
+    assert summary["identical_subtrees"]["reports"] == 0
+    assert summary["identical_predictions"] == 2
+    assert summary["differing_predictions"] == [
+        {"seed": 2, "accuracy": {"parent": {"accuracy.baseline": 0.75, "accuracy.vowel": 0.5},
+                                 "change": {"accuracy.baseline": 0.75,
+                                            "accuracy.vowel": 0.25}}},
+        {"seed": 3, "accuracy": {"parent": {"accuracy.baseline": 0.75, "accuracy.vowel": 0.5},
+                                 "change": {"accuracy.baseline": 0.75, "accuracy.vowel": 0.5}}},
+    ]
+    # a predictions file missing on one side is a digest of None, never identical
+    assert doc["runs"][2]["predictions"]["change"]["reports/predictions_baseline.tsv"] is None
+    # a failed run has no accuracies
+    runs = [dict(run, change=None) if run["seed"] == 2 else run for run in doc["runs"]]
+    assert bench_pairs.summarize(runs, {})["differing_predictions"][0]["accuracy"][
+        "change"] is None
+
+
 TRACED_STDOUT = ("stage seconds: vad 0.100 features 1.000 transforms 2.000\n"
                  "traced wall_s 9.0 s (train 7.0 s + median passes)\n"
                  "frontend.feature_warp.s = 1.38 s\n%s\n")

@@ -18,7 +18,12 @@ After each run it records the sha256 digest of the checkout's
 .perfbench-work/<workload>/ tree, and of each of its subtrees features/feat,
 features/reduced, models and reports; the summary counts the pairs whose two
 trees are byte-identical, and per subtree the pairs whose two subtrees are,
-which shows which artifacts an announced change left alone. A run that exits
+which shows which artifacts an announced change left alone. It also digests
+each side's reports/predictions_baseline.tsv and predictions_vowel.tsv and
+counts the pairs whose two sides wrote both files byte-identical, as
+identical_predictions; every other pair is listed under differing_predictions
+with both sides' accuracies. The reports subtree cannot show this, because
+its provenance records hash the models. A run that exits
 non-zero or whose last line is not a JSON object is recorded as failed
 (None), with a message on standard error.
 Each run's "stage seconds: vad 0.123 features ..." line is kept under the
@@ -46,6 +51,8 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 SUBTREES = ("features/feat", "features/reduced", "models", "reports")
+PREDICTIONS = ("reports/predictions_baseline.tsv", "reports/predictions_vowel.tsv")
+ACCURACIES = ("accuracy.baseline", "accuracy.vowel")
 
 
 def parse_seeds(text):
@@ -88,11 +95,16 @@ def summarize(runs, rules):
     """Per-metric medians, quartiles, wins and verdicts over the pairs where both runs succeeded.
 
     runs: [{"seed": n, "parent": result, "change": result, "trees": digests,
-    "subtrees": subtree_digests}], each result the parsed last line of a run
-    or None for a failed run, the optional digests each side's tree_digest of
-    its workspace, and the optional subtree_digests each side's {subtree:
-    digest}; identical_trees counts the runs whose two digests are equal, and
-    identical_subtrees the same per subtree that some run's workspace holds. "stages"
+    "subtrees": subtree_digests, "predictions": prediction_digests}], each
+    result the parsed last line of a run or None for a failed run, the
+    optional digests each side's tree_digest of its workspace, the optional
+    subtree_digests each side's {subtree: digest}, and the optional
+    prediction_digests each side's {predictions file: digest};
+    identical_trees counts the runs whose two digests are equal, and
+    identical_subtrees the same per subtree that some run's workspace holds.
+    identical_predictions counts the runs whose two sides' digests are equal
+    for every predictions file, and differing_predictions lists each other
+    run with prediction digests by seed, with each side's accuracies. "stages"
     holds the same medians, quartiles and wins (lower is better, no bound)
     for each training stage, over the pairs whose two runs both timed it. rules:
     metric name -> its BENCHMARK.json entry, with "better" ("lower" or
@@ -123,6 +135,9 @@ def summarize(runs, rules):
             values = {side: [r[side]["stages"][name] for r in timed] for side in SIDES}
             stages[name] = _row(values, "s", {"better": "lower"})
     digested = [r for r in runs if "subtrees" in r]
+    predicted = [r for r in runs if "predictions" in r]
+    same_predictions = [all(_same_digest({side: r["predictions"][side][name] for side in SIDES})
+                            for name in PREDICTIONS) for r in predicted]
     return {
         "pairs": len(complete),
         "identical_trees": sum(_same_digest(r["trees"]) for r in runs if "trees" in r),
@@ -131,12 +146,24 @@ def summarize(runs, rules):
                       for r in digested)
             for name in SUBTREES
             if any(r["subtrees"][side][name] is not None for r in digested for side in SIDES)},
+        "identical_predictions": sum(same_predictions),
+        "differing_predictions": [
+            {"seed": r["seed"], "accuracy": {side: _accuracies(r[side]) for side in SIDES}}
+            for r, same in zip(predicted, same_predictions) if not same],
         "failed_runs": sum(r[side] is None for r in runs for side in SIDES),
         "all_correct": all(r[side]["correct"] and not r[side]["failed"]
                            for r in complete for side in SIDES),
         "metrics": summary,
         "stages": stages,
     }
+
+
+def _accuracies(result):
+    """A run's accuracy metrics by name, or None for a failed run."""
+    if result is None:
+        return None
+    return {name: result["metrics"][name]["value"] for name in ACCURACIES
+            if name in result["metrics"]}
 
 
 def _same_digest(digests):
@@ -242,9 +269,14 @@ def tree_digest(root):
         return None
     digest = hashlib.sha256()
     for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()):
-        file_hash = hashlib.sha256((root / rel).read_bytes()).hexdigest()
-        digest.update(("%s\0%s\n" % (rel, file_hash)).encode("utf-8"))
+        digest.update(("%s\0%s\n" % (rel, file_digest(root / rel))).encode("utf-8"))
     return digest.hexdigest()
+
+
+def file_digest(path):
+    """sha256 of a file's bytes, or None if path is not a file."""
+    path = Path(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
 
 
 def src_lines(checkout):
@@ -283,12 +315,15 @@ def main(argv=None):
         runs = []
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            run = {"seed": seed, "order": list(order), "trees": {}, "subtrees": {}}
+            run = {"seed": seed, "order": list(order), "trees": {}, "subtrees": {},
+                   "predictions": {}}
             for side in order:
                 run[side] = run_once(dirs[side], workload, seed)
                 root = Path(dirs[side], ".perfbench-work", workload)
                 run["trees"][side] = tree_digest(root)
                 run["subtrees"][side] = {name: tree_digest(root / name) for name in SUBTREES}
+                run["predictions"][side] = {name: file_digest(root / name)
+                                            for name in PREDICTIONS}
             runs.append(run)
             print("bench_pairs: %s seed %d done" % (workload, seed), file=sys.stderr)
         traced = {"seed": args.seeds[0]}
