@@ -21,6 +21,9 @@ MODEL_MAGIC = b"AGM1"
 _LOG_2PI = float(np.log(2.0 * np.pi))
 # EM floors each variance at this fraction of its dimension's data variance
 _FLOOR_SCALE = 1e-6
+# a frame whose shifted mixture sum falls below this is reduced again from its own
+# maximum: below it, log(total) would rest on subnormal or underflowed terms
+_TOTAL_FLOOR = float(np.exp(-600.0))
 
 
 @dataclass
@@ -73,32 +76,28 @@ class GmmStats:
     loglik: float
 
 
-def _check_dim(g, data):
-    if data.shape[1] != g.dim:
-        raise ValueError("feature dim %d does not match model dim %d" % (data.shape[1], g.dim))
+def _check_dim(dim, data):
+    if data.shape[1] != dim:
+        raise ValueError("feature dim %d does not match model dim %d" % (data.shape[1], dim))
 
 
-def log_component_densities(g, data):
-    """(N x K) log densities of every frame under every component.
+def log_component_densities(rows, data):
+    """(N x R) log densities of every frame under R component rows.
 
     One matmul of each component's [-1/(2 var), mean/var, c] row with each
-    frame's [x^2, x, 1] column, c = -(D log 2pi + sum log var + sum mean^2/var)/2.
-    The product is computed component-major, as (K x N), and returned as its
-    transpose view; .T of the result is the C-contiguous (K x N) block.
+    frame's [x^2, x, 1] column; with c = -(D log 2pi + sum log var +
+    sum mean^2/var)/2 that is log N(x; mean, var), and a GmmStack's rows fold
+    log w, and in its shifted rows -M_s too, into c. The product is computed
+    component-major, as (R x N), and returned as its transpose view; .T of the
+    result is the C-contiguous (R x N) block.
     """
-    _check_dim(g, data)
-    d = g.dim
-    inv_var = 1.0 / g.variances
-    coefs = np.empty((g.num_components, 2 * d + 1))
-    np.multiply(-0.5, inv_var, out=coefs[:, :d])
-    np.multiply(g.means, inv_var, out=coefs[:, d:2 * d])
-    coefs[:, -1] = -0.5 * (d * _LOG_2PI + np.sum(np.log(g.variances), axis=1)
-                           + np.sum(g.means * coefs[:, d:2 * d], axis=1))
+    d = (rows.shape[1] - 1) // 2
+    _check_dim(d, data)
     cols = np.empty((data.shape[0], 2 * d + 1))
     np.multiply(data, data, out=cols[:, :d])
     cols[:, d:2 * d] = data
     cols[:, -1] = 1.0
-    return (coefs @ cols.T).T
+    return (rows @ cols.T).T
 
 
 def frame_logpdf(g, data):
@@ -106,13 +105,40 @@ def frame_logpdf(g, data):
     return _score_models(GmmStack([g]), data)[0]
 
 
-class GmmStack:
-    """S diagonal GMMs of one shape, held as one block of S*K components.
+def _stack_rows(models):
+    """The (S*K x 2D+1) component rows of S same-shaped models: their log joint
+    rows, the same rows shifted by their models' bounds, and the (S,) bounds.
 
-    `joint` carries the concatenated means and variances (for one model, the
-    model itself); its weights (the concatenation divided by S) are never
-    used. Scoring adds each model's own log weights, `log_weights`, so every
-    model's mixture sum runs over its own K components and weights.
+    Row k of model s is [-1/(2 var), mean/var, c + log w_k], whose product with
+    a frame's [x^2, x, 1] is the component's log joint density; its shifted
+    row ends in c + log w_k - M_s. M_s = max_k(log w_k - (D log 2pi +
+    sum log var_k)/2) is model s's peak log joint density: no frame's log joint
+    density under model s exceeds it.
+    """
+    means = np.vstack([m.means for m in models])
+    variances = np.vstack([m.variances for m in models])
+    with np.errstate(divide="ignore"):
+        log_weights = np.concatenate([np.log(m.weights) for m in models])
+    d = means.shape[1]
+    inv_var = 1.0 / variances
+    rows = np.empty((means.shape[0], 2 * d + 1))
+    np.multiply(-0.5, inv_var, out=rows[:, :d])
+    np.multiply(means, inv_var, out=rows[:, d:2 * d])
+    norm = d * _LOG_2PI + np.sum(np.log(variances), axis=1)
+    shift = (log_weights - 0.5 * norm).reshape(len(models), -1).max(axis=1)
+    rows[:, -1] = -0.5 * (norm + np.sum(means * rows[:, d:2 * d], axis=1)) + log_weights
+    shifted = rows.copy()
+    shifted[:, -1] -= np.repeat(shift, models[0].num_components)
+    return rows, shifted, shift
+
+
+class GmmStack:
+    """S diagonal GMMs of one shape, held as one block of S*K component rows.
+
+    `rows`, `shifted_rows` and `shift` come from _stack_rows, once per stack.
+    Scoring multiplies the shifted rows with each block of frames and adds
+    shift[s] back to model s's log-sum-exp; `rows` serve the frames that
+    need their own maximum.
     """
 
     def __init__(self, models):
@@ -122,39 +148,53 @@ class GmmStack:
         shape = self.models[0].means.shape
         if any(m.means.shape != shape for m in self.models):
             raise ValueError("stacked models must share component count and dim")
-        self.joint = self.models[0] if len(self.models) == 1 else DiagGmm(
-            np.concatenate([m.weights for m in self.models]) / len(self.models),
-            np.vstack([m.means for m in self.models]),
-            np.vstack([m.variances for m in self.models]),
-        )
-        with np.errstate(divide="ignore"):
-            self.log_weights = np.concatenate([np.log(m.weights) for m in self.models])
+        self.dim = shape[1]
+        self.rows, self.shifted_rows, self.shift = _stack_rows(self.models)
+
+
+def _log_sum_exp(by_model, offset, posteriors):
+    """log(sum_k exp(by_model)) + offset over the K axis of an (S x K x rows) block.
+
+    exp runs in place; with posteriors, the block is then divided by its sums.
+    """
+    np.exp(by_model, out=by_model)
+    total = by_model.sum(axis=1)
+    if posteriors:
+        by_model /= total[:, None, :]
+    return np.log(total) + offset, total
 
 
 def _score_block(stack, block, posteriors=False):
     """(S x rows) log-likelihoods of a frame block under a GmmStack's S models.
 
-    The one density pass behind every mixture score: one matmul over all S*K
-    components, laid out component-major as (S*K x rows), then each model's
-    own log weights and a log-sum-exp over its K component rows, each pass
-    elementwise over contiguous frame rows: the finite maximum `top` is
-    taken out, exp, the sum `total` over the K rows, log(total) + top. With
-    posteriors, the (S*K x rows) posteriors come too, the exponentials
-    divided by their total, so each model's K rows sum to 1 per frame.
+    The one density pass behind every mixture score: one matmul of the
+    stack's shifted rows, laid out component-major as (S*K x rows), whose
+    entries are log joint densities less their model's bound M_s, so none is
+    above 0 and exp cannot overflow. Then exp in place, the sum `total` over
+    each model's K rows, and log(total) + M_s. A model's frame whose total is
+    below _TOTAL_FLOOR, or is not finite, is reduced again from the stack's
+    unshifted rows: its maximum over K (`top`, 0 where not finite) is taken
+    out, exp, sum, log(total) + top. With posteriors, the (S*K x rows)
+    posteriors come too, the exponentials divided by their total, so each
+    model's K rows sum to 1 per frame.
     """
-    k = stack.models[0].num_components
-    joint = log_component_densities(stack.joint, block).T
-    joint += stack.log_weights[:, None]
-    by_model = joint.reshape(len(stack.models), k, -1)
-    top = by_model.max(axis=1)
-    top[~np.isfinite(top)] = 0.0
+    s, k = len(stack.models), stack.models[0].num_components
+    joint = log_component_densities(stack.shifted_rows, block).T
+    by_model = joint.reshape(s, k, -1)
     with np.errstate(all="ignore"):  # only frames whose result is +-inf or NaN warn
-        by_model -= top[:, None, :]
-        np.exp(by_model, out=by_model)
-        total = by_model.sum(axis=1)
-        frame_ll = np.log(total) + top
-        if posteriors:
-            by_model /= total[:, None, :]
+        frame_ll, total = _log_sum_exp(by_model, stack.shift[:, None], posteriors)
+        redo = ~((total >= _TOTAL_FLOOR) & (total < np.inf))
+        far = np.flatnonzero(redo.any(axis=0))
+        if far.size:
+            again = log_component_densities(stack.rows, block[far]).T.reshape(s, k, -1)
+            top = again.max(axis=1)
+            top[~np.isfinite(top)] = 0.0
+            again -= top[:, None, :]
+            redo = redo[:, far]
+            frame_ll[:, far] = np.where(redo, _log_sum_exp(again, top, posteriors)[0],
+                                        frame_ll[:, far])
+            if posteriors:
+                by_model[:, :, far] = np.where(redo[:, None, :], again, by_model[:, :, far])
     return frame_ll, joint if posteriors else None
 
 
@@ -167,7 +207,7 @@ def _score_models(stack, data, chunk=256):
     Row s agrees with that model scored alone, or in other chunks, to within a
     few ulps: BLAS may take another product path for another block shape.
     """
-    _check_dim(stack.joint, data)
+    _check_dim(stack.dim, data)
     frame_ll = np.empty((len(stack.models), data.shape[0]))
     for start in range(0, data.shape[0], chunk):
         frame_ll[:, start:start + chunk] = _score_block(stack, data[start:start + chunk])[0]
@@ -187,7 +227,7 @@ def accumulate_stats(g, data, chunk=8192):
     The same pass yields the model's log-likelihood of the frames, as
     GmmStats.loglik.
     """
-    _check_dim(g, data)
+    _check_dim(g.dim, data)
     stack = GmmStack([g])
     totals = [np.zeros(g.num_components), np.zeros(g.means.shape), np.zeros(g.means.shape)]
     comps = [np.zeros_like(total) for total in totals]

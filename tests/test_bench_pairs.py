@@ -362,3 +362,40 @@ def test_traced_run_per_side_at_the_first_seed(monkeypatch, tmp_path):
     assert len(commands) == 6 and commands[-2:] == traced_cmds
     assert workload["summary"]["pairs"] == 2
     assert "frontend.feature_warp.s" not in workload["summary"]["metrics"]
+
+
+def test_traced_rows_lost_names_the_per_layer_rows_that_read_0_on_the_change(
+        monkeypatch, tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "accent_forge").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "train_s", "better": "lower", "bound": 0.2}]}))
+    values = {"parent": {"gmm.log_component_densities.s": 0.4,
+                         "gmm.log_component_densities.evals": 120,
+                         "gmm.loglik.s": 0.0, "gmm.em_train.s": 0.3,
+                         "classify.hellinger_gmm.samples": 5, "train_s": 2.0},
+              "change": {"gmm.log_component_densities.s": 0.0,
+                         "gmm.log_component_densities.evals": 0,
+                         "gmm.loglik.s": 0.0, "gmm.em_train.s": 0.1, "train_s": 0.0}}
+
+    def fake_run(checkout, workload, seed, trace=False):
+        if not trace:
+            return json.loads(_line(1.0, 1.0))
+        side = Path(checkout).name
+        return {"correct": True, "attempted": 3, "failed": 0, "metrics": {
+            name: {"unit": "s", "value": value} for name, value in values[side].items()}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "environment", lambda: {})
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                      "--workload", "aff_score", "--seeds", "1..2", "--out", str(out)])
+    workload = json.loads(out.read_text())["workloads"]["aff_score"]
+    # a row missing on the change counts as lost; an end-to-end metric does not
+    assert workload["traced_rows_lost"] == ["classify.hellinger_gmm.samples",
+                                            "gmm.log_component_densities.evals",
+                                            "gmm.log_component_densities.s"]
+    same = {"seed": 1, "parent": fake_run("parent", "w", 1, True),
+            "change": fake_run("parent", "w", 1, True)}
+    assert bench_pairs.traced_rows_lost(same, {}) == []
+    assert bench_pairs.traced_rows_lost(dict(same, change=None), {}) is None

@@ -30,18 +30,30 @@ from accent_forge.gmm import (
 
 # Scalar and scipy-based oracles for the scoring kernel.
 
+def log_densities(g, data):
+    """(N x K) log N(x; mean_k, var_k) of every frame under every component of g:
+    the kernel's matmul with rows of g's densities alone, [-1/(2 var), mean/var, c],
+    c = -(D log 2pi + sum log var + sum mean^2/var)/2, without log weights or shift."""
+    inv_var = 1.0 / g.variances
+    scaled_means = g.means * inv_var
+    const = -0.5 * (g.dim * math.log(2.0 * math.pi) + np.sum(np.log(g.variances), axis=1)
+                    + np.sum(g.means * scaled_means, axis=1))
+    return log_component_densities(np.hstack([-0.5 * inv_var, scaled_means, const[:, None]]),
+                                   data)
+
+
 def component_density(g, i, x):
     """Density of one component at one point (computed in the log domain)."""
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     if not 0 <= i < g.num_components:
         raise ValueError("component index %d out of range" % i)
-    return float(np.exp(log_component_densities(g, x)[0, i]))
+    return float(np.exp(log_densities(g, x)[0, i]))
 
 
 def _joint(g, data):
     """(K x N) log of weight times density, component-major as the kernel lays it out."""
     with np.errstate(divide="ignore"):
-        return log_component_densities(g, data).T + np.log(g.weights)[:, None]
+        return log_densities(g, data).T + np.log(g.weights)[:, None]
 
 
 def responsibilities(g, data):
@@ -68,21 +80,24 @@ def posterior_alignment(g, x):
 def unchunked_frame_logpdf(g, data):
     """Frame log-likelihoods from one (K x N) block of all frames, out of place.
 
-    The kernel's arithmetic in the same order, without its chunks and its
-    in-place temporaries: one product of [-1/(2 var), mean/var, c] component
-    rows with [x^2, x, 1] frame columns, then log(sum exp(x - top)) + top.
+    The kernel's shifted arithmetic in the same order, without its chunks and
+    its in-place temporaries: one product of [-1/(2 var), mean/var,
+    c + log w - M] component rows with [x^2, x, 1] frame columns, then
+    log(sum exp) + M, M = max_k(log w_k - (D log 2pi + sum log var_k)/2). Its
+    frames all lie near the model, so none needs the kernel's max path.
     """
     inv_var = 1.0 / g.variances
     scaled_means = g.means * inv_var
-    const = -0.5 * (g.dim * math.log(2.0 * math.pi) + np.sum(np.log(g.variances), axis=1)
-                    + np.sum(g.means * scaled_means, axis=1))
+    norm = g.dim * math.log(2.0 * math.pi) + np.sum(np.log(g.variances), axis=1)
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(g.weights)
+    shift = np.max(log_weights - 0.5 * norm)
+    const = -0.5 * (norm + np.sum(g.means * scaled_means, axis=1)) + log_weights - shift
     coefs = np.hstack([-0.5 * inv_var, scaled_means, const[:, None]])
     cols = np.hstack([data * data, data, np.ones((data.shape[0], 1))])
-    with np.errstate(divide="ignore"):
-        joint = coefs @ cols.T + np.log(g.weights)[:, None]
-    top = joint.max(axis=0)
-    top[~np.isfinite(top)] = 0.0
-    return np.log(np.exp(joint - top).sum(axis=0)) + top
+    total = np.exp(coefs @ cols.T).sum(axis=0)
+    assert np.all(total >= gmm._TOTAL_FLOOR)
+    return np.log(total) + shift
 
 
 def scipy_loglik(g, data):
@@ -172,7 +187,7 @@ class TestComponentDensity:
         rng = np.random.default_rng(0)
         g = _random_gmm(rng, 3, 5)
         x = rng.standard_normal(5)
-        logs = log_component_densities(g, x[None, :])[0]
+        logs = log_densities(g, x[None, :])[0]
         for i in range(3):
             quad = np.sum((x - g.means[i]) ** 2 / g.variances[i])
             norm = (2 * math.pi) ** (5 / 2) * math.sqrt(np.prod(g.variances[i]))
@@ -291,29 +306,61 @@ def _fuzz_components(rng):
     return x
 
 
-def kernel_logsumexp(x):
-    """_score_block's log-sum-exp of a (K x N) or (S x K x N) array of log joint
-    densities, over its component axis, the second to last: the kernel run with
-    x in place of its densities and with zero log weights."""
+def peak(x):
+    """Each model's largest finite value of a (K x N) or (S x K x N) array, 0 if none:
+    a shift that bounds every finite log joint density the model holds."""
+    top = np.where(np.isfinite(x), x, -np.inf).max(axis=(-2, -1))
+    return np.where(np.isfinite(top), top, 0.0)
+
+
+def kernel_logsumexp(x, shift, posteriors=False):
+    """_score_block's log-sum-exp of a (K x N) or (S x K x N) array x of log joint
+    densities, over its component axis, the second to last, with `shift` (one
+    value, or one per model) as each model's bound M >= its largest finite x.
+
+    The kernel runs with x - M in place of its shifted densities and with x in
+    place of its unshifted ones; the frame block holds each frame's index, so
+    the max path's second product gets the columns of the frames it asks for.
+    With posteriors, the (S*K x N) posteriors come too.
+    """
     s, k, n = (1,) * (3 - x.ndim) + x.shape
     unit = DiagGmm(np.full(k, 1.0 / k), np.zeros((k, 1)), np.ones((k, 1)))
     stack = gmm.GmmStack([unit] * s)
-    stack.log_weights = np.zeros(s * k)
+    stack.shift = np.broadcast_to(np.asarray(shift, dtype=np.float64), (s,)).copy()
+    joint = x.reshape(s * k, n)
+    shifted = (x.reshape(s, k, n) - stack.shift[:, None, None]).reshape(s * k, n)
+
+    def injected(rows, frames):
+        given = shifted if rows is stack.shifted_rows else joint
+        return given[:, frames[:, 0].astype(np.intp)].T
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gmm, "log_component_densities",
-                      lambda g, data: x.reshape(s * k, n).copy().T)
-        frame_ll, _ = gmm._score_block(stack, np.zeros((n, 1)))
-    return frame_ll.reshape(x.shape[:-2] + (n,))
+        patch.setattr(gmm, "log_component_densities", injected)
+        frame_ll, post = gmm._score_block(stack, np.arange(n, dtype=np.float64)[:, None],
+                                          posteriors)
+    frame_ll = frame_ll.reshape(x.shape[:-2] + (n,))
+    return (frame_ll, post) if posteriors else frame_ll
 
 
-def assert_logsumexp_contract(ours, x):
-    """ours against scipy's logsumexp of x over the second to last axis: a finite
-    result within 2 eps (|max| + log K + 1), any other exactly equal."""
+def assert_logsumexp_contract(ours, x, shift):
+    """ours against scipy's logsumexp of x over the second to last axis.
+
+    A frame is on the shifted path when its sum of exp(x - shift) is at least
+    _TOTAL_FLOOR and finite; its finite result lies within
+    2 eps (|shift| + |max| + log K + 1). A finite result on the max path lies
+    within 2 eps (|max| + log K + 1). Any other result equals scipy's exactly.
+    """
+    shift = np.asarray(shift, dtype=np.float64)[..., None]
     want = logsumexp(x, axis=-2)
     finite = np.isfinite(want)
     np.testing.assert_array_equal(ours[~finite], want[~finite])
+    with np.errstate(all="ignore"):
+        total = np.exp(x - shift[..., None]).sum(axis=-2)
+    shifted = (total >= gmm._TOTAL_FLOOR) & (total < np.inf)
+    slack = np.where(shifted, np.abs(shift), 0.0)[finite]
     top = np.abs(x.max(axis=-2)[finite])
-    bound = 2.0 * np.finfo(np.float64).eps * (top + math.log(x.shape[-2]) + 1.0)
+    eps2 = 2.0 * np.finfo(np.float64).eps
+    bound = eps2 * slack + eps2 * (top + math.log(x.shape[-2]) + 1.0)
     assert np.all(np.abs(ours[finite] - want[finite]) <= bound)
 
 
@@ -322,14 +369,24 @@ class TestLogsumexpRows:
 
     def test_within_bound_of_scipy_on_fuzz(self):
         rng = np.random.default_rng(19)
+        slack = np.random.default_rng(191)  # the fuzz arrays come from rng alone
+        paths = [0, 0]
         for _ in range(600):
             x = _fuzz_components(rng)
-            assert_logsumexp_contract(kernel_logsumexp(x), x)
+            shift = peak(x) + slack.choice([0.0, slack.uniform(0.0, 100.0)])
+            ours = kernel_logsumexp(x, shift)
+            assert_logsumexp_contract(ours, x, shift)
+            with np.errstate(all="ignore"):
+                total = np.exp(x - shift).sum(axis=0)
+            paths[0] += int(np.sum(total >= gmm._TOTAL_FLOOR))
+            paths[1] += int(np.sum(total < gmm._TOTAL_FLOOR))
             # an (S x K x N) stack reduces each model's K components on its own
             stack = np.stack([x, x[::-1], np.roll(x, 1, axis=1)])
-            ours = kernel_logsumexp(stack)
-            assert_logsumexp_contract(ours, stack)
-            assert _same_bits(ours[0], kernel_logsumexp(x))
+            shifts = shift + np.array([0.0, 1.5, slack.uniform(0.0, 700.0)])
+            stacked = kernel_logsumexp(stack, shifts)
+            assert_logsumexp_contract(stacked, stack, shifts)
+            assert _same_bits(stacked[0], ours)
+        assert min(paths) > 1000  # both paths ran, on thousands of frames each
         # each component count, with tied, +-inf and NaN component values
         for k in (1, 4, 7, 8, 9, 64, 256):
             x = rng.normal(-50.0, 20.0, (k, 300))
@@ -339,7 +396,7 @@ class TestLogsumexpRows:
             x[rng.integers(0, k), 110:150] = -np.inf
             x[rng.integers(0, k), 150:160] = np.nan
             x[:, 160:170] = x[:1, 160:170]  # every component tied
-            assert_logsumexp_contract(kernel_logsumexp(x), x)
+            assert_logsumexp_contract(kernel_logsumexp(x, peak(x)), x, peak(x))
 
     @pytest.mark.parametrize("row, want", [
         ([-np.inf, -np.inf, -np.inf], -np.inf),
@@ -351,14 +408,14 @@ class TestLogsumexpRows:
     ])
     def test_special_rows(self, row, want):
         x = np.array([row]).T  # one frame's components
-        assert_logsumexp_contract(kernel_logsumexp(x), x)
-        assert kernel_logsumexp(x)[0] == pytest.approx(want, nan_ok=True)
+        assert_logsumexp_contract(kernel_logsumexp(x, peak(x)), x, peak(x))
+        assert kernel_logsumexp(x, peak(x))[0] == pytest.approx(want, nan_ok=True)
 
     def test_nan_row_beside_tied_row(self):
         # a NaN frame has no maximum; the tied frame beside it still sums two terms
         x = np.array([[np.nan, 0.0], [1.0, 1.0]]).T
-        out = kernel_logsumexp(x)
-        assert_logsumexp_contract(out, x)
+        out = kernel_logsumexp(x, peak(x))
+        assert_logsumexp_contract(out, x, peak(x))
         assert out[1] == pytest.approx(1.0 + math.log(2.0))
 
     def test_kernel_posteriors_match_scipy_reference(self):
@@ -372,6 +429,93 @@ class TestLogsumexpRows:
                                        rtol=1e-12)
             assert _same_bits(frame_logpdf(g, frames), frame_ll)
             assert score_one(g, frames)[1] is None
+
+
+def _count_products(monkeypatch):
+    """Patch log_component_densities to record each call's row count; returns the list."""
+    calls = []
+
+    def counting(rows, data):
+        calls.append(data.shape[0])
+        return log_component_densities(rows, data)
+
+    monkeypatch.setattr(gmm, "log_component_densities", counting)
+    return calls
+
+
+class TestMaxPath:
+    """Frames too far below a model's bound M_s for the shifted sum, which the kernel
+    reduces again from their own maximum, against the scipy oracles."""
+
+    def test_frames_60_sigma_out(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        g = _random_gmm(rng, 4, 3)
+        near = rng.normal(0.0, 2.0, (5, 3))
+        sign = rng.choice([-1.0, 1.0], (6, 3))
+        far = g.means[np.arange(6) % 4] + 60.0 * sign * np.sqrt(g.variances[np.arange(6) % 4])
+        frames = np.vstack([near, far])
+        calls = _count_products(monkeypatch)
+        frame_ll, post = score_one(g, frames, posteriors=True)
+        assert calls == [11, 6]  # the far frames alone are scored again
+        np.testing.assert_allclose(frame_ll, logsumexp(_joint(g, frames), axis=0), rtol=1e-12)
+        np.testing.assert_allclose(post, responsibilities(g, frames), rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(post.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+    def test_non_finite_frames_beside_finite_ones(self):
+        rng = np.random.default_rng(22)
+        x = rng.normal(-30.0, 5.0, (4, 8))
+        x[:, 1] = -np.inf
+        x[2, 3] = np.nan
+        x[0, 5] = np.inf
+        x[:, 6] -= 2000.0  # finite, but below the shifted path's floor
+        frame_ll, post = kernel_logsumexp(x, peak(x), posteriors=True)
+        want = logsumexp(x, axis=0)
+        assert _same_bits(frame_ll[[1, 3, 5]], want[[1, 3, 5]])
+        assert frame_ll[1] == -np.inf and np.isnan(frame_ll[3]) and frame_ll[5] == np.inf
+        assert_logsumexp_contract(frame_ll, x, peak(x))
+        finite = [0, 2, 4, 6, 7]
+        reference = np.exp(x[:, finite] - want[finite])
+        np.testing.assert_allclose(post[:, finite], reference / reference.sum(axis=0),
+                                   rtol=1e-12)
+
+    def test_spiky_model_beside_broad_ones_equals_it_alone(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        dim = 5
+        broad = [_random_gmm(rng, 4, dim) for _ in range(3)]
+        spiky = DiagGmm(np.full(4, 0.25), rng.normal(0.0, 1.0, (4, dim)),
+                        rng.uniform(1e-7, 1e-6, (4, dim)))
+        models = broad[:2] + [spiky] + broad[2:]
+        near = spiky.means[rng.integers(0, 4, 40)] + 1e-3 * rng.standard_normal((40, dim))
+        frames = np.vstack([near, rng.normal(0.0, 3.0, (60, dim))])[rng.permutation(100)]
+        stack = gmm.GmmStack(models)
+        shifted = log_component_densities(stack.shifted_rows, frames).T.reshape(4, 4, -1)
+        total = np.exp(shifted).sum(axis=1)
+        assert np.sum(total[2] >= gmm._TOTAL_FLOOR) == 40  # near frames: shifted path
+        assert np.all(total[[0, 1, 3]] >= gmm._TOTAL_FLOOR)
+        calls = _count_products(monkeypatch)
+        scores = gmm._score_models(stack, frames)
+        assert calls == [100, 60]
+        for i, model in enumerate(models):
+            assert_ulps_close(scores[i], frame_logpdf(model, frames))
+            # at variances near 1e-7 the expanded product's terms reach 1e7, so the
+            # kernel's product and the oracle's, whose constants differ, part by ~1e-9
+            np.testing.assert_allclose(scores[i], logsumexp(_joint(model, frames), axis=0),
+                                       rtol=1e-12, atol=1e-8)
+
+    def test_zero_weight_component_has_zero_posteriors(self):
+        rng = np.random.default_rng(24)
+        base = _random_gmm(rng, 4, 3)
+        g = DiagGmm([0.0, 0.5, 0.25, 0.25], base.means, base.variances)
+        frames = np.vstack([rng.normal(0.0, 2.0, (20, 3)),
+                            base.means[0] + 60.0 * np.sqrt(base.variances[0]),
+                            base.means[1] - 60.0 * np.sqrt(base.variances[1])])
+        for models, row in (([g], 0), ([base, g, base], 4)):
+            frame_ll, post = gmm._score_block(gmm.GmmStack(models), frames, posteriors=True)
+            assert np.all(post[row] == 0.0)
+            np.testing.assert_allclose(post[row:row + 4], responsibilities(g, frames),
+                                       rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(frame_ll[row // 4], logsumexp(_joint(g, frames), axis=0),
+                                       rtol=1e-12)
 
 
 class TestStats:
@@ -600,6 +744,26 @@ class TestScoreModels:
         models = [_random_gmm(rng, 4, 2) for _ in range(7)]
         gmm._score_models(gmm.GmmStack(models), rng.standard_normal((600, 2)))
         assert calls == [(256, 2), (256, 2), (88, 2)]
+
+    def test_rows_built_once_per_stack(self, monkeypatch):
+        built = []
+
+        def counting(models):
+            built.append(len(models))
+            return stack_rows(models)
+
+        stack_rows = gmm._stack_rows
+        monkeypatch.setattr(gmm, "_stack_rows", counting)
+        rng = np.random.default_rng(8)
+        models = [_random_gmm(rng, 4, 2) for _ in range(7)]
+        stack = gmm.GmmStack(models)
+        frames = rng.standard_normal((600, 2))
+        gmm._score_models(stack, frames)
+        gmm._score_models(stack, frames, chunk=7)
+        gmm._score_block(stack, frames, posteriors=True)
+        assert built == [7]
+        accumulate_stats(models[0], frames, chunk=100)  # one stack for all six chunks
+        assert built == [7, 1]
 
     def test_shapes_must_agree(self):
         rng = np.random.default_rng(9)

@@ -32,6 +32,10 @@ quartiles and wins, which shows the stage a change moved. A run without
 that line records no stages; it is not a failed run. After the pairs, each
 checkout makes one traced run (--trace 1) of the workload at the first seed,
 and its per-layer metrics are kept under the workload's "traced".
+traced_rows_lost lists each per-layer metric (any traced metric that
+BENCHMARK.json does not list as end-to-end) that reads nonzero on the parent
+and 0 on the change, or is missing there: a span or counter that a change
+routed its work around reads 0, and that is not a speed-up.
 
 Standard library only; it imports nothing from perfbench/.
 """
@@ -201,6 +205,18 @@ def _row(values, unit, rule):
     return row
 
 
+def traced_rows_lost(traced, rules):
+    """Sorted names of the per-layer metrics that are nonzero in the parent's traced
+    run and 0 or missing in the change's; None if either traced run failed. rules
+    names the end-to-end metrics, which are left out."""
+    if any(traced[side] is None for side in SIDES):
+        return None
+    parent, change = (traced[side]["metrics"] for side in SIDES)
+    return sorted(name for name, row in parent.items()
+                  if name not in rules and row["value"]
+                  and not change.get(name, {}).get("value"))
+
+
 def _git_commit(checkout):
     proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"],
                           cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
@@ -330,7 +346,8 @@ def main(argv=None):
         traced.update({side: run_once(dirs[side], workload, args.seeds[0], trace=True)
                        for side in SIDES})
         doc["workloads"][workload] = {"summary": summarize(runs, rules), "runs": runs,
-                                      "traced": traced}
+                                      "traced": traced,
+                                      "traced_rows_lost": traced_rows_lost(traced, rules)}
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                               encoding="utf-8")
 
