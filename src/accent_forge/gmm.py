@@ -87,9 +87,9 @@ def log_component_densities(rows, data):
     One matmul of each component's [-1/(2 var), mean/var, c] row with each
     frame's [x^2, x, 1] column; with c = -(D log 2pi + sum log var +
     sum mean^2/var)/2 that is log N(x; mean, var), and a GmmStack's rows fold
-    log w, and in its shifted rows -M_s too, into c. The product is computed
-    component-major, as (R x N), and returned as its transpose view; .T of the
-    result is the C-contiguous (R x N) block.
+    log w - M_s into c. The product is computed component-major, as (R x N),
+    and returned as its transpose view; .T of the result is the C-contiguous
+    (R x N) block.
     """
     d = (rows.shape[1] - 1) // 2
     _check_dim(d, data)
@@ -106,14 +106,12 @@ def frame_logpdf(g, data):
 
 
 def _stack_rows(models):
-    """The (S*K x 2D+1) component rows of S same-shaped models: their log joint
-    rows, the same rows shifted by their models' bounds, and the (S,) bounds.
+    """The (S*K x 2D+1) component rows of S same-shaped models and the (S,) bounds.
 
-    Row k of model s is [-1/(2 var), mean/var, c + log w_k], whose product with
-    a frame's [x^2, x, 1] is the component's log joint density; its shifted
-    row ends in c + log w_k - M_s. M_s = max_k(log w_k - (D log 2pi +
-    sum log var_k)/2) is model s's peak log joint density: no frame's log joint
-    density under model s exceeds it.
+    Row k of model s is [-1/(2 var), mean/var, c + log w_k - M_s], whose product
+    with a frame's [x^2, x, 1] is the component's log joint density less M_s.
+    M_s = max_k(log w_k - (D log 2pi + sum log var_k)/2) is model s's peak log
+    joint density: no frame's log joint density under model s exceeds it.
     """
     means = np.vstack([m.means for m in models])
     variances = np.vstack([m.variances for m in models])
@@ -127,18 +125,16 @@ def _stack_rows(models):
     norm = d * _LOG_2PI + np.sum(np.log(variances), axis=1)
     shift = (log_weights - 0.5 * norm).reshape(len(models), -1).max(axis=1)
     rows[:, -1] = -0.5 * (norm + np.sum(means * rows[:, d:2 * d], axis=1)) + log_weights
-    shifted = rows.copy()
-    shifted[:, -1] -= np.repeat(shift, models[0].num_components)
-    return rows, shifted, shift
+    rows[:, -1] -= np.repeat(shift, models[0].num_components)
+    return rows, shift
 
 
 class GmmStack:
     """S diagonal GMMs of one shape, held as one block of S*K component rows.
 
-    `rows`, `shifted_rows` and `shift` come from _stack_rows, once per stack.
-    Scoring multiplies the shifted rows with each block of frames and adds
-    shift[s] back to model s's log-sum-exp; `rows` serve the frames that
-    need their own maximum.
+    `rows` and `shift` come from _stack_rows, once per stack. Scoring
+    multiplies the rows with each block of frames and adds shift[s] back to
+    model s's log-sum-exp.
     """
 
     def __init__(self, models):
@@ -149,7 +145,7 @@ class GmmStack:
         if any(m.means.shape != shape for m in self.models):
             raise ValueError("stacked models must share component count and dim")
         self.dim = shape[1]
-        self.rows, self.shifted_rows, self.shift = _stack_rows(self.models)
+        self.rows, self.shift = _stack_rows(self.models)
 
 
 def _log_sum_exp(by_model, offset, posteriors):
@@ -168,18 +164,18 @@ def _score_block(stack, block, posteriors=False):
     """(S x rows) log-likelihoods of a frame block under a GmmStack's S models.
 
     The one density pass behind every mixture score: one matmul of the
-    stack's shifted rows, laid out component-major as (S*K x rows), whose
-    entries are log joint densities less their model's bound M_s, so none is
-    above 0 and exp cannot overflow. Then exp in place, the sum `total` over
-    each model's K rows, and log(total) + M_s. A model's frame whose total is
-    below _TOTAL_FLOOR, or is not finite, is reduced again from the stack's
-    unshifted rows: its maximum over K (`top`, 0 where not finite) is taken
-    out, exp, sum, log(total) + top. With posteriors, the (S*K x rows)
+    stack's rows, laid out component-major as (S*K x rows), whose entries are
+    log joint densities less their model's bound M_s, so none is above 0 and
+    exp cannot overflow. Then exp in place, the sum `total` over each model's
+    K rows, and log(total) + M_s. A model's frame whose total is below
+    _TOTAL_FLOOR, or is not finite, is reduced again from a second product of
+    its frame: its maximum over K (`top`, 0 where not finite) is taken out,
+    exp, sum, log(total) + top + M_s. With posteriors, the (S*K x rows)
     posteriors come too, the exponentials divided by their total, so each
     model's K rows sum to 1 per frame.
     """
     s, k = len(stack.models), stack.models[0].num_components
-    joint = log_component_densities(stack.shifted_rows, block).T
+    joint = log_component_densities(stack.rows, block).T
     by_model = joint.reshape(s, k, -1)
     with np.errstate(all="ignore"):  # only frames whose result is +-inf or NaN warn
         frame_ll, total = _log_sum_exp(by_model, stack.shift[:, None], posteriors)
@@ -191,8 +187,8 @@ def _score_block(stack, block, posteriors=False):
             top[~np.isfinite(top)] = 0.0
             again -= top[:, None, :]
             redo = redo[:, far]
-            frame_ll[:, far] = np.where(redo, _log_sum_exp(again, top, posteriors)[0],
-                                        frame_ll[:, far])
+            again_ll = _log_sum_exp(again, top + stack.shift[:, None], posteriors)[0]
+            frame_ll[:, far] = np.where(redo, again_ll, frame_ll[:, far])
             if posteriors:
                 by_model[:, :, far] = np.where(redo[:, None, :], again, by_model[:, :, far])
     return frame_ll, joint if posteriors else None

@@ -318,21 +318,19 @@ def kernel_logsumexp(x, shift, posteriors=False):
     densities, over its component axis, the second to last, with `shift` (one
     value, or one per model) as each model's bound M >= its largest finite x.
 
-    The kernel runs with x - M in place of its shifted densities and with x in
-    place of its unshifted ones; the frame block holds each frame's index, so
-    the max path's second product gets the columns of the frames it asks for.
-    With posteriors, the (S*K x N) posteriors come too.
+    The kernel runs with x - M in place of its product of rows and frames; the
+    frame block holds each frame's index, so the max path's second product gets
+    the columns of the frames it asks for. With posteriors, the (S*K x N)
+    posteriors come too.
     """
     s, k, n = (1,) * (3 - x.ndim) + x.shape
     unit = DiagGmm(np.full(k, 1.0 / k), np.zeros((k, 1)), np.ones((k, 1)))
     stack = gmm.GmmStack([unit] * s)
     stack.shift = np.broadcast_to(np.asarray(shift, dtype=np.float64), (s,)).copy()
-    joint = x.reshape(s * k, n)
     shifted = (x.reshape(s, k, n) - stack.shift[:, None, None]).reshape(s * k, n)
 
     def injected(rows, frames):
-        given = shifted if rows is stack.shifted_rows else joint
-        return given[:, frames[:, 0].astype(np.intp)].T
+        return shifted[:, frames[:, 0].astype(np.intp)].T
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gmm, "log_component_densities", injected)
@@ -345,22 +343,17 @@ def kernel_logsumexp(x, shift, posteriors=False):
 def assert_logsumexp_contract(ours, x, shift):
     """ours against scipy's logsumexp of x over the second to last axis.
 
-    A frame is on the shifted path when its sum of exp(x - shift) is at least
-    _TOTAL_FLOOR and finite; its finite result lies within
-    2 eps (|shift| + |max| + log K + 1). A finite result on the max path lies
-    within 2 eps (|max| + log K + 1). Any other result equals scipy's exactly.
+    A finite result lies within 2 eps (|shift| + |max| + log K + 1), on the
+    shifted path and on the max path alike: both reduce x - shift and add the
+    shift back. Any other result equals scipy's exactly.
     """
-    shift = np.asarray(shift, dtype=np.float64)[..., None]
+    shift = np.broadcast_to(np.asarray(shift, dtype=np.float64)[..., None], ours.shape)
     want = logsumexp(x, axis=-2)
     finite = np.isfinite(want)
     np.testing.assert_array_equal(ours[~finite], want[~finite])
-    with np.errstate(all="ignore"):
-        total = np.exp(x - shift[..., None]).sum(axis=-2)
-    shifted = (total >= gmm._TOTAL_FLOOR) & (total < np.inf)
-    slack = np.where(shifted, np.abs(shift), 0.0)[finite]
     top = np.abs(x.max(axis=-2)[finite])
     eps2 = 2.0 * np.finfo(np.float64).eps
-    bound = eps2 * slack + eps2 * (top + math.log(x.shape[-2]) + 1.0)
+    bound = eps2 * np.abs(shift[finite]) + eps2 * (top + math.log(x.shape[-2]) + 1.0)
     assert np.all(np.abs(ours[finite] - want[finite]) <= bound)
 
 
@@ -488,7 +481,7 @@ class TestMaxPath:
         near = spiky.means[rng.integers(0, 4, 40)] + 1e-3 * rng.standard_normal((40, dim))
         frames = np.vstack([near, rng.normal(0.0, 3.0, (60, dim))])[rng.permutation(100)]
         stack = gmm.GmmStack(models)
-        shifted = log_component_densities(stack.shifted_rows, frames).T.reshape(4, 4, -1)
+        shifted = log_component_densities(stack.rows, frames).T.reshape(4, 4, -1)
         total = np.exp(shifted).sum(axis=1)
         assert np.sum(total[2] >= gmm._TOTAL_FLOOR) == 40  # near frames: shifted path
         assert np.all(total[[0, 1, 3]] >= gmm._TOTAL_FLOOR)

@@ -30,6 +30,7 @@ from accent_forge.frontend import FeatureMatrix  # noqa: E402
 from accent_forge.gmm import (  # noqa: E402
     DiagGmm,
     em_train,
+    log_component_densities,
     read_model,
     write_model,
 )
@@ -41,7 +42,6 @@ from accent_forge.vowels import (  # noqa: E402
     filter_by_confidence,
     pool_vowel_features,
 )
-from test_gmm import _joint  # noqa: E402
 
 
 @st.composite
@@ -76,15 +76,17 @@ def test_posteriors_sum_to_one(case):
 @PROPERTY
 @given(mixtures())
 def test_frame_logsumexp_between_max_and_max_plus_log_k(case):
-    """Within 1e-12 (1 + |max|) on either side: the kernel's product, whose rows carry
-    log w - M_s, rounds apart from the oracle's, by up to about 640 eps (1 + |max|)."""
+    """The max is over the kernel's own product plus its bounds M_s, so only the
+    kernel's rounding of log(total) + M_s, 2 eps (|M_s| + |max| + log K + 1), is
+    allowed on either side."""
     g, frames = case
-    joint = _joint(g, frames)
-    frame_ll = gmm._score_block(gmm.GmmStack([g]), frames)[0][0]
-    top = joint.max(axis=0)
-    slack = 1e-12 * (1.0 + np.abs(top))
+    stack = gmm.GmmStack([g])
+    frame_ll = gmm._score_block(stack, frames)[0][0]
+    top = (log_component_densities(stack.rows, frames).T + stack.shift[:, None]).max(axis=0)
+    log_k = math.log(g.num_components)
+    slack = 2.0 * np.finfo(np.float64).eps * (np.abs(stack.shift[0]) + np.abs(top) + log_k + 1.0)
     assert np.all(frame_ll >= top - slack)
-    assert np.all(frame_ll <= top + math.log(g.num_components) + slack)
+    assert np.all(frame_ll <= top + log_k + slack)
 
 
 def _adapt_quietly(ubm, frames, cfg):
