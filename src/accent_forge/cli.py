@@ -3,9 +3,9 @@
     accent-forge <command> --config <path> --workspace <dir> [--seed N]
                  [--mode baseline|vowel]
 
-Commands are the pipeline stages (vad, features, transforms, ubm, adapt,
-vowel-models, weights, classify, evaluate, calibrate) plus corpus helpers:
-synth, split, stats, all, and print-config. Exit codes: 0 success, 2 config
+Commands are the pipeline stages, one per entry of pipeline.STAGES and in
+its order, plus corpus helpers: synth, split, stats, all (the stages of
+pipeline.stage_chain), and print-config. Exit codes: 0 success, 2 config
 error, 3 missing prerequisite, 1 other pipeline errors.
 """
 
@@ -16,6 +16,7 @@ import sys
 
 from .errors import AccentForgeError, ConfigError, MissingPrerequisiteError
 from .pipeline import (
+    MODES,
     STAGES,
     CorpusManifest,
     Workspace,
@@ -25,23 +26,8 @@ from .pipeline import (
     load_config,
     run_stage,
     split_corpus,
+    stage_chain,
 )
-
-_STAGE_HELP = {
-    "vad": "silence removal and duration bookkeeping",
-    "features": "normalized cepstral features per utterance",
-    "transforms": "fit and apply the PCA/HLDA chain",
-    "ubm": "EM-train the universal background model",
-    "adapt": "MAP-adapt per-accent models from the UBM",
-    "vowel-models": "train the vowel-specific UBM/model grid",
-    "weights": "popularity x discriminativeness vowel weights",
-    "classify": "write test-split predictions",
-    "evaluate": "accuracy report from predictions",
-    "calibrate": "pick the confidence threshold on the dev split",
-}
-
-_CHAIN_MODES = ("baseline", "vowel")
-
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -56,11 +42,11 @@ def _build_parser():
             p.add_argument("--workspace", required=True, help="workspace directory")
         p.add_argument("--seed", type=int, default=None, help="override corpus.seed")
 
-    for stage in STAGES:
-        p = sub.add_parser(stage, help=_STAGE_HELP[stage])
+    for stage, (_, stage_help) in STAGES.items():
+        p = sub.add_parser(stage, help=stage_help)
         add_common(p)
         if stage in ("classify", "evaluate"):
-            p.add_argument("--mode", choices=_CHAIN_MODES, default="baseline")
+            p.add_argument("--mode", choices=MODES, default="baseline")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus into the workspace")
     add_common(p)
@@ -74,24 +60,11 @@ def _build_parser():
 
     p = sub.add_parser("all", help="run every stage the config enables, then evaluate")
     add_common(p)
-    p.add_argument("--mode", choices=_CHAIN_MODES, default="baseline")
+    p.add_argument("--mode", choices=MODES, default="baseline")
 
     p = sub.add_parser("print-config", help="print the effective configuration")
     add_common(p, workspace=False)
     return parser
-
-
-def _chain_for(cfg, mode):
-    chain = ["vad", "features"]
-    if cfg.transforms.enabled:
-        chain.append("transforms")
-    chain += ["ubm", "adapt"]
-    if mode == "vowel":
-        chain += ["vowel-models", "weights"]
-        if cfg.vowels.use_calibrated_threshold:
-            chain.append("calibrate")
-    chain += ["classify", "evaluate"]
-    return chain
 
 
 def main(argv=None):
@@ -126,7 +99,7 @@ def main(argv=None):
             sys.stdout.write(text)
             return 0
         if args.command == "all":
-            for stage in _chain_for(cfg, args.mode):
+            for stage in stage_chain(cfg, args.mode):
                 print("[accent-forge] stage %s" % stage)
                 run_stage(stage, cfg, ws, mode=args.mode)
             report_path = ws.dir("reports") / ("evaluation_%s.txt" % args.mode)

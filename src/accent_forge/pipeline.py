@@ -98,11 +98,7 @@ class CorpusManifest:
         return p if p.is_absolute() else self.base_dir / p
 
     def accents(self):
-        seen = []
-        for entry in self.entries:
-            if entry.accent not in seen:
-                seen.append(entry.accent)
-        return seen
+        return sorted({entry.accent for entry in self.entries})
 
     def with_split(self, split):
         return [(i, e) for i, e in enumerate(self.entries) if e.split == split]
@@ -629,12 +625,16 @@ class StageRun:
     def utterances(self, split=None):
         """(utt id, entry) of every manifest entry, or of a split, which must not be empty.
 
-        The train split must also hold at least one utterance of every accent.
+        The pairs are sorted by audio path (a stable sort), so no artifact
+        depends on the manifest's line order; the utt ids keep the manifest
+        index. The train split must also hold at least one utterance of every
+        accent.
         """
         manifest = self.manifest(need_split=split is not None)
-        utts = [(self.ws.utt_id(index, entry), entry)
-                for index, entry in enumerate(manifest.entries)
-                if split is None or entry.split == split]
+        utts = sorted(((self.ws.utt_id(index, entry), entry)
+                       for index, entry in enumerate(manifest.entries)
+                       if split is None or entry.split == split),
+                      key=lambda pair: pair[1].audio)
         if split is not None and not utts:
             raise MissingPrerequisiteError("no %s utterances; run 'split' first" % split)
         untrained = set(manifest.accents()) - {entry.accent for _, entry in utts}
@@ -1036,7 +1036,7 @@ def stage_classify(run):
 
     Both modes score the first corpus.max_test_frames frames of an utterance.
     An utterance left with no vowel evidence after thresholding falls back
-    to the earliest accent label (the documented tie rule).
+    to the first accent in sorted order (the documented tie rule).
     """
     cfg, ws, mode = run.cfg, run.ws, run.mode
     model_set = load_model_set(ws, mode, run)
@@ -1108,34 +1108,41 @@ def stage_calibrate(run):
     return threshold
 
 
-_STAGE_FUNCTIONS = {
-    "vad": stage_vad,
-    "features": stage_features,
-    "transforms": stage_transforms,
-    "ubm": stage_ubm,
-    "adapt": stage_adapt,
-    "vowel-models": stage_vowel_models,
-    "weights": stage_weights,
-    "classify": stage_classify,
-    "evaluate": stage_evaluate,
-    "calibrate": stage_calibrate,
+# name -> (function, help), in the order `all` runs the stages
+STAGES = {
+    "vad": (stage_vad, "silence removal and duration bookkeeping"),
+    "features": (stage_features, "normalized cepstral features per utterance"),
+    "transforms": (stage_transforms, "fit and apply the PCA/HLDA chain"),
+    "ubm": (stage_ubm, "EM-train the universal background model"),
+    "adapt": (stage_adapt, "MAP-adapt per-accent models from the UBM"),
+    "vowel-models": (stage_vowel_models, "train the vowel-specific UBM/model grid"),
+    "weights": (stage_weights, "popularity x discriminativeness vowel weights"),
+    "calibrate": (stage_calibrate, "pick the confidence threshold on the dev split"),
+    "classify": (stage_classify, "write test-split predictions"),
+    "evaluate": (stage_evaluate, "accuracy report from predictions"),
 }
-STAGES = tuple(_STAGE_FUNCTIONS)
+MODES = ("baseline", "vowel")
+
+
+def stage_chain(cfg, mode):
+    """The stages `all` runs for this config and mode, in table order."""
+    vowel = mode == "vowel"
+    wanted = {"transforms": cfg.transforms.enabled, "vowel-models": vowel, "weights": vowel,
+              "calibrate": vowel and cfg.vowels.use_calibrated_threshold}
+    return [stage for stage in STAGES if wanted.get(stage, True)]
 
 
 def run_stage(stage, cfg, ws, mode="baseline"):
-    """Run one named pipeline stage inside the workspace.
+    """Run one named pipeline stage inside the Workspace ws.
 
     Once the stage returns, its provenance document (config hash, input and
     output hashes) goes to reports/provenance/<stage>.json.
     """
-    if isinstance(ws, (str, Path)):
-        ws = Workspace(ws)
     cfg.validate()
-    if stage not in _STAGE_FUNCTIONS:
+    if stage not in STAGES:
         raise ConfigError("unknown stage %r (expected one of %s)" % (stage, ", ".join(STAGES)))
     run = StageRun(cfg, ws, mode)
-    result = _STAGE_FUNCTIONS[stage](run)
+    result = STAGES[stage][0](run)
     run.write_provenance(stage)
     return result
 
@@ -1179,15 +1186,16 @@ def corpus_stats(manifest, ws):
         for key in sums:
             sums[key] += row[key]
     count = len(rows)
+    average = {key: value / count if count else 0.0 for key, value in sums.items()}
     avg_ratio = 100.0 * sums["dur2"] / sums["dur1"] if sums["dur1"] > 0 else 0.0
     lines.append(
         "%-10s %8d %11.2f%% %10s %10s %13.2f%%"
         % (
             "Average",
-            int(round(sums["utts"] / count)),
+            int(round(average["utts"])),
             100.0 / count if count else 0.0,
-            _format_duration(sums["dur1"] / count),
-            _format_duration(sums["dur2"] / count),
+            _format_duration(average["dur1"]),
+            _format_duration(average["dur2"]),
             avg_ratio,
         )
     )

@@ -86,6 +86,9 @@ def parse_label_file(path):
                     ) from exc
                 if math.isnan(confidence):  # it would fail every threshold, even -inf
                     raise LabelParseError("%s:%d: score is NaN" % (path, lineno))
+            if start_units < 0:
+                raise LabelParseError("%s:%d: segment start %d is negative"
+                                      % (path, lineno, start_units))
             if end_units <= start_units:
                 raise LabelParseError(
                     "%s:%d: segment end %d not after start %d"

@@ -118,8 +118,11 @@ def test_run_without_a_result_line_is_a_failed_run(monkeypatch, capsys, stdout):
 
 
 def test_bench_file_records_each_checkouts_src_lines(monkeypatch, tmp_path):
+    documented = ('"""Doc.\n\nMore."""\n# a comment line\ndef f():\n    """One line."""\n'
+                  '    return (1,\n            2)  # a trailing comment\n')
     sources = {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"},
-               "change": {"a.py": "x = 1\n", "c.py": "\n\n\n\n", "notes.txt": "1\n2\n"}}
+               "change": {"a.py": "x = 1\n", "c.py": "\n\n\n\n", "d.py": documented,
+                          "notes.txt": "1\n2\n"}}
     for side, files in sources.items():
         package = tmp_path / side / "src" / "accent_forge"
         package.mkdir(parents=True)
@@ -132,10 +135,14 @@ def test_bench_file_records_each_checkouts_src_lines(monkeypatch, tmp_path):
     out = tmp_path / "BENCH.json"
     bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
                       "--workload", "aff_score", "--seeds", "1", "--out", str(out)])
+    # d.py: 8 physical lines, of which 3 hold code (def, return and its continuation)
     assert json.loads(out.read_text())["src_lines"] == {
-        "parent": {"files": {"a.py": 2, "b.py": 1}, "total": 3},
-        "change": {"files": {"a.py": 1, "c.py": 4}, "total": 5},
-        "delta": 2,
+        "parent": {"files": {"a.py": 2, "b.py": 1}, "total": 3,
+                   "code_files": {"a.py": 2, "b.py": 1}, "code_total": 3},
+        "change": {"files": {"a.py": 1, "c.py": 4, "d.py": 8}, "total": 13,
+                   "code_files": {"a.py": 1, "c.py": 0, "d.py": 3}, "code_total": 4},
+        "delta": 10,
+        "code_delta": 1,
     }
 
 

@@ -16,6 +16,7 @@ import pytest
 
 import accent_forge
 from accent_forge.adapt import map_adapt
+from accent_forge.cli import _build_parser
 from accent_forge.cli import main as cli_main
 from accent_forge.errors import ConfigError, FormatError, MissingPrerequisiteError
 from accent_forge.frontend import (
@@ -29,6 +30,8 @@ from accent_forge.frontend import (
 )
 from accent_forge.gmm import DiagGmm, read_model, write_model
 from accent_forge.pipeline import (
+    MODES,
+    STAGES,
     CorpusManifest,
     ManifestEntry,
     PipelineConfig,
@@ -42,6 +45,7 @@ from accent_forge.pipeline import (
     generate_synthetic_corpus,
     run_stage,
     split_corpus,
+    stage_chain,
 )
 from accent_forge.signal import FramePlan, frame_signal, read_wav, write_wav
 from accent_forge.vowels import (
@@ -1011,7 +1015,58 @@ class TestTransformsStage:
         assert peak < spliced_bytes, (peak, spliced_bytes)
 
 
+_PLAIN = ["vad", "features", "ubm", "adapt"]
+_REDUCED = ["vad", "features", "transforms", "ubm", "adapt"]
+_VOWEL = ["vowel-models", "weights"]
+_SCORE = ["classify", "evaluate"]
+# (mode, transforms.enabled, vowels.use_calibrated_threshold) -> the stages `all` runs
+_CHAINS = {
+    ("baseline", False, False): _PLAIN + _SCORE,
+    ("baseline", False, True): _PLAIN + _SCORE,
+    ("baseline", True, False): _REDUCED + _SCORE,
+    ("baseline", True, True): _REDUCED + _SCORE,
+    ("vowel", False, False): _PLAIN + _VOWEL + _SCORE,
+    ("vowel", False, True): _PLAIN + _VOWEL + ["calibrate"] + _SCORE,
+    ("vowel", True, False): _REDUCED + _VOWEL + _SCORE,
+    ("vowel", True, True): _REDUCED + _VOWEL + ["calibrate"] + _SCORE,
+}
+
+
+class TestStageTable:
+    @pytest.mark.parametrize("mode, transforms, calibrated", sorted(_CHAINS))
+    def test_stage_chain(self, mode, transforms, calibrated):
+        cfg = PipelineConfig()
+        cfg.transforms.enabled = transforms
+        cfg.vowels.use_calibrated_threshold = calibrated
+        assert stage_chain(cfg, mode) == _CHAINS[mode, transforms, calibrated]
+
+    def test_modes_and_table_order(self):
+        assert MODES == ("baseline", "vowel")
+        assert list(STAGES) == ["vad", "features", "transforms", "ubm", "adapt", "vowel-models",
+                                "weights", "calibrate", "classify", "evaluate"]
+
+    def test_parser_has_one_subcommand_per_stage(self):
+        (action,) = [a for a in _build_parser()._actions if a.dest == "command"]
+        helps = {choice.dest: choice.help for choice in action._choices_actions}
+        assert list(action.choices)[:len(STAGES)] == list(STAGES)
+        for stage, (_, stage_help) in STAGES.items():
+            assert helps[stage] == stage_help
+            options = {o for a in action.choices[stage]._actions for o in a.option_strings}
+            assert ("--mode" in options) == (stage in ("classify", "evaluate")), stage
+
+
 class TestCli:
+    def test_stats_on_an_empty_manifest(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        (ws / "manifest.tsv").write_text("")
+        assert cli_main(["stats", "--workspace", str(ws)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["Accent", "Utts", "Proportion", "Dur.1", "Dur.2",
+                                    "Compression"]
+        assert len(lines) == 3
+        assert lines[2].split() == ["Average", "0", "0.00%", "0:00:00", "0:00:00", "0.00%"]
+
     def test_print_config(self, capsys):
         assert cli_main(["print-config"]) == 0
         out = capsys.readouterr().out

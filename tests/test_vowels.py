@@ -80,6 +80,12 @@ class TestParse:
         with pytest.raises(LabelParseError, match="not after"):
             parse_label_file(path)
 
+    def test_negative_start_rejected(self, tmp_path):
+        path = tmp_path / "n.lab"
+        path.write_text("0 100000 SIL\n-100000 200000 aa\n")
+        with pytest.raises(LabelParseError, match=r"n\.lab:2: segment start -100000 is negative"):
+            parse_label_file(path)
+
     def test_nan_score_rejected(self, tmp_path):
         # a NaN score would fail every confidence threshold, even -inf
         path = tmp_path / "h.lab"

@@ -13,7 +13,10 @@ count), each checkout's git commit, every run's metrics, and per metric the
 medians and quartiles of both sides, how many pairs the change won, and the
 acceptance arithmetic, with "better" and "bound" read from
 CHANGE_DIR/BENCHMARK.json. It also records each checkout's line counts of
-src/accent_forge/*.py, per file and in total, and the change's net delta.
+src/accent_forge/*.py, per file and in total, and the change's net delta:
+physical lines, and code lines (lines that hold a token other than a
+comment, docstrings excluded), so that deleted comments and docstrings do
+not read as a smaller program.
 After each run it records the sha256 digest of the checkout's
 .perfbench-work/<workload>/ tree, and of each of its subtrees features/feat,
 features/reduced, models and reports; the summary counts the pairs whose two
@@ -43,13 +46,16 @@ Standard library only; it imports nothing from perfbench/.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tokenize
 from importlib import metadata
 from pathlib import Path
 
@@ -57,6 +63,9 @@ SIDES = ("parent", "change")
 SUBTREES = ("features/feat", "features/reduced", "models", "reports")
 PREDICTIONS = ("reports/predictions_baseline.tsv", "reports/predictions_vowel.tsv")
 ACCURACIES = ("accuracy.baseline", "accuracy.vowel")
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
 
 def parse_seeds(text):
@@ -295,11 +304,30 @@ def file_digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
 
 
+def code_lines(source):
+    """Lines of source that hold a token other than a comment, docstrings excluded."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def src_lines(checkout):
-    """Line counts (as wc -l counts them) of checkout's src/accent_forge/*.py."""
-    files = {path.name: path.read_bytes().count(b"\n")
-             for path in sorted(Path(checkout, "src", "accent_forge").glob("*.py"))}
-    return {"files": files, "total": sum(files.values())}
+    """Line counts of checkout's src/accent_forge/*.py, per file and in total.
+
+    "files" and "total" count physical lines, as wc -l does; "code_files" and
+    "code_total" count the lines code_lines counts.
+    """
+    paths = sorted(Path(checkout, "src", "accent_forge").glob("*.py"))
+    files = {path.name: path.read_bytes().count(b"\n") for path in paths}
+    code = {path.name: code_lines(path.read_text(encoding="utf-8")) for path in paths}
+    return {"files": files, "total": sum(files.values()),
+            "code_files": code, "code_total": sum(code.values())}
 
 
 def _rules(checkout):
@@ -324,7 +352,9 @@ def main(argv=None):
         "seeds": args.seeds,
         "env": environment(),
         "commits": {side: _git_commit(d) for side, d in dirs.items()},
-        "src_lines": dict(lines, delta=lines["change"]["total"] - lines["parent"]["total"]),
+        "src_lines": dict(lines, delta=lines["change"]["total"] - lines["parent"]["total"],
+                          code_delta=lines["change"]["code_total"]
+                          - lines["parent"]["code_total"]),
         "workloads": {},
     }
     for workload in args.workload.split(","):
