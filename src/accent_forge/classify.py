@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NoEvidenceError
 from .gmm import GmmStack, _score_models, frame_logpdf
-from .vowels import ARPABET_VOWELS, NUM_VOWELS, filter_by_confidence, vowel_frame_masks
+from .vowels import ARPABET_VOWELS, NUM_VOWELS, vowel_frame_levels
 
 
 @dataclass
@@ -293,24 +293,24 @@ def classify_vowel_thresholds(model_set, feats, segments, thresholds):
     leaves no vowel evidence: the same accent and frame count, and scores
     that agree to within a few ulps (the blocks scored differ in shape).
 
-    Each vowel's frames kept at any threshold are scored once; a threshold
-    then sums the rows of the frames it keeps, which are the rows pooling
-    selects, in the same order, copied to be contiguous.
+    From one vowel_frame_levels table, each vowel's frames kept at the lowest threshold
+    are scored once; a threshold then sums the rows of the frames it keeps, the rows
+    pooling selects, in order, copied to be contiguous. Callers check segment ends.
     """
     _require_vowel_models(model_set)
-    masks = [vowel_frame_masks(feats, filter_by_confidence(segments, threshold))
-             for threshold in thresholds]
-    evidence = [[] for _ in masks]
+    levels = vowel_frame_levels(feats, segments)
+    lowest = min(thresholds, default=np.inf)
+    evidence = [[] for _ in thresholds]
     for t, vowel in enumerate(ARPABET_VOWELS):
         if vowel not in model_set.vowel_grid:
             continue
-        kept = [m[vowel] for m in masks]
-        union = np.logical_or.reduce(kept)
+        union = levels[t] >= lowest
         if not union.any():
             continue
         scored = _score_models(model_set.stack(vowel), feats.data[union])
-        for mask, found in zip(kept, evidence):
-            selected = mask[union]
+        kept = levels[t][union]
+        for threshold, found in zip(thresholds, evidence):
+            selected = kept >= threshold
             num_frames = int(np.count_nonzero(selected))
             if num_frames:
                 found.append((t, num_frames,

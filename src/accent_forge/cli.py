@@ -74,6 +74,7 @@ def main(argv=None):
         if getattr(args, "seed", None) is not None:
             cfg.corpus.seed = args.seed
             cfg.synth.seed = args.seed
+            cfg.validate()
 
         if args.command == "print-config":
             sys.stdout.write(config_to_text(cfg))

@@ -39,6 +39,8 @@ class FrontendConfig:
             raise ValueError("warp window must be odd and >= 3")
         if self.num_filters < 3:
             raise ValueError("need at least 3 critical-band filters")
+        if self.delta_window < 1:
+            raise ValueError("delta window must be at least 1, got %d" % self.delta_window)
 
 
 @dataclass
@@ -210,6 +212,8 @@ def _regression_deltas(data, window):
 
 def append_deltas(data, window=2):
     """Append regression deltas and delta-deltas (dim -> 3x dim)."""
+    if window < 1:
+        raise ValueError("delta window must be at least 1, got %d" % window)
     if data.shape[0] < 2 * window + 1:
         raise ValueError(
             "need at least %d frames for delta window %d, got %d"

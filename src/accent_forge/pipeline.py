@@ -277,6 +277,10 @@ class PipelineConfig:
                     raise ConfigError("%s: %s" % (section.name, exc)) from exc
         if self.corpus.max_test_frames < 1:
             raise ConfigError("corpus.max_test_frames must be at least 1")
+        for key, seed in (("corpus.seed", self.corpus.seed), ("synth.seed", self.synth.seed),
+                          ("weights.hellinger_seed", self.weights.hellinger_seed)):
+            if seed < 0:  # numpy's generators take no negative seed
+                raise ConfigError("%s must be non-negative, got %d" % (key, seed))
         static_dim = 3 * self.frontend.num_ceps
         t = self.transforms
         if t.enabled:
@@ -989,27 +993,12 @@ def load_model_set(ws, mode, run=None):
     raise ValueError("unknown mode %r" % mode)
 
 
-def _cap_test_utterance(cfg, feats, segments):
-    """The test-time duration cap, applied to the frames and to their labels.
-
-    The labels must first fit the whole utterance, as they must for pooling
-    (check_segment_ends); only then are they clipped to the cap.
-    """
-    check_segment_ends(feats, segments)
-    capped = feats.head(cfg.corpus.max_test_frames)
-    duration = capped.num_frames * capped.frame_hop_sec
-    clipped = []
-    for seg in segments:
-        if seg.start_sec >= duration - 1e-12:
-            continue
-        end = min(seg.end_sec, duration)
-        if end > seg.start_sec:
-            clipped.append(PhoneSegment(seg.start_sec, end, seg.label, seg.confidence))
-    return capped, clipped
-
-
 def _capped_labelled(run, split):
-    """(utt id, entry, capped features, clipped segments) of a split; each needs labels."""
+    """(utt id, entry, capped features, segments) of a split; each needs labels.
+
+    The labels must fit the whole utterance (check_segment_ends), as for pooling; only
+    the frames are cut to the test-time cap, so labelled time past it is not scored.
+    """
     for utt, entry in run.utterances(split):
         segments = run.labels(utt)
         if segments is None:
@@ -1018,10 +1007,10 @@ def _capped_labelled(run, split):
             )
         feats = run.features(utt)
         try:
-            capped = _cap_test_utterance(run.cfg, feats, segments)
+            check_segment_ends(feats, segments)
         except ValueError as exc:
             raise ValueError("utterance %s: %s" % (utt, exc)) from None
-        yield (utt, entry, *capped)
+        yield utt, entry, feats.head(run.cfg.corpus.max_test_frames), segments
 
 
 def _test_threshold(run):

@@ -161,8 +161,8 @@ def segment_frames(segments, times_sec):
 
     Frame k belongs to a segment when start <= times_sec[k] < end.
     """
-    bounds = np.searchsorted(times_sec, [(s.start_sec, s.end_sec) for s in segments])
-    return bounds.reshape(len(segments), 2)
+    edges = [[s.start_sec for s in segments], [s.end_sec for s in segments]]
+    return np.searchsorted(times_sec, np.array(edges)).T
 
 
 def check_segment_ends(feats, segments):
@@ -176,28 +176,32 @@ def check_segment_ends(feats, segments):
             )
 
 
-def vowel_frame_masks(feats, segments):
-    """Per-vowel boolean frame masks by frame-center membership.
+def _level(seg):
+    return math.inf if seg.confidence is None else seg.confidence  # unscored: always trusted
 
-    Frame k belongs to a segment when its center time (k + 0.5) * hop lies
-    in [start, end). Every Arpabet vowel maps to a mask (possibly empty);
-    non-vowel segments are ignored, and a vowel segment past the last frame
-    is a ValueError (check_segment_ends).
+
+def vowel_frame_levels(feats, segments):
+    """Per-vowel confidence of each frame by frame-centre membership, (NUM_VOWELS, frames).
+
+    Frame k belongs to a segment when its centre (k + 0.5) * hop lies in [start, end).
+    Entry [t, k] is the highest (non-NaN) confidence of the vowel-t segments holding frame
+    k, +inf if unscored, or NaN if none does: levels[t] >= x are the vowel-t frames of
+    filter_by_confidence(segments, x). Segments past the last frame cover frames up to it.
     """
-    check_segment_ends(feats, segments)
-    num_frames = feats.num_frames
-    centers = (np.arange(num_frames) + 0.5) * feats.frame_hop_sec
-    masks = {v: np.zeros(num_frames, dtype=bool) for v in ARPABET_VOWELS}
-    vowel_segments = [seg for seg in segments if seg.is_vowel]
-    for seg, (lo, hi) in zip(vowel_segments, segment_frames(vowel_segments, centers).tolist()):
-        masks[seg.label][lo:hi] = True
-    return masks
+    centers = (np.arange(feats.num_frames) + 0.5) * feats.frame_hop_sec
+    levels = np.full((NUM_VOWELS, feats.num_frames), np.nan)
+    # in rising confidence, so the highest of overlapping segments is written last
+    ranked = sorted((seg for seg in segments if seg.is_vowel), key=_level)
+    for seg, (lo, hi) in zip(ranked, segment_frames(ranked, centers).tolist()):
+        levels[VOWEL_INDEX[seg.label], lo:hi] = _level(seg)
+    return levels
 
 
 def pool_vowel_features(feats, segments):
-    """Per-vowel frame arrays of the frames vowel_frame_masks assigns."""
-    return {vowel: feats.data[mask]
-            for vowel, mask in vowel_frame_masks(feats, segments).items()}
+    """Per-vowel arrays of the frames vowel_frame_levels assigns, if check_segment_ends passes."""
+    check_segment_ends(feats, segments)
+    return {vowel: feats.data[~np.isnan(row)]
+            for vowel, row in zip(ARPABET_VOWELS, vowel_frame_levels(feats, segments))}
 
 
 def vowel_popularity(frame_counts):

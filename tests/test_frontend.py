@@ -223,6 +223,8 @@ class TestPlpStatic:
             FrontendConfig(num_ceps=14, lp_order=12)
         with pytest.raises(ValueError):
             FrontendConfig(warp_window_frames=300)
+        with pytest.raises(ValueError, match="delta window must be at least 1"):
+            FrontendConfig(delta_window=0)
 
 
 class TestDeltas:
@@ -271,6 +273,11 @@ class TestDeltas:
     def test_too_few_frames(self):
         with pytest.raises(ValueError, match="at least 5 frames"):
             append_deltas(np.ones((4, 2)), window=2)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one(self, window):
+        with pytest.raises(ValueError, match="delta window must be at least 1"):
+            append_deltas(np.ones((10, 2)), window)
 
 
 class TestMvn:

@@ -34,7 +34,6 @@ from accent_forge.gmm import (  # noqa: E402
     read_model,
     write_model,
 )
-from accent_forge.pipeline import PipelineConfig, _cap_test_utterance  # noqa: E402
 from accent_forge.vowels import (  # noqa: E402
     ARPABET_VOWELS,
     NUM_VOWELS,
@@ -280,7 +279,8 @@ def calibration_cases(draw):
 
     Segments are 1-4 frames long or longer runs, may overlap, may carry no
     score, and often score exactly at a grid value; some are vowels outside
-    the grid or non-vowels, and the test-time cap clips those past its end.
+    the grid or non-vowels. All fit the utterance, whose frames the test-time
+    cap then cuts, so some run past the capped frames or start after them.
     Features have 1-6 dims or 39, the PLP dim without transforms.
     """
     k = draw(st.sampled_from([1, 2, 4]))
@@ -310,9 +310,19 @@ def calibration_cases(draw):
         end = min(start + length, num_frames)
         label = draw(st.sampled_from(GRID_VOWELS + ("iy", "n")))
         segments.append(PhoneSegment(start * hop, end * hop, label, draw(confidences)))
-    cfg = PipelineConfig()
-    cfg.corpus.max_test_frames = draw(st.integers(1, num_frames))
-    return model_set, _cap_test_utterance(cfg, feats, segments)
+    return model_set, (feats.head(draw(st.integers(1, num_frames))), segments)
+
+
+def _clip(segments, duration):
+    """The segments cut to [0, duration): pooling needs labels that fit the frames."""
+    clipped = []
+    for seg in segments:
+        if seg.start_sec >= duration - 1e-12:
+            continue
+        end = min(seg.end_sec, duration)
+        if end > seg.start_sec:
+            clipped.append(PhoneSegment(seg.start_sec, end, seg.label, seg.confidence))
+    return clipped
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -331,7 +341,8 @@ def test_thresholds_scored_once_equal_repooled_scoring(case, thresholds):
     assert [None if r is None else r.scores.tobytes() for r in again] == [
         None if r is None else r.scores.tobytes() for r in results]
     for threshold, result in zip(thresholds, results):
-        pooled = pool_vowel_features(feats, filter_by_confidence(segments, threshold))
+        kept = filter_by_confidence(segments, threshold)
+        pooled = pool_vowel_features(feats, _clip(kept, feats.num_frames * feats.frame_hop_sec))
         try:
             want = classify_vowel_weighted(model_set, pooled)
         except NoEvidenceError:

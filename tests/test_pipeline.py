@@ -37,7 +37,7 @@ from accent_forge.pipeline import (
     PipelineConfig,
     SyntheticSpec,
     Workspace,
-    _cap_test_utterance,
+    _capped_labelled,
     _tag_frames,
     config_from_text,
     config_to_text,
@@ -52,7 +52,7 @@ from accent_forge.vowels import (
     ARPABET_VOWELS,
     PhoneSegment,
     parse_label_file,
-    vowel_frame_masks,
+    vowel_frame_levels,
     write_label_file,
 )
 from test_signal import synthesize_tone_silence
@@ -213,6 +213,11 @@ class TestConfig:
         ("frontend.num_ceps = 20\n", "frontend: num_ceps must be <= lp_order"),
         ("frontend.num_filters = 2\n", "frontend: need at least 3"),
         ("corpus.max_test_frames = 0\n", "max_test_frames must be at least 1"),
+        ("frontend.delta_window = 0\n", "frontend: delta window must be at least 1, got 0"),
+        ("frontend.delta_window = -1\n", "frontend: delta window must be at least 1, got -1"),
+        ("corpus.seed = -1\n", "corpus.seed must be non-negative, got -1"),
+        ("synth.seed = -3\n", "synth.seed must be non-negative, got -3"),
+        ("weights.hellinger_seed = -1\n", "weights.hellinger_seed must be non-negative"),
     ])
     def test_section_checks_run_on_file_values(self, text, match):
         with pytest.raises(ConfigError, match=match):
@@ -493,16 +498,33 @@ class TestStages:
                           "accent 'accent2' has no adaptation frames")
 
     def test_cap_checks_labels_against_the_whole_utterance(self):
-        cfg = _small_cfg()
-        cfg.corpus.max_test_frames = 50
-        feats = FeatureMatrix(np.zeros((100, 2)))
-        inside = [PhoneSegment(0.0, 0.5, "aa"), PhoneSegment(0.5, 1.0, "iy")]
-        capped, clipped = _cap_test_utterance(cfg, feats, inside)
-        assert capped.num_frames == 50
-        assert [(s.start_sec, s.end_sec, s.label) for s in clipped] == [(0.0, 0.5, "aa")]
-        with pytest.raises(ValueError, match=r"segment \[0\.5, 3\) extends beyond the "
-                                             r"utterance end 1"):
-            _cap_test_utterance(cfg, feats, [inside[0], PhoneSegment(0.5, 3.0, "iy")])
+        class OneUtterance:  # the parts of a StageRun that _capped_labelled reads
+            cfg = _small_cfg()
+            cfg.corpus.max_test_frames = 50
+
+            def __init__(self, segments):
+                self.segments = segments
+
+            def utterances(self, split):
+                return [("u1", split)]
+
+            def features(self, utt):
+                return FeatureMatrix(np.zeros((100, 2)))
+
+            def labels(self, utt):
+                return self.segments
+
+        inside = [PhoneSegment(0.0, 0.3, "aa"), PhoneSegment(0.3, 0.8, "iy"),
+                  PhoneSegment(0.8, 1.0, "uw")]
+        [(utt, entry, capped, segments)] = _capped_labelled(OneUtterance(inside), "dev")
+        assert (utt, entry, capped.num_frames, segments) == ("u1", "dev", 50, inside)
+        levels = vowel_frame_levels(capped, segments)  # past the cap is not scored
+        assert [int(np.count_nonzero(~np.isnan(levels[ARPABET_VOWELS.index(v)])))
+                for v in ("aa", "iy", "uw")] == [30, 20, 0]
+        past_end = OneUtterance([inside[0], PhoneSegment(0.5, 3.0, "iy")])
+        with pytest.raises(ValueError, match=r"utterance u1: segment \[0\.5, 3\) extends "
+                                             r"beyond the utterance end 1"):
+            list(_capped_labelled(past_end, "dev"))
 
     def test_missing_prerequisite(self, tmp_path):
         cfg = _small_cfg()
@@ -799,7 +821,7 @@ class TestFrameTagging:
         rng = np.random.default_rng(21)
         labels = list(ARPABET_VOWELS) + ["sil", "t", "s"]
         hop = 0.01
-        uniform = (np.arange(300) + 0.5) * hop  # the centres vowel_frame_masks uses
+        uniform = (np.arange(300) + 0.5) * hop  # the centres vowel_frame_levels uses
         for _ in range(20):
             # segment edges in 100 ns units, as label files store them, and some
             # exactly on a uniform frame centre
@@ -818,10 +840,10 @@ class TestFrameTagging:
             times = np.sort(np.concatenate([centres, edges]))
             self._check(segments, times.tolist())
 
-            masks = vowel_frame_masks(FeatureMatrix(np.zeros((300, 1)), hop), segments)
+            levels = vowel_frame_levels(FeatureMatrix(np.zeros((300, 1)), hop), segments)
             want_tags, _ = _tag_frames_scalar(segments, uniform.tolist(), hop)
-            for index, vowel in enumerate(ARPABET_VOWELS):
-                np.testing.assert_array_equal(masks[vowel], want_tags == index + 1)
+            for index in range(len(ARPABET_VOWELS)):
+                np.testing.assert_array_equal(~np.isnan(levels[index]), want_tags == index + 1)
 
 
 class TestVowelEvidence:
@@ -1076,6 +1098,11 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense = 1\n")
         assert cli_main(["print-config", "--config", str(bad)]) == 2
+
+    def test_negative_seed_override_is_a_config_error(self, capsys):
+        assert cli_main(["print-config", "--seed", "-1"]) == 2
+        assert "corpus.seed must be non-negative, got -1" in capsys.readouterr().err
+        assert cli_main(["print-config", "--seed", "0"]) == 0
 
     def test_missing_prerequisite_exit_code(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"
