@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import NoEvidenceError
 from .gmm import GmmStack, _score_models, frame_logpdf
-from .vowels import ARPABET_VOWELS, NUM_VOWELS, vowel_frame_levels
+from .vowels import ARPABET_VOWELS, NUM_VOWELS, vowel_frames
+
+GROUP_FRAMES = 16384  # vowel frames scored per group: bounds the copies a group holds
 
 
 @dataclass
@@ -285,37 +287,50 @@ def classify_vowel_weighted(model_set, pooled):
     return _vowel_vote(model_set, evidence)
 
 
-def classify_vowel_thresholds(model_set, feats, segments, thresholds):
-    """classify_vowel_weighted at each confidence threshold, every frame scored once.
+def classify_vowel_thresholds(model_set, utterances, thresholds):
+    """classify_vowel_weighted of each (features, segments) at each confidence threshold.
 
-    Entry j is classify_vowel_weighted(model_set, pool_vowel_features(feats,
-    filter_by_confidence(segments, thresholds[j]))), or None where that
-    leaves no vowel evidence: the same accent and frame count, and scores
-    that agree to within a few ulps (the blocks scored differ in shape).
-
-    From one vowel_frame_levels table, each vowel's frames kept at the lowest threshold
-    are scored once; a threshold then sums the rows of the frames it keeps, the rows
-    pooling selects, in order, copied to be contiguous. Callers check segment ends.
+    One list per utterance, in order: entry j is classify_vowel_weighted(model_set,
+    pool_vowel_features(features, filter_by_confidence(segments, thresholds[j]))), or None
+    without vowel evidence: the same accent and frame count, scores within a few ulps.
+    Callers check segment ends. Each vowel's frames kept at the lowest threshold are scored
+    in one call per group of GROUP_FRAMES of them; bincount sums each threshold's rows.
     """
     _require_vowel_models(model_set)
-    levels = vowel_frame_levels(feats, segments)
     lowest = min(thresholds, default=np.inf)
-    evidence = [[] for _ in thresholds]
-    for t, vowel in enumerate(ARPABET_VOWELS):
-        if vowel not in model_set.vowel_grid:
-            continue
-        union = levels[t] >= lowest
-        if not union.any():
-            continue
-        scored = _score_models(model_set.stack(vowel), feats.data[union])
-        kept = levels[t][union]
-        for threshold, found in zip(thresholds, evidence):
-            selected = kept >= threshold
-            num_frames = int(np.count_nonzero(selected))
-            if num_frames:
-                found.append((t, num_frames,
-                              np.compress(selected, scored, axis=1).sum(axis=1)))
-    return [_vowel_vote(model_set, found) if found else None for found in evidence]
+    included = np.isin(ARPABET_VOWELS, list(model_set.vowel_grid))
+    results, group = [], []
+    for feats, segments in utterances:
+        frame, vowel, level = vowel_frames(feats, segments)
+        keep = (level >= lowest) & included[vowel]
+        group.append((feats.data[frame[keep]], vowel[keep], level[keep]))
+        if sum(len(v) for _, v, _ in group) >= GROUP_FRAMES:
+            results += _vote_group(model_set, group, thresholds)
+            group = []
+    return results + (_vote_group(model_set, group, thresholds) if group else [])
+
+
+def _vote_group(model_set, group, thresholds):
+    """classify_vowel_thresholds' lists for a group of (frames, vowel, level) triples."""
+    data, vowel, level = map(np.concatenate, zip(*group))
+    key = np.repeat(np.arange(len(group)) * NUM_VOWELS, [len(v) for _, v, _ in group]) + vowel
+    order = np.argsort(vowel, kind="stable")  # by vowel, then utterance, then frame
+    data, vowel, level, key = data[order], vowel[order], level[order], key[order]
+    scores = np.empty((len(model_set.accents), len(key)))
+    bounds = np.searchsorted(vowel, np.arange(NUM_VOWELS + 1))
+    for name, lo, hi in zip(ARPABET_VOWELS, bounds[:-1], bounds[1:]):
+        if hi > lo:
+            scores[:, lo:hi] = _score_models(model_set.stack(name), data[lo:hi])
+    votes, cells = [[] for _ in group], len(group) * NUM_VOWELS
+    for threshold in thresholds:
+        kept = np.where(level >= threshold, key, cells)  # bin `cells` collects the rest
+        counts = np.bincount(kept, minlength=cells + 1)[:cells].reshape(len(group), -1).tolist()
+        sums = np.array([np.bincount(kept, row, cells + 1)[:cells] for row in scores])
+        sums = sums.reshape(len(scores), len(group), NUM_VOWELS)
+        for u, found in enumerate(votes):
+            evidence = [(t, n, sums[:, u, t]) for t, n in enumerate(counts[u]) if n]
+            found.append(_vowel_vote(model_set, evidence) if evidence else None)
+    return votes
 
 
 @dataclass

@@ -650,12 +650,12 @@ class StageRun:
     def features(self, utt, reduced=True):
         """The utterance's archive, after the transforms when they are enabled."""
         reduced = reduced and self.cfg.transforms.enabled
-        path = self.ws.dir("features/reduced" if reduced else "features/feat") / (utt + ".aff")
+        path = self.ws.root / "features" / ("reduced" if reduced else "feat") / (utt + ".aff")
         return read_feature_archive(self.require(path, "transforms" if reduced else "features"))
 
     def labels(self, utt):
         """The utterance's labels on the feature timeline; None without a label file."""
-        path = self.ws.dir("features/feat") / (utt + ".lab")
+        path = self.ws.root / "features/feat" / (utt + ".lab")
         return parse_label_file(self.input(path)) if path.exists() else None
 
     def write_provenance(self, stage):
@@ -759,7 +759,7 @@ def stage_features(run):
     """
     cfg, ws = run.cfg, run.ws
     manifest = run.manifest(need_split=False)
-    vad_dir = ws.dir("features/vad")
+    vad_dir = ws.root / "features/vad"
     feat_dir = ws.dir("features/feat")
     for utt, entry in run.utterances():
         src = run.input(manifest.resolve(entry.audio))
@@ -869,7 +869,7 @@ def stage_adapt(run):
     Fewer than 2 accents, or an accent without frames, raises before any model is written.
     """
     cfg, ws = run.cfg, run.ws
-    ubm = read_model(run.require(ws.dir("models") / "ubm.agm", "ubm"))
+    ubm = read_model(run.require(ws.root / "models/ubm.agm", "ubm"))
     accents = run.manifest().accents()
     if len(accents) < 2:
         raise ValueError("need at least 2 accents to adapt, got %d" % len(accents))
@@ -935,9 +935,9 @@ def stage_vowel_models(run):
 
 
 def _load_vowel_grid(ws, require):
-    set_path = require(ws.dir("models") / "vowel_set.json", "vowel-models")
+    set_path = require(ws.root / "models/vowel_set.json", "vowel-models")
     doc = json.loads(set_path.read_text(encoding="utf-8"))
-    vowel_dir = ws.dir("models/vowels")
+    vowel_dir = ws.root / "models/vowels"
     grid = {
         vowel: [
             read_model(require(vowel_dir / ("%s.%s.agm" % (vowel, accent)), "vowel-models"))
@@ -976,7 +976,7 @@ def load_model_set(ws, mode, run=None):
     Given the stage's StageRun, every file read is one of its inputs.
     """
     require = _require if run is None else run.require
-    models_dir = ws.dir("models")
+    models_dir = ws.root / "models"
     set_path = require(models_dir / "accent_set.json", "adapt")
     accents = json.loads(set_path.read_text(encoding="utf-8"))["accents"]
     if mode == "baseline":
@@ -1015,7 +1015,7 @@ def _capped_labelled(run, split):
 
 def _test_threshold(run):
     if run.cfg.vowels.use_calibrated_threshold:
-        path = run.require(run.ws.dir("models") / "confidence_threshold.json", "calibrate")
+        path = run.require(run.ws.root / "models/confidence_threshold.json", "calibrate")
         return float(json.loads(path.read_text(encoding="utf-8"))["threshold"])
     return run.cfg.vowels.confidence_threshold
 
@@ -1030,17 +1030,16 @@ def stage_classify(run):
     cfg, ws, mode = run.cfg, run.ws, run.mode
     model_set = load_model_set(ws, mode, run)
     threshold = _test_threshold(run) if mode == "vowel" else None
-    rows = []
+    tests = run.utterances("test")
     if mode == "baseline":
-        for utt, entry in run.utterances("test"):
-            result = classify_baseline(model_set,
-                                       run.features(utt).data[:cfg.corpus.max_test_frames])
-            rows.append((utt, entry.accent, result.chosen_accent, result.frames_used))
-    else:
-        for utt, entry, feats, segments in _capped_labelled(run, "test"):
-            result = classify_vowel_thresholds(model_set, feats, segments, [threshold])[0]
-            rows.append((utt, entry.accent, model_set.accents[0], 0) if result is None
-                        else (utt, entry.accent, result.chosen_accent, result.frames_used))
+        cap = cfg.corpus.max_test_frames
+        results = [classify_baseline(model_set, run.features(utt).data[:cap]) for utt, _ in tests]
+    else:  # _capped_labelled walks the same utterances, in the same order
+        labelled = (item[2:] for item in _capped_labelled(run, "test"))
+        results = [r for [r] in classify_vowel_thresholds(model_set, labelled, [threshold])]
+    rows = [(utt, entry.accent, model_set.accents[0], 0) if result is None
+            else (utt, entry.accent, result.chosen_accent, result.frames_used)
+            for (utt, entry), result in zip(tests, results)]
     run.output(ws.dir("reports") / ("predictions_%s.tsv" % mode)).write_text(
         "".join("%s\t%s\t%s\t%d\n" % row for row in rows), encoding="utf-8"
     )
@@ -1050,8 +1049,8 @@ def stage_evaluate(run):
     """Accuracy report (text + JSON) from the predictions file."""
     cfg, ws, mode = run.cfg, run.ws, run.mode
     entries = run.manifest().entries  # for the corpus kind: archives get a DIRECT tag
-    pred_path = run.require(ws.dir("reports") / ("predictions_%s.tsv" % mode), "classify")
-    set_path = run.require(ws.dir("models") / "accent_set.json", "adapt")
+    pred_path = run.require(ws.root / "reports" / ("predictions_%s.tsv" % mode), "classify")
+    set_path = run.require(ws.root / "models/accent_set.json", "adapt")
     accent_set = json.loads(set_path.read_text(encoding="utf-8"))
     rows = (line.split("\t") for line in pred_path.read_text(encoding="utf-8").splitlines())
     direct = bool(entries) and Path(entries[0].audio).suffix == ".aff"
@@ -1084,8 +1083,8 @@ def stage_calibrate(run):
     grid = sorted(cfg.calibrate.grid)
 
     def classify(feats, segments):
-        return [None if result is None else result.chosen_accent
-                for result in classify_vowel_thresholds(model_set, feats, segments, grid)]
+        [results] = classify_vowel_thresholds(model_set, [(feats, segments)], grid)
+        return [None if result is None else result.chosen_accent for result in results]
 
     threshold, accuracies = calibrate_threshold(dev_items, cfg.calibrate.grid, classify)
     curve = dict(zip(grid, accuracies))
@@ -1143,7 +1142,7 @@ def _format_duration(seconds):
 
 def corpus_stats(manifest, ws):
     """Per-accent utterance counts, durations before/after VAD, compression."""
-    vad_dir = ws.dir("features/vad")
+    vad_dir = ws.root / "features/vad"
     rows = {}
     total_utts = len(manifest.entries)
     for index, entry in enumerate(manifest.entries):

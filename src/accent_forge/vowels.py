@@ -180,28 +180,34 @@ def _level(seg):
     return math.inf if seg.confidence is None else seg.confidence  # unscored: always trusted
 
 
-def vowel_frame_levels(feats, segments):
-    """Per-vowel confidence of each frame by frame-centre membership, (NUM_VOWELS, frames).
+def vowel_frames(feats, segments):
+    """(frame, vowel index, level) arrays of the vowel frames, sorted by (vowel, frame).
 
-    Frame k belongs to a segment when its centre (k + 0.5) * hop lies in [start, end).
-    Entry [t, k] is the highest (non-NaN) confidence of the vowel-t segments holding frame
-    k, +inf if unscored, or NaN if none does: levels[t] >= x are the vowel-t frames of
-    filter_by_confidence(segments, x). Segments past the last frame cover frames up to it.
+    Frame k belongs to a segment when its centre (k + 0.5) * hop lies in [start, end);
+    segments past the last frame cover frames up to it. Each (vowel, frame) pair comes once,
+    at the highest confidence of the vowel's segments holding it (+inf if unscored), so
+    the vowel-t frames with level >= x are those of filter_by_confidence(segments, x).
     """
-    centers = (np.arange(feats.num_frames) + 0.5) * feats.frame_hop_sec
-    levels = np.full((NUM_VOWELS, feats.num_frames), np.nan)
-    # in rising confidence, so the highest of overlapping segments is written last
-    ranked = sorted((seg for seg in segments if seg.is_vowel), key=_level)
-    for seg, (lo, hi) in zip(ranked, segment_frames(ranked, centers).tolist()):
-        levels[VOWEL_INDEX[seg.label], lo:hi] = _level(seg)
-    return levels
+    kept = [seg for seg in segments if seg.is_vowel]
+    lo, hi = segment_frames(kept, (np.arange(feats.num_frames) + 0.5) * feats.frame_hop_sec).T
+    counts = hi - lo
+    frame = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    level = np.repeat(np.array([_level(s) for s in kept], dtype=np.float64), counts)
+    key = np.repeat(np.array([VOWEL_INDEX[s.label] for s in kept], dtype=np.int64),
+                    counts) * feats.num_frames + frame
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))  # where each (vowel, frame) run starts
+    vowel, frame = np.divmod(key[first], feats.num_frames)
+    return frame, vowel, np.maximum.reduceat(level[order], first)
 
 
 def pool_vowel_features(feats, segments):
-    """Per-vowel arrays of the frames vowel_frame_levels assigns, if check_segment_ends passes."""
+    """Per-vowel arrays of the frames vowel_frames assigns, if check_segment_ends passes."""
     check_segment_ends(feats, segments)
-    return {vowel: feats.data[~np.isnan(row)]
-            for vowel, row in zip(ARPABET_VOWELS, vowel_frame_levels(feats, segments))}
+    frame, vowel, _ = vowel_frames(feats, segments)
+    bounds = np.searchsorted(vowel, np.arange(1, NUM_VOWELS))
+    return dict(zip(ARPABET_VOWELS, np.split(feats.data[frame], bounds)))
 
 
 def vowel_popularity(frame_counts):

@@ -7,6 +7,7 @@ import struct
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import Phase, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from accent_forge import gmm  # noqa: E402
+from accent_forge import classify, gmm  # noqa: E402
 from accent_forge.adapt import AdaptConfig, map_adapt  # noqa: E402
 from accent_forge.classify import (  # noqa: E402
     AccentModelSet,
@@ -298,19 +299,44 @@ def calibration_cases(draw):
     model_set = AccentModelSet(accents=["a%d" % i for i in range(num_accents)],
                                vowel_grid=grid, vowel_weights=weights)
 
+    return model_set, draw(capped_utterances(rng, d))
+
+
+@st.composite
+def capped_utterances(draw, rng, d, max_segments=25):
+    """One capped utterance of d-dim features and its segments, as calibration_cases draws it."""
     num_frames = draw(st.integers(1, 700))
     hop = 0.01
     feats = FeatureMatrix(rng.normal(0.0, 2.0, (num_frames, d)), hop)
     confidences = st.one_of(st.none(), st.sampled_from(GRID[1:4]),
                             st.floats(-100.0, 0.0, allow_nan=False))
     segments = []
-    for _ in range(draw(st.integers(0, 25))):
+    for _ in range(draw(st.integers(0, max_segments))):
         start = draw(st.integers(0, num_frames - 1))
         length = draw(st.one_of(st.integers(1, 4), st.integers(5, 400)))
         end = min(start + length, num_frames)
         label = draw(st.sampled_from(GRID_VOWELS + ("iy", "n")))
         segments.append(PhoneSegment(start * hop, end * hop, label, draw(confidences)))
-    return model_set, (feats.head(draw(st.integers(1, num_frames))), segments)
+    return feats.head(draw(st.integers(1, num_frames))), segments
+
+
+@st.composite
+def split_cases(draw):
+    """A vowel model grid and a split of capped utterances, as stage_classify scores it.
+
+    Beside calibration_cases' utterances, the split holds one with no segments, one with
+    only a non-vowel and one with two overlapping segments of a grid vowel, in any order.
+    """
+    model_set, first = draw(calibration_cases())
+    d = model_set.stack(GRID_VOWELS[0]).dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    utterances = [first] + draw(st.lists(capped_utterances(rng, d, max_segments=8),
+                                         max_size=5))
+    feats = FeatureMatrix(rng.normal(0.0, 2.0, (60, d)), 0.01)
+    utterances += [(feats, []), (feats, [PhoneSegment(0.0, 0.6, "n", -30.0)]),
+                   (feats, [PhoneSegment(0.0, 0.4, "aa", -60.0),
+                            PhoneSegment(0.2, 0.6, "aa", None)])]
+    return model_set, draw(st.permutations(utterances))
 
 
 def _clip(segments, duration):
@@ -335,9 +361,9 @@ def test_thresholds_scored_once_equal_repooled_scoring(case, thresholds):
     so is a repeated call.
     """
     model_set, (feats, segments) = case
-    results = classify_vowel_thresholds(model_set, feats, segments, thresholds)
+    [results] = classify_vowel_thresholds(model_set, [(feats, segments)], thresholds)
     assert len(results) == len(thresholds)
-    again = classify_vowel_thresholds(model_set, feats, segments, thresholds)
+    [again] = classify_vowel_thresholds(model_set, [(feats, segments)], thresholds)
     assert [None if r is None else r.scores.tobytes() for r in again] == [
         None if r is None else r.scores.tobytes() for r in results]
     for threshold, result in zip(thresholds, results):
@@ -354,3 +380,36 @@ def test_thresholds_scored_once_equal_repooled_scoring(case, thresholds):
                                    rtol=1e-13, atol=1e-12)
         assert (result.chosen_accent, result.frames_used) == (want.chosen_accent,
                                                                want.frames_used)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(split_cases(), st.integers(1, 600),
+       st.one_of(st.just(GRID), st.sampled_from(GRID).map(lambda t: [t])))
+def test_split_scored_in_groups_equals_one_call_per_utterance(case, group_frames, thresholds):
+    """Groups of several utterances, split mid-list by a small bound, score like one each.
+
+    Each utterance's frames share their score blocks with other utterances' in a group,
+    so the scores agree to within a few ulps; the accents and frame counts are exact.
+    Every group but the last holds at least the bound's frames at the lowest threshold,
+    and each scores each grid vowel in at most one call.
+    """
+    model_set, utterances = case
+    with mock.patch.object(classify, "GROUP_FRAMES", group_frames), \
+            mock.patch.object(classify, "_score_models", wraps=classify._score_models) as scorer:
+        results = classify_vowel_thresholds(model_set, utterances, thresholds)
+    assert len(results) == len(utterances)
+    lowest, kept = thresholds.index(min(thresholds)), 0
+    for utterance, found in zip(utterances, results):
+        [alone] = classify_vowel_thresholds(model_set, [utterance], thresholds)
+        kept += 0 if alone[lowest] is None else alone[lowest].frames_used
+        assert len(found) == len(alone) == len(thresholds)
+        for result, want in zip(found, alone):
+            assert (result is None) == (want is None)
+            if want is None:
+                continue
+            np.testing.assert_allclose(result.scores, want.scores, rtol=1e-13, atol=1e-12)
+            np.testing.assert_allclose(result.per_vowel_scores, want.per_vowel_scores,
+                                       rtol=1e-13, atol=1e-12)
+            assert (result.chosen_accent, result.frames_used) == (want.chosen_accent,
+                                                                   want.frames_used)
+    assert scorer.call_count <= len(model_set.vowel_grid) * (1 + kept // group_frames)

@@ -52,10 +52,10 @@ from accent_forge.vowels import (
     ARPABET_VOWELS,
     PhoneSegment,
     parse_label_file,
-    vowel_frame_levels,
     write_label_file,
 )
 from test_signal import synthesize_tone_silence
+from test_vowels import vowel_frame_levels
 
 
 def _small_cfg():
@@ -532,6 +532,16 @@ class TestStages:
         ws.root.mkdir()
         with pytest.raises(MissingPrerequisiteError, match="run stage|run 'split'"):
             run_stage("ubm", cfg, ws)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("stage, needs", [("classify", "adapt"), ("evaluate", "classify")])
+    def test_failed_read_leaves_the_tree_unchanged(self, tmp_path, stage, needs, mode):
+        ws = Workspace(tmp_path / "ws")
+        ws.root.mkdir()
+        ws.manifest_path.write_text("")
+        with pytest.raises(MissingPrerequisiteError, match="run stage '%s'" % needs):
+            run_stage(stage, _small_cfg(), ws, mode=mode)
+        assert [p.name for p in ws.root.rglob("*")] == ["manifest.tsv"]
 
     def test_corrupt_archive_names_file_and_magic(self, tmp_path):
         cfg = _small_cfg()

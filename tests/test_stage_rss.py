@@ -22,3 +22,8 @@ def test_child_lists_the_workload_stages_and_reports_its_own_peak(tmp_path):
 def test_failed_stage_exits_with_its_name(tmp_path):
     with pytest.raises(SystemExit, match="polish failed with exit code 1"):
         stage_rss.run_child(_ROOT, "aff_train", 3, "polish", tmp_path)
+
+
+def test_failed_classify_mode_exits_with_its_name(tmp_path):
+    with pytest.raises(SystemExit, match="classify:polish failed with exit code 1"):
+        stage_rss.run_child(_ROOT, "aff_train", 3, "classify:polish", tmp_path)

@@ -13,14 +13,24 @@ from accent_forge.errors import LabelParseError
 from accent_forge.frontend import FeatureMatrix
 from accent_forge.vowels import (
     ARPABET_VOWELS,
+    NUM_VOWELS,
     PhoneSegment,
     calibrate_threshold,
     filter_by_confidence,
     parse_label_file,
     pool_vowel_features,
+    vowel_frames,
     vowel_popularity,
     write_label_file,
 )
+
+
+def vowel_frame_levels(feats, segments):
+    """vowel_frames as a (NUM_VOWELS, frames) level table, NaN where a vowel holds no frame."""
+    frame, vowel, level = vowel_frames(feats, segments)
+    levels = np.full((NUM_VOWELS, feats.num_frames), np.nan)
+    levels[vowel, frame] = level
+    return levels
 
 
 class TestParse:

@@ -13,8 +13,8 @@ from accent_forge.vowels import (  # noqa: E402
     NUM_VOWELS,
     PhoneSegment,
     filter_by_confidence,
-    vowel_frame_levels,
 )
+from test_vowels import vowel_frame_levels  # noqa: E402
 
 LEVELS = (-50.0, -20.0)  # shared by segments and thresholds, so some score exactly at one
 THRESHOLDS = st.one_of(st.sampled_from(LEVELS + (float("-inf"), float("inf"))),

@@ -1,14 +1,17 @@
-"""Peak RSS of each training stage of a benchmark workload, one fresh interpreter per stage.
+"""Peak RSS of each training stage and classify mode of a benchmark workload, one
+fresh interpreter per step.
 
     python3 tools/stage_rss.py --workload wav_paper --seed 3 [--checkout DIR]
 
 It builds the workload's corpus into a temporary workspace with the
 workload's own configure and setup functions from CHECKOUT/perfbench
 (default: the checkout this script is in), then runs the workload's
-training stages in order through CHECKOUT's pipeline.run_stage. The corpus
-build and each stage run in a child interpreter of their own, so a stage's
-figure holds only what that stage allocates on top of the imports. For the
-build ("setup") and for each stage it prints one JSON line:
+training stages in order through CHECKOUT's pipeline.run_stage, and then
+the classify stage once per mode, as the steps "classify:baseline" and
+"classify:vowel". The corpus build and each step run in a child interpreter
+of their own, so a step's figure holds only what that step allocates on top
+of the imports. For the build ("setup") and for each step it prints one JSON
+line:
 
     {"stage": "transforms", "maxrss_mb": 104.2, "seconds": 0.61}
 
@@ -32,7 +35,8 @@ from pathlib import Path
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# argv: checkout, workload, seed, step ("stages", "setup" or a stage), workspace root
+# argv: checkout, workload, seed, step ("stages", "setup", a stage or "stage:mode"),
+# workspace root
 CHILD = """
 import sys
 from pathlib import Path
@@ -49,7 +53,8 @@ if step == "stages":
 elif step == "setup":
     work.setup(cfg, Path(root), int(seed))
 else:
-    pipeline.run_stage(step, cfg, pipeline.Workspace(Path(root)))
+    stage, _, mode = step.partition(":")
+    pipeline.run_stage(stage, cfg, pipeline.Workspace(Path(root)), mode=mode or "baseline")
 """
 
 
@@ -81,7 +86,7 @@ def main(argv=None):
         root = Path(tmp) / "ws"
         root.mkdir()
         stages, _, _ = run_child(checkout, args.workload, args.seed, "stages", root)
-        for step in ["setup"] + stages.split():
+        for step in ["setup"] + stages.split() + ["classify:baseline", "classify:vowel"]:
             _, maxrss_mb, seconds = run_child(checkout, args.workload, args.seed, step, root)
             print(json.dumps({"stage": step, "maxrss_mb": round(maxrss_mb, 1),
                               "seconds": round(seconds, 3)}), flush=True)
