@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NoEvidenceError
 from .gmm import GmmStack, _score_models, frame_logpdf
-from .vowels import ARPABET_VOWELS, NUM_VOWELS, vowel_frames
+from .vowels import ARPABET_VOWELS, NUM_VOWELS, vowel_frames, vowel_segments
 
 GROUP_FRAMES = 16384  # vowel frames scored per group: bounds the copies a group holds
 
@@ -293,42 +293,51 @@ def classify_vowel_thresholds(model_set, utterances, thresholds):
     One list per utterance, in order: entry j is classify_vowel_weighted(model_set,
     pool_vowel_features(features, filter_by_confidence(segments, thresholds[j]))), or None
     without vowel evidence: the same accent and frame count, scores within a few ulps.
-    Callers check segment ends. Each vowel's frames kept at the lowest threshold are scored
-    in one call per group of GROUP_FRAMES of them; bincount sums each threshold's rows.
+    Callers check segment ends. A group of utterances ends once vowel_frames finds in it
+    GROUP_FRAMES distinct frames kept at the lowest threshold; each vowel's are scored in
+    one call, and bincount sums each threshold's rows.
     """
     _require_vowel_models(model_set)
     lowest = min(thresholds, default=np.inf)
     included = np.isin(ARPABET_VOWELS, list(model_set.vowel_grid))
-    results, group = [], []
+    results, group, bound = [], [], 0
     for feats, segments in utterances:
-        frame, vowel, level = vowel_frames(feats, segments)
-        keep = (level >= lowest) & included[vowel]
-        group.append((feats.data[frame[keep]], vowel[keep], level[keep]))
-        if sum(len(v) for _, v, _ in group) >= GROUP_FRAMES:
-            results += _vote_group(model_set, group, thresholds)
-            group = []
-    return results + (_vote_group(model_set, group, thresholds) if group else [])
+        lo, hi, vowel, level = columns = vowel_segments(feats, segments)
+        keep = (level >= lowest) & included[vowel]  # the segments any threshold keeps
+        group.append((feats.data, [column[keep] for column in columns]))
+        bound += int(np.sum((hi - lo)[keep]))  # at least its distinct kept frames
+        if bound >= GROUP_FRAMES:
+            rows = vowel_frames([c for _, c in group])
+            bound = len(rows[0])  # less only where same-vowel segments overlap
+            if bound >= GROUP_FRAMES:
+                results, bound = results + _vote_group(model_set, group, rows, thresholds), 0
+    return results + (_vote_group(model_set, group, vowel_frames([c for _, c in group]),
+                                  thresholds) if group else [])
 
 
-def _vote_group(model_set, group, thresholds):
-    """classify_vowel_thresholds' lists for a group of (frames, vowel, level) triples."""
-    data, vowel, level = map(np.concatenate, zip(*group))
-    key = np.repeat(np.arange(len(group)) * NUM_VOWELS, [len(v) for _, v, _ in group]) + vowel
-    order = np.argsort(vowel, kind="stable")  # by vowel, then utterance, then frame
-    data, vowel, level, key = data[order], vowel[order], level[order], key[order]
-    scores = np.empty((len(model_set.accents), len(key)))
-    bounds = np.searchsorted(vowel, np.arange(NUM_VOWELS + 1))
-    for name, lo, hi in zip(ARPABET_VOWELS, bounds[:-1], bounds[1:]):
+def _vote_group(model_set, group, rows, thresholds):
+    """classify_vowel_thresholds' lists for a group of (frames, columns) and its kept rows.
+    It gathers their frames into one block, then empties group while the block is scored."""
+    utt, frame, vowel, level = rows
+    data, size = np.empty((len(utt), group[0][0].shape[1])), len(group)
+    ends = np.cumsum(np.bincount(utt, minlength=size))[:-1]
+    for (frames, _), where in zip(group, np.split(np.argsort(utt, kind="stable"), ends)):
+        data[where] = frames[frame[where]]
+    group.clear()
+    accents, bounds = len(model_set.accents), np.searchsorted(vowel, np.arange(NUM_VOWELS + 1))
+    sums = np.zeros((len(thresholds), accents, size, NUM_VOWELS))  # filled a vowel at a time
+    for t, (name, lo, hi) in enumerate(zip(ARPABET_VOWELS, bounds[:-1], bounds[1:])):
         if hi > lo:
-            scores[:, lo:hi] = _score_models(model_set.stack(name), data[lo:hi])
-    votes, cells = [[] for _ in group], len(group) * NUM_VOWELS
-    for threshold in thresholds:
-        kept = np.where(level >= threshold, key, cells)  # bin `cells` collects the rest
-        counts = np.bincount(kept, minlength=cells + 1)[:cells].reshape(len(group), -1).tolist()
-        sums = np.array([np.bincount(kept, row, cells + 1)[:cells] for row in scores])
-        sums = sums.reshape(len(scores), len(group), NUM_VOWELS)
+            scores = _score_models(model_set.stack(name), data[lo:hi])
+            for total, threshold in zip(sums, thresholds):
+                kept = np.where(level[lo:hi] >= threshold, utt[lo:hi], size)  # bin size: the rest
+                total[:, :, t] = [np.bincount(kept, row, size + 1)[:size] for row in scores]
+    votes, cells = [[] for _ in range(size)], size * NUM_VOWELS
+    for total, threshold in zip(sums, thresholds):
+        kept = np.where(level >= threshold, utt * NUM_VOWELS + vowel, cells)
+        counts = np.bincount(kept, minlength=cells + 1)[:cells].reshape(size, -1).tolist()
         for u, found in enumerate(votes):
-            evidence = [(t, n, sums[:, u, t]) for t, n in enumerate(counts[u]) if n]
+            evidence = [(t, n, total[:, u, t]) for t, n in enumerate(counts[u]) if n]
             found.append(_vowel_vote(model_set, evidence) if evidence else None)
     return votes
 

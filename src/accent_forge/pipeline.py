@@ -993,13 +993,13 @@ def load_model_set(ws, mode, run=None):
     raise ValueError("unknown mode %r" % mode)
 
 
-def _capped_labelled(run, split):
-    """(utt id, entry, capped features, segments) of a split; each needs labels.
+def _capped_labelled(run, utterances):
+    """(utt id, entry, capped features, segments) of run.utterances pairs; each needs labels.
 
     The labels must fit the whole utterance (check_segment_ends), as for pooling; only
     the frames are cut to the test-time cap, so labelled time past it is not scored.
     """
-    for utt, entry in run.utterances(split):
+    for utt, entry in utterances:
         segments = run.labels(utt)
         if segments is None:
             raise MissingPrerequisiteError(
@@ -1034,8 +1034,8 @@ def stage_classify(run):
     if mode == "baseline":
         cap = cfg.corpus.max_test_frames
         results = [classify_baseline(model_set, run.features(utt).data[:cap]) for utt, _ in tests]
-    else:  # _capped_labelled walks the same utterances, in the same order
-        labelled = (item[2:] for item in _capped_labelled(run, "test"))
+    else:
+        labelled = (item[2:] for item in _capped_labelled(run, tests))
         results = [r for [r] in classify_vowel_thresholds(model_set, labelled, [threshold])]
     rows = [(utt, entry.accent, model_set.accents[0], 0) if result is None
             else (utt, entry.accent, result.chosen_accent, result.frames_used)
@@ -1078,15 +1078,13 @@ def stage_calibrate(run):
     cfg, ws = run.cfg, run.ws
     model_set = load_model_set(ws, "vowel", run)
     dev_items = [(feats, segments, entry.accent)
-                 for _, entry, feats, segments in _capped_labelled(run, "dev")]
-
+                 for _, entry, feats, segments in _capped_labelled(run, run.utterances("dev"))]
     grid = sorted(cfg.calibrate.grid)
-
-    def classify(feats, segments):
-        [results] = classify_vowel_thresholds(model_set, [(feats, segments)], grid)
-        return [None if result is None else result.chosen_accent for result in results]
-
-    threshold, accuracies = calibrate_threshold(dev_items, cfg.calibrate.grid, classify)
+    found = classify_vowel_thresholds(model_set, [item[:2] for item in dev_items], grid)
+    predictions = {id(feats): [None if r is None else r.chosen_accent for r in results]
+                   for (feats, _, _), results in zip(dev_items, found)}  # dev_items holds feats
+    threshold, accuracies = calibrate_threshold(dev_items, cfg.calibrate.grid,
+                                                lambda feats, _: predictions[id(feats)])
     curve = dict(zip(grid, accuracies))
     _write_json(run.output(ws.dir("models") / "confidence_threshold.json"), {
         "threshold": threshold,

@@ -180,32 +180,39 @@ def _level(seg):
     return math.inf if seg.confidence is None else seg.confidence  # unscored: always trusted
 
 
-def vowel_frames(feats, segments):
-    """(frame, vowel index, level) arrays of the vowel frames, sorted by (vowel, frame).
-
-    Frame k belongs to a segment when its centre (k + 0.5) * hop lies in [start, end);
-    segments past the last frame cover frames up to it. Each (vowel, frame) pair comes once,
-    at the highest confidence of the vowel's segments holding it (+inf if unscored), so
-    the vowel-t frames with level >= x are those of filter_by_confidence(segments, x).
-    """
+def vowel_segments(feats, segments):
+    """(lo, hi, vowel index, level) columns of one utterance's vowel segments: frame k lies in
+    [lo, hi) when its centre (k + 0.5) * hop lies in [start, end), a segment past the last
+    frame ends at it, and level is the confidence (+inf if unscored)."""
     kept = [seg for seg in segments if seg.is_vowel]
     lo, hi = segment_frames(kept, (np.arange(feats.num_frames) + 0.5) * feats.frame_hop_sec).T
-    counts = hi - lo
-    frame = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    level = np.repeat(np.array([_level(s) for s in kept], dtype=np.float64), counts)
-    key = np.repeat(np.array([VOWEL_INDEX[s.label] for s in kept], dtype=np.int64),
-                    counts) * feats.num_frames + frame
-    order = np.argsort(key, kind="stable")
+    return (lo, hi, np.array([VOWEL_INDEX[s.label] for s in kept], dtype=np.int64),
+            np.array([_level(s) for s in kept], dtype=np.float64))
+
+
+def vowel_frames(utterances):
+    """(utterance, frame, vowel index, level) arrays of the vowel frames of a non-empty list of
+    vowel_segments columns, sorted by (vowel, utterance, frame). Each comes once, at the highest
+    level of the vowel's segments holding it, so an utterance's vowel-t frames with level >= x
+    are those of filter_by_confidence(segments, x)."""
+    lo, hi, vowel, level = map(np.concatenate, zip(*utterances))
+    counts, width, size = hi - lo, int(hi.max(initial=0)) + 1, len(utterances)
+    cell = vowel * size + np.repeat(np.arange(size), [len(column) for column, *_ in utterances])
+    start = cell * width + lo - np.cumsum(counts) + counts  # key = cell * width + frame
+    key = np.repeat(start, counts) + np.arange(counts.sum())
+    order = np.argsort(key)
     key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))  # where each (vowel, frame) run starts
-    vowel, frame = np.divmod(key[first], feats.num_frames)
-    return frame, vowel, np.maximum.reduceat(level[order], first)
+    first = np.flatnonzero(np.diff(key, prepend=-1))  # the first row of each distinct key
+    level = np.maximum.reduceat(np.repeat(level, counts)[order], first)
+    cell, frame = np.divmod(key[first], width)
+    vowel, utt = np.divmod(cell, size)
+    return utt, frame, vowel, level
 
 
 def pool_vowel_features(feats, segments):
     """Per-vowel arrays of the frames vowel_frames assigns, if check_segment_ends passes."""
     check_segment_ends(feats, segments)
-    frame, vowel, _ = vowel_frames(feats, segments)
+    _, frame, vowel, _ = vowel_frames([vowel_segments(feats, segments)])
     bounds = np.searchsorted(vowel, np.arange(1, NUM_VOWELS))
     return dict(zip(ARPABET_VOWELS, np.split(feats.data[frame], bounds)))
 

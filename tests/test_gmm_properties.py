@@ -413,3 +413,33 @@ def test_split_scored_in_groups_equals_one_call_per_utterance(case, group_frames
             assert (result.chosen_accent, result.frames_used) == (want.chosen_accent,
                                                                    want.frames_used)
     assert scorer.call_count <= len(model_set.vowel_grid) * (1 + kept // group_frames)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(split_cases(), st.integers(1, 600),
+       st.one_of(st.just(GRID), st.sampled_from(GRID).map(lambda t: [t])))
+def test_groups_end_at_the_bound_on_distinct_kept_frames(case, group_frames, thresholds):
+    """A group ends with the utterance that brings its distinct frames kept at the lowest
+    threshold to the bound, where same-vowel segments that overlap count each frame once."""
+    model_set, utterances = case
+    sizes = []
+
+    def counting(model_set, group, rows, thresholds):
+        sizes.append(np.bincount(rows[0], minlength=len(group)).tolist())
+        return vote_group(model_set, group, rows, thresholds)
+
+    vote_group = classify._vote_group
+    with mock.patch.object(classify, "GROUP_FRAMES", group_frames), \
+            mock.patch.object(classify, "_vote_group", counting):
+        classify_vowel_thresholds(model_set, utterances, thresholds)
+    assert sum(map(len, sizes)) == len(utterances)
+    for u, counts in enumerate(sizes):
+        assert sum(counts[:-1]) < group_frames
+        assert sum(counts) >= group_frames or u == len(sizes) - 1
+    lowest = min(thresholds)
+    flat = [n for counts in sizes for n in counts]
+    for (feats, segments), n in zip(utterances, flat):
+        duration = feats.num_frames * feats.frame_hop_sec
+        kept = _clip(filter_by_confidence(segments, lowest), duration)
+        pooled = pool_vowel_features(feats, kept)
+        assert n == sum(len(pooled[v]) for v in model_set.vowel_grid)

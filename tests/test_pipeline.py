@@ -10,11 +10,13 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import accent_forge
+from accent_forge import classify, pipeline
 from accent_forge.adapt import map_adapt
 from accent_forge.cli import _build_parser
 from accent_forge.cli import main as cli_main
@@ -51,11 +53,12 @@ from accent_forge.signal import FramePlan, frame_signal, read_wav, write_wav
 from accent_forge.vowels import (
     ARPABET_VOWELS,
     PhoneSegment,
+    calibrate_threshold,
     parse_label_file,
     write_label_file,
 )
 from test_signal import synthesize_tone_silence
-from test_vowels import vowel_frame_levels
+from test_vowels import one_utterance_vowel_frames, vowel_frame_levels
 
 
 def _small_cfg():
@@ -415,6 +418,42 @@ class TestStages:
             run_stage("calibrate", _small_cfg(), ws)
         assert not (root / "models" / "confidence_threshold.json").exists()
 
+    @pytest.mark.parametrize("group_frames", [classify.GROUP_FRAMES, 40])
+    def test_calibrate_scores_the_dev_split_in_groups(self, trained_workspace, tmp_path,
+                                                      group_frames):
+        """calibrate scores the whole dev split in one grouped call, and calibrate_threshold's
+        classifier gives each utterance its own predictions, in whatever order it asks."""
+        root = tmp_path / "ws"
+        shutil.copytree(trained_workspace, root)
+        cfg, ws = _small_cfg(), Workspace(root)
+        grid = sorted(cfg.calibrate.grid)
+        model_set = pipeline.load_model_set(ws, "vowel")
+        run = pipeline.StageRun(cfg, ws, "vowel")
+        dev = [item[2:] for item in _capped_labelled(run, run.utterances("dev"))]
+        alone = [[None if r is None else r.chosen_accent for r in results]
+                 for [results] in (classify.classify_vowel_thresholds(model_set, [item], grid)
+                                   for item in dev)]
+        asked = []
+
+        def backwards(dev_corpus, grid_values, classifier):
+            dev_corpus = list(dev_corpus)
+            asked.extend(classifier(feats, segments) for feats, segments, _ in dev_corpus[::-1])
+            return calibrate_threshold(dev_corpus, grid_values, classifier)
+
+        with mock.patch.object(classify, "GROUP_FRAMES", group_frames), \
+                mock.patch.object(classify, "_score_models",
+                                  wraps=classify._score_models) as scorer, \
+                mock.patch.object(pipeline, "calibrate_threshold", backwards):
+            run_stage("calibrate", cfg, ws)
+        assert asked[::-1] == alone
+        indices = [ARPABET_VOWELS.index(v) for v in model_set.vowel_grid]
+        kept = 0
+        for feats, segments in dev:
+            _, vowel, level = one_utterance_vowel_frames(feats, segments)
+            kept += int(np.count_nonzero((level >= grid[0]) & np.isin(vowel, indices)))
+        assert kept > group_frames or group_frames == classify.GROUP_FRAMES
+        assert scorer.call_count <= len(model_set.vowel_grid) * (1 + kept // group_frames)
+
     @pytest.mark.parametrize("stage, split, output", [
         ("calibrate", "dev", "models/confidence_threshold.json"),
         ("classify", "test", "reports/predictions_vowel.tsv"),
@@ -516,7 +555,7 @@ class TestStages:
 
         inside = [PhoneSegment(0.0, 0.3, "aa"), PhoneSegment(0.3, 0.8, "iy"),
                   PhoneSegment(0.8, 1.0, "uw")]
-        [(utt, entry, capped, segments)] = _capped_labelled(OneUtterance(inside), "dev")
+        [(utt, entry, capped, segments)] = _capped_labelled(OneUtterance(inside), [("u1", "dev")])
         assert (utt, entry, capped.num_frames, segments) == ("u1", "dev", 50, inside)
         levels = vowel_frame_levels(capped, segments)  # past the cap is not scored
         assert [int(np.count_nonzero(~np.isnan(levels[ARPABET_VOWELS.index(v)])))
@@ -524,7 +563,7 @@ class TestStages:
         past_end = OneUtterance([inside[0], PhoneSegment(0.5, 3.0, "iy")])
         with pytest.raises(ValueError, match=r"utterance u1: segment \[0\.5, 3\) extends "
                                              r"beyond the utterance end 1"):
-            list(_capped_labelled(past_end, "dev"))
+            list(_capped_labelled(past_end, [("u1", "dev")]))
 
     def test_missing_prerequisite(self, tmp_path):
         cfg = _small_cfg()

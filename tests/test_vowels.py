@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,15 +20,40 @@ from accent_forge.vowels import (
     filter_by_confidence,
     parse_label_file,
     pool_vowel_features,
+    segment_frames,
     vowel_frames,
     vowel_popularity,
+    vowel_segments,
     write_label_file,
 )
 
 
+def one_utterance_vowel_frames(feats, segments):
+    """(frame, vowel index, level) arrays of one utterance's vowel frames, sorted by (vowel,
+    frame): the per-utterance form of vowel_frames, kept as its oracle.
+
+    Frame k belongs to a segment when its centre (k + 0.5) * hop lies in [start, end);
+    segments past the last frame cover frames up to it. Each (vowel, frame) pair comes once,
+    at the highest confidence of the vowel's segments holding it (+inf if unscored).
+    """
+    kept = [seg for seg in segments if seg.is_vowel]
+    lo, hi = segment_frames(kept, (np.arange(feats.num_frames) + 0.5) * feats.frame_hop_sec).T
+    counts = hi - lo
+    frame = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    level = np.repeat(np.array([math.inf if s.confidence is None else s.confidence
+                                for s in kept], dtype=np.float64), counts)
+    key = np.repeat(np.array([ARPABET_VOWELS.index(s.label) for s in kept], dtype=np.int64),
+                    counts) * feats.num_frames + frame
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))  # where each (vowel, frame) run starts
+    vowel, frame = np.divmod(key[first], feats.num_frames)
+    return frame, vowel, np.maximum.reduceat(level[order], first)
+
+
 def vowel_frame_levels(feats, segments):
     """vowel_frames as a (NUM_VOWELS, frames) level table, NaN where a vowel holds no frame."""
-    frame, vowel, level = vowel_frames(feats, segments)
+    _, frame, vowel, level = vowel_frames([vowel_segments(feats, segments)])
     levels = np.full((NUM_VOWELS, feats.num_frames), np.nan)
     levels[vowel, frame] = level
     return levels

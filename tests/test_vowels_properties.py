@@ -1,4 +1,5 @@
-"""Property test of the per-vowel frame confidence table against per-threshold masks."""
+"""Property tests of vowel-frame membership: the per-vowel frame confidence table against
+per-threshold masks, and a group of utterances against one utterance at a time."""
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from accent_forge.vowels import (  # noqa: E402
     NUM_VOWELS,
     PhoneSegment,
     filter_by_confidence,
+    vowel_frames,
+    vowel_segments,
 )
-from test_vowels import vowel_frame_levels  # noqa: E402
+from test_vowels import one_utterance_vowel_frames, vowel_frame_levels  # noqa: E402
 
 LEVELS = (-50.0, -20.0)  # shared by segments and thresholds, so some score exactly at one
 THRESHOLDS = st.one_of(st.sampled_from(LEVELS + (float("-inf"), float("inf"))),
@@ -60,3 +63,32 @@ def test_levels_at_a_threshold_select_the_frames_of_the_segments_it_keeps(case, 
     assert levels.shape == (NUM_VOWELS, feats.num_frames)
     np.testing.assert_array_equal(levels >= threshold,
                                   _masks(feats, filter_by_confidence(segments, threshold)))
+
+
+@st.composite
+def utterance_groups(draw):
+    """Utterances of different lengths and hops, in any order, among them one without
+    segments, one with only a non-vowel and one with two overlapping same-vowel segments."""
+    hop = 0.01
+    fixed = [(FeatureMatrix(np.zeros((7, 1)), hop), []),
+             (FeatureMatrix(np.zeros((9, 1)), hop), [PhoneSegment(0.0, 0.09, "n", -30.0)]),
+             (FeatureMatrix(np.zeros((12, 1)), hop), [PhoneSegment(0.0, 0.08, "aa", -60.0),
+                                                     PhoneSegment(0.035, 0.2, "aa", None)])]
+    drawn = draw(st.lists(labelled_utterances(), min_size=0, max_size=6))
+    return draw(st.permutations(drawn + draw(st.lists(st.sampled_from(fixed), max_size=3))
+                                or [fixed[0]]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(utterance_groups())
+def test_group_frames_equal_one_utterance_at_a_time(utterances):
+    """Each utterance's rows of a group, in order, are exactly its own vowel frames."""
+    utt, frame, vowel, level = vowel_frames([vowel_segments(f, s) for f, s in utterances])
+    assert len({len(utt), len(frame), len(vowel), len(level)}) == 1
+    key = np.stack([vowel, utt, frame])
+    assert np.all(np.diff(np.ravel_multi_index(key, key.max(axis=1, initial=0) + 1)) > 0)
+    for u, (feats, segments) in enumerate(utterances):
+        mine = utt == u
+        for got, want in zip((frame[mine], vowel[mine], level[mine]),
+                             one_utterance_vowel_frames(feats, segments), strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
