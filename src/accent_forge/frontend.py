@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import FormatError
-from .signal import next_pow2
+from .signal import frame_blocks, next_pow2
 
 FEATURE_MAGIC = b"AFF1"
 
@@ -176,25 +176,24 @@ def plp_static(frames, sample_rate_hz, cfg=None):
 
     nfft = next_pow2(frame_len)
     window = np.hamming(frame_len)
-    spectrum = np.abs(np.fft.rfft(frames * window, nfft, axis=1)) ** 2
-
-    fbank = bark_filterbank(nfft, sample_rate_hz, cfg.num_filters)
-    bands = spectrum @ fbank.T
-
+    fbank = bark_filterbank(nfft, sample_rate_hz, cfg.num_filters).T
     nyq_bark = float(hz_to_bark(sample_rate_hz / 2.0))
     centers_bark = np.arange(cfg.num_filters) * (nyq_bark / (cfg.num_filters - 1))
-    centers_hz = 600.0 * np.sinh(centers_bark / 6.0)
-    bands = bands * equal_loudness(centers_hz)
+    loudness = equal_loudness(600.0 * np.sinh(centers_bark / 6.0))
 
-    bands = np.maximum(bands, _SPECTRUM_FLOOR) ** 0.33
-    # edge bands are unreliable as integrated; replace with their neighbors
-    bands[:, 0] = bands[:, 1]
-    bands[:, -1] = bands[:, -2]
-
-    # treat the compressed band spectrum as a power spectrum of a short
-    # sequence: inverse DFT of the even extension gives its autocorrelation
-    even = np.concatenate([bands, bands[:, -2:0:-1]], axis=1)
-    autocorr = np.fft.ifft(even, axis=1).real[:, : cfg.num_filters]
+    # one block of frames at a time, so that only the (frames x filters)
+    # autocorrelations are held whole
+    autocorr = np.empty((num_frames, cfg.num_filters))
+    for rows in frame_blocks(num_frames):
+        power = np.abs(np.fft.rfft(frames[rows] * window, nfft, axis=1)) ** 2
+        bands = np.maximum(power @ fbank * loudness, _SPECTRUM_FLOOR) ** 0.33
+        # edge bands are unreliable as integrated; replace with their neighbors
+        bands[:, 0] = bands[:, 1]
+        bands[:, -1] = bands[:, -2]
+        # treat the compressed band spectrum as a power spectrum of a short
+        # sequence: inverse DFT of the even extension gives its autocorrelation
+        even = np.concatenate([bands, bands[:, -2:0:-1]], axis=1)
+        autocorr[rows] = np.fft.ifft(even, axis=1).real[:, : cfg.num_filters]
 
     coeffs, gains = _levinson_rows(autocorr, cfg.lp_order)
     return _lp_to_cepstrum_rows(coeffs, gains, cfg.num_ceps)
@@ -255,6 +254,24 @@ def _count_below(windows, centres):
     return less.view(np.uint8).sum(axis=-1, dtype=np.min_scalar_type(windows.shape[-1]))
 
 
+def _frame_places(data):
+    """pos[d, t]: frame t's place in (value, frame index) order within column d.
+
+    Only a column that holds equal values needs the slower stable argsort
+    for that order. The places come in the narrowest unsigned type, which
+    keeps feature_warp's window comparisons cheap.
+    """
+    columns = np.ascontiguousarray(data.T)
+    order = np.argsort(columns, axis=1)
+    ranked = np.take_along_axis(columns, order, axis=1)
+    ties = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+    order[ties] = np.argsort(columns[ties], axis=1, kind="stable")
+    place = np.arange(data.shape[0], dtype=np.min_scalar_type(data.shape[0]))
+    pos = np.empty(columns.shape, dtype=place.dtype)
+    np.put_along_axis(pos, order, place[None, :], axis=1)
+    return pos
+
+
 def feature_warp(data, window=301):
     """Short-term Gaussianization (feature warping).
 
@@ -272,18 +289,12 @@ def feature_warp(data, window=301):
         raise ValueError("empty feature matrix")
     if np.isnan(data).any():
         raise ValueError("cannot warp NaN features")
-    # pos[t, d] is frame t's place in (value, frame index) order within
-    # column d, so within any window "ranks below t" is pos[j] < pos[t]:
-    # smaller values, and equal values of earlier frames; the narrowest
-    # unsigned type keeps the window comparisons cheap
-    order = np.argsort(data, axis=0, kind="stable")
-    place = np.arange(num_frames, dtype=np.min_scalar_type(num_frames))
-    pos = np.empty(data.shape, dtype=place.dtype)
-    np.put_along_axis(pos, order, place[:, None], axis=0)
-    pos = np.ascontiguousarray(pos.T)
+    # within any window "ranks below t" is pos[j] < pos[t]: smaller values,
+    # and equal values of earlier frames
+    pos = _frame_places(data)
     half = length // 2
     num_inner = num_frames - 2 * half
-    below = np.empty((dim, num_frames), dtype=np.intp)
+    below = np.empty((dim, num_frames), dtype=np.min_scalar_type(length))
     # the edge frames share the first and the last window
     below[:, :half] = _count_below(pos[:, None, :length], pos[:, :half])
     below[:, half + num_inner:] = _count_below(pos[:, None, -length:], pos[:, half + num_inner:])
@@ -293,7 +304,9 @@ def feature_warp(data, window=301):
         stop = min(start + _WARP_BLOCK, num_inner)
         below[:, half + start:half + stop] = _count_below(
             windows[:, start:stop], pos[:, half + start:half + stop])
-    return np.ascontiguousarray(ndtri((below + 0.5) / length).T)  # rank r = below + 1
+    # rank r = below + 1, so the quantile is Phi^-1((below + 0.5) / L)
+    quantiles = ndtri((np.arange(length) + 0.5) / length)
+    return np.ascontiguousarray(quantiles[below].T)
 
 
 def write_feature_archive(path, feat):

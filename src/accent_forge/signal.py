@@ -20,6 +20,13 @@ DEFAULT_ENERGY_WEIGHT = 5.0
 DEFAULT_CENTROID_WEIGHT = 2.0
 DEFAULT_MIN_SEGMENT_FRAMES = 5
 
+# frames per block of the per-frame spectra in remove_silence and plp_static;
+# a block holds fewer than 2 * FFT_BLOCK frames (frame_blocks), so each
+# (block x FFT bins) temporary stays under about 1 MB whatever the utterance
+# length. A multiple of 4: OpenBLAS's dgemv sums rows in groups of 4, so a
+# frame's centroid numerator keeps its bits only where it keeps its place.
+FFT_BLOCK = 128
+
 
 @dataclass
 class AudioBuffer:
@@ -126,9 +133,15 @@ def read_wav(path):
                     "unsupported sample rate %d in %s (supported: %s)"
                     % (rate, path, SUPPORTED_SAMPLE_RATES)
                 )
-            raw = handle.readframes(handle.getnframes())
+            declared = handle.getnframes()
+            raw = handle.readframes(declared)
     except wave.Error as exc:
         raise UnsupportedAudioError("unsupported encoding in %s: %s" % (path, exc)) from exc
+    if len(raw) != 2 * declared:
+        raise UnsupportedAudioError(
+            "truncated data chunk in %s: %d frames declared, %d found"
+            % (path, declared, len(raw) // 2)
+        )
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioBuffer(samples, rate)
 
@@ -244,6 +257,41 @@ def mask_to_segments(mask):
     return list(zip(starts.tolist(), ends.tolist()))
 
 
+def frame_blocks(num_frames):
+    """Slices that cover range(num_frames) in blocks of FFT_BLOCK frames.
+
+    The last block also takes the remainder, so it holds FFT_BLOCK to
+    2 * FFT_BLOCK - 1 frames, or a whole shorter utterance. A short tail
+    block would take other BLAS kernels (a GEMM of few rows, a one-row
+    product), whose sums differ in the last bits; this way each frame's
+    row-wise products equal those over the whole utterance at once.
+    """
+    starts = list(range(0, max(num_frames - FFT_BLOCK, 0) + 1, FFT_BLOCK))
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [num_frames])]
+
+
+def _frame_statistics(frames, nfft):
+    """Energy rate, magnitude-spectrum total and spectral centroid of each frame.
+
+    The spectra are taken one frame_blocks block at a time, so no (frames x
+    bins) array is held whole. Every statistic is row-wise; a frame's centroid is
+    its weighted magnitude sum over its total, or 0 where the total is not > 0.
+    """
+    num_frames = len(frames)
+    weights = np.arange(2, nfft // 2 + 2, dtype=np.float64)
+    energy = np.empty(num_frames)
+    totals = np.empty(num_frames)
+    moments = np.empty(num_frames)
+    for rows in frame_blocks(num_frames):
+        block = frames[rows]
+        energy[rows] = np.mean(block * block, axis=1)
+        mags = np.abs(np.fft.rfft(block, nfft, axis=1))[:, 1:]
+        totals[rows] = mags.sum(axis=1)
+        moments[rows] = mags @ weights
+    centroid = np.divide(moments, totals, out=np.zeros(num_frames), where=totals > 0.0)
+    return energy, totals, centroid
+
+
 def remove_silence(
     audio,
     plan,
@@ -265,15 +313,8 @@ def remove_silence(
     frames = frame_signal(audio.samples, plan)
     if len(frames) < 10:
         raise ValueError("silence removal needs at least 10 frames, got %d" % len(frames))
-    energy = np.mean(frames * frames, axis=1)
-
-    nfft = next_pow2(plan.frame_len_samples)
-    mags = np.abs(np.fft.rfft(frames, nfft, axis=1))[:, 1:]
-    totals = mags.sum(axis=1)
-    weights = np.arange(2, mags.shape[1] + 2, dtype=np.float64)
-    centroid = np.zeros(len(frames))
+    energy, totals, centroid = _frame_statistics(frames, next_pow2(plan.frame_len_samples))
     nonzero = totals > 0.0
-    centroid[nonzero] = (mags[nonzero] @ weights) / totals[nonzero]
 
     mask = nonzero.copy()
     t_energy = None

@@ -1,5 +1,7 @@
 """Tests for the PLP frontend, deltas, MVN, warping, and the archive format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -17,6 +19,7 @@ from accent_forge.frontend import (
     read_feature_archive,
     write_feature_archive,
 )
+from accent_forge.signal import FFT_BLOCK, FramePlan, frame_signal
 
 _SPECTRUM_FLOOR = 1e-30
 
@@ -73,8 +76,10 @@ def _cepstra_per_frame(coeffs, gains, num_ceps):
 
 
 def _plp_static_oracle(frames, sample_rate_hz, cfg=None):
-    """plp_static with its LP back end run one frame at a time."""
+    """plp_static with its spectra taken over all frames at once and its LP back
+    end run one frame at a time."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontend, "frame_blocks", lambda num_frames: [slice(0, num_frames)])
         mp.setattr(frontend, "_levinson_rows", _batch_levinson)
         mp.setattr(frontend, "_lp_to_cepstrum_rows", _cepstra_per_frame)
         return plp_static(frames, sample_rate_hz, cfg)
@@ -190,11 +195,27 @@ class TestPlpStatic:
         np.testing.assert_allclose(diff[:, 0], 0.33 * np.log(4.0), atol=1e-8)
         assert np.abs(diff[:, 1:]).max() < 1e-8
 
-    @pytest.mark.parametrize("num_frames", [1, 2, 97])
+    @pytest.mark.parametrize("num_frames", [1, 2, 97, FFT_BLOCK - 1, FFT_BLOCK, FFT_BLOCK + 1,
+                                            2 * FFT_BLOCK + 1])
     def test_bitwise_equal_per_frame_oracle(self, num_frames):
         rng = np.random.default_rng(num_frames)
         frames = 0.1 * rng.standard_normal((num_frames, 400))
         assert np.array_equal(plp_static(frames, 16000), _plp_static_oracle(frames, 16000))
+
+    def test_memory_scales_with_frames_times_filters(self):
+        # 300 s at 16 kHz; whole-utterance power spectra took about 209 MiB
+        samples = 0.1 * np.random.default_rng(3).standard_normal(300 * 16000)
+        frames = frame_signal(samples, FramePlan.from_ms(16000))  # a view: no copy
+        num_filters = FrontendConfig().num_filters
+        tracemalloc.start()
+        try:
+            feats = plp_static(frames, 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert feats.shape == (29998, 13)
+        # six (frames x filters) float arrays, plus one block's spectra
+        assert peak < 6 * 8 * len(frames) * num_filters + 8 * 2 ** 20, peak
 
     def test_bitwise_equal_on_tones_silence_and_8k(self):
         t = np.arange(200) / 8000.0

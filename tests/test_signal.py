@@ -1,18 +1,28 @@
 """Tests for audio ingestion, framing, and dual-threshold silence removal."""
 
+import os
+import pickle
+import subprocess
+import sys
+import tracemalloc
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import accent_forge
+from accent_forge import signal
 from accent_forge.errors import ConfigError, UnsupportedAudioError
 from accent_forge.pipeline import PipelineConfig
 from accent_forge.signal import (
+    FFT_BLOCK,
     AudioBuffer,
     _bridge_short_gaps,
     _drop_short_runs,
     _histogram_modes,
     FramePlan,
+    frame_blocks,
     frame_signal,
     mask_to_segments,
     read_wav,
@@ -105,6 +115,20 @@ def spectral_centroid(frame, nfft=None):
     return centroid_from_spectrum(mags)
 
 
+def whole_utterance_statistics(frames, nfft):
+    """remove_silence's (energy, totals, centroid) from one (frames x bins)
+    spectrum of the whole utterance, with the centroid numerators taken over
+    the frames of nonzero total only (oracle)."""
+    energy = np.mean(frames * frames, axis=1)
+    mags = np.abs(np.fft.rfft(frames, nfft, axis=1))[:, 1:]
+    totals = mags.sum(axis=1)
+    weights = np.arange(2, mags.shape[1] + 2, dtype=np.float64)
+    centroid = np.zeros(len(frames))
+    nonzero = totals > 0.0
+    centroid[nonzero] = (mags[nonzero] @ weights) / totals[nonzero]
+    return energy, totals, centroid
+
+
 def _write_pcm16(path, samples_int16, rate=16000, channels=1):
     with wave.open(str(path), "wb") as handle:
         handle.setnchannels(channels)
@@ -144,6 +168,17 @@ class TestReadWav:
         with pytest.raises(UnsupportedAudioError):
             read_wav(path)
 
+    @pytest.mark.parametrize("cut_bytes, found", [(200, 900), (201, 899)])
+    def test_truncated_data_chunk_rejected(self, tmp_path, cut_bytes, found):
+        # cut at a sample boundary, and in the middle of a sample
+        path = tmp_path / "cut.wav"
+        _write_pcm16(path, np.arange(1000))
+        path.write_bytes(path.read_bytes()[:-cut_bytes])
+        with pytest.raises(UnsupportedAudioError,
+                           match="truncated data chunk in .*cut.wav: 1000 frames declared, "
+                                 "%d found" % found):
+            read_wav(path)
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         audio = AudioBuffer(rng.uniform(-0.5, 0.5, 400), 8000)
@@ -178,6 +213,22 @@ class TestFraming:
     def test_invalid_plan(self):
         with pytest.raises(ValueError):
             FramePlan(4, 5)
+
+
+class TestFrameBlocks:
+    def test_blocks_tile_the_frames_and_no_block_is_short(self):
+        # a short block would take BLAS's small-matrix kernels, and a block
+        # start off the groups of 4 rows would move dgemv's sums
+        assert FFT_BLOCK % 4 == 0
+        for num_frames in range(1, 5 * FFT_BLOCK + 2):
+            blocks = frame_blocks(num_frames)
+            assert [b.start for b in blocks] == list(range(0, len(blocks) * FFT_BLOCK, FFT_BLOCK))
+            assert [b.stop for b in blocks] == [b.start for b in blocks[1:]] + [num_frames]
+            sizes = [b.stop - b.start for b in blocks]
+            if num_frames < FFT_BLOCK:
+                assert sizes == [num_frames]
+            else:
+                assert all(FFT_BLOCK <= size < 2 * FFT_BLOCK for size in sizes)
 
 
 class TestEnergyRate:
@@ -275,6 +326,92 @@ class TestVadStatistics:
                                            [spectral_centroid(f) for f in frames],
                                            rtol=1e-12, atol=0)
         assert zero_frames > 0
+
+    def test_blocks_equal_the_whole_utterance_oracle(self, tmp_path):
+        cases = _vad_cases_at_one_blas_thread(tmp_path)
+        assert len(cases) == 2 * 2 * len(_BLOCK_EDGE_FRAMES)
+        for (rate, num_frames, zeros), got, want in cases:
+            assert len(got[0]) == num_frames
+            assert got[0].tobytes() == want[0].tobytes()  # energies
+            assert got[2:4] == want[2:4]  # segments and the energy threshold
+            assert want[3] is not None and want[4] is not None
+            if zeros:
+                # the oracle's numerators skip the all-zero frames, which moves
+                # the other frames' rows in BLAS's row groups and so their last bits
+                assert np.count_nonzero(got[1] == 0.0) > 0
+                np.testing.assert_allclose(got[1], want[1], rtol=1e-15, atol=0)
+                assert got[4] == pytest.approx(want[4], rel=1e-15, abs=0)
+            else:
+                assert got[1].tobytes() == want[1].tobytes()  # centroids
+                assert got[4] == want[4]
+
+    def test_memory_bounded_by_a_block_of_frames(self):
+        # 300 s at 16 kHz: the whole-utterance spectra took about 177 MiB
+        amps = np.repeat([0.01, 0.5], 150 * 16000)
+        audio = AudioBuffer(amps * np.random.default_rng(7).standard_normal(amps.size), 16000)
+        tracemalloc.start()
+        try:
+            vad = remove_silence(audio, FramePlan.from_ms(16000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(vad.speech_mask) == 29998
+        assert peak < 8 * 2 ** 20, peak
+
+
+# frame counts around the block edges
+_BLOCK_EDGE_FRAMES = (FFT_BLOCK - 1, FFT_BLOCK, FFT_BLOCK + 1, 2 * FFT_BLOCK - 1,
+                      2 * FFT_BLOCK, 2 * FFT_BLOCK + 1, 3 * FFT_BLOCK + 57)
+
+
+def _vad_block_cases():
+    """((rate, frames, has zero frames), blocked, oracle) per utterance of
+    _BLOCK_EDGE_FRAMES frames; blocked and oracle are remove_silence's (energy,
+    centroid, segments, energy threshold, centroid threshold), the oracle's from
+    whole_utterance_statistics. The utterances alternate 200 ms of loud white
+    noise with 200 ms of quiet low-passed noise, so both statistics are
+    bimodal; in half of them a 250 ms stretch is zeroed."""
+    cases = []
+    for rate in (8000, 16000):
+        plan = FramePlan.from_ms(rate)
+        for num_frames in _BLOCK_EDGE_FRAMES:
+            num_samples = plan.sample_range(0, num_frames)[1]
+            white = np.random.default_rng(num_frames).standard_normal(num_samples)
+            loud = (np.arange(num_samples) // (rate // 5)) % 2 == 1
+            quiet = 0.02 * np.convolve(white, np.ones(6) / 6, mode="same")
+            for zeros in (False, True):
+                samples = np.where(loud, 0.5 * white, quiet)
+                if zeros:
+                    samples[num_samples // 3:num_samples // 3 + rate // 4] = 0.0
+                audio = AudioBuffer(samples, rate)
+                results = [remove_silence(audio, plan)]
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(signal, "_frame_statistics", whole_utterance_statistics)
+                    results.append(remove_silence(audio, plan))
+                cases.append(((rate, num_frames, zeros),) + tuple(
+                    (r.frame_energy, r.frame_centroid, r.segments, r.energy_threshold,
+                     r.centroid_threshold) for r in results))
+    return cases
+
+
+def _vad_cases_at_one_blas_thread(tmp_path):
+    """_vad_block_cases() computed in a fresh process with 1 BLAS thread, as the
+    benchmark runs: OpenBLAS splits a matrix-vector product's rows between its
+    threads, and where it splits moves the oracle's last bits."""
+    env = dict(os.environ, PYTHONPATH=str(Path(accent_forge.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = tmp_path / "cases.pkl"
+    script = (
+        "import pickle, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_signal import _vad_block_cases\n"
+        "with open(sys.argv[2], 'wb') as handle:\n"
+        "    pickle.dump(_vad_block_cases(), handle)\n"
+    )
+    subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent), str(out)],
+                   env=env, check=True, timeout=120)
+    with open(out, "rb") as handle:
+        return pickle.load(handle)
 
 
 class TestThresholds:
